@@ -12,7 +12,7 @@ reproducible from their own outputs.
                  catalog's parameters (only needed for file-based states)
     [transport]  dt, steps, mode, report_every, omega0, nu
 
-Commands (exit 0 on success, 2 on validation failure, 1 on usage error):
+Commands (exit 0 on success, 2 on validation or solver failure, 1 on usage error):
 
     eval-korteweg   evaluate the capillary relation, write term fields + norms
     eval-complex    evaluate the order-parameter relation
@@ -56,7 +56,7 @@ from .models import (
     validate_partials,
 )
 from .smectic import SmecticModel, SmecticState, smectic_crocco
-from .transport import TransportConfig, TransportState, run as transport_run
+from .transport import CFLError, PoissonError, TransportConfig, TransportState, run as transport_run
 
 REPORT_MAGIC = "# CROCCOFIELD-REPORT v1"
 
@@ -177,6 +177,8 @@ def _complex_model(config: RunConfig, m: int) -> ComplexFluidModel:
         k=config.getfloat("model", "k", 1.0),
         nu_ref=_floats(config.get("model", "nu_ref", "")) or (),
         nu_ref_slope=_floats(config.get("model", "nu_ref_slope", "")) or (),
+        well_1=config.getfloat("model", "well_1", -1.0),
+        well_2=config.getfloat("model", "well_2", 1.0),
         a=config.getfloat("model", "a", 1.0),
         f_kind=config.get("model", "f_kind", "quadratic"),
         c=config.getfloat("model", "c", 1.0),
@@ -405,7 +407,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "transport2d":
             return _cmd_transport(config, grid, args.out)
         raise AssertionError(args.command)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, CFLError, PoissonError) as exc:
         print(f"croccolab: {exc}", file=sys.stderr)
         return 2
 

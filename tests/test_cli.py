@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from croccolab import cli
 from croccolab.cli import ConfigError, RunConfig, main
-from croccolab.fieldcalc import Grid, ScalarField, VectorField
+from croccolab.fieldcalc import Grid, OrderField, ScalarField, VectorField
 from croccolab.fieldio import read_field, write_field
+from croccolab.transport import PoissonError
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -156,6 +158,52 @@ def test_bad_config_exits_two(tmp_path):
 def test_unknown_generator_exits_two(tmp_path):
     config = write_config(tmp_path, "[state]\ngenerator = nonsense\n")
     assert main(["eval-korteweg", "--config", config, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_transport_cfl_failure_exits_two(tmp_path, capsys):
+    config = write_config(tmp_path, "[transport]\ndt = 5.0\nomega0 = taylor-green\n")
+    assert main(["transport2d", "--config", config, "--grid", "32", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("croccolab: CFL")
+
+
+def test_transport_poisson_failure_exits_two(tmp_path, monkeypatch, capsys):
+    def failing_run(config, state):
+        raise PoissonError("streamfunction residual 1e-3 exceeds 1e-10")
+
+    monkeypatch.setattr(cli, "transport_run", failing_run)
+    assert main(["transport2d", "--grid", "16", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("croccolab: streamfunction residual")
+
+
+def test_two_well_config_reaches_the_complex_model(tmp_path, monkeypatch):
+    grid = Grid.periodic(12)
+    x, y = grid.meshgrid()
+    write_field(VectorField(grid, np.stack([0.3 + 0.1 * np.sin(x), 0.2 * np.cos(y)], -1)),
+                str(tmp_path / "v.field"))
+    write_field(ScalarField(grid, 1.5 + 0.2 * np.sin(y)), str(tmp_path / "iota.field"))
+    write_field(ScalarField(grid, 0.1 * np.cos(x)), str(tmp_path / "eta.field"))
+    write_field(OrderField(grid, np.stack([0.4 * np.sin(x), 0.3 * np.cos(y)], -1)),
+                str(tmp_path / "nu.field"))
+    state = "".join(f"{key} = {tmp_path}/{key}.field\n" for key in ("v", "iota", "eta", "nu"))
+    models = []
+    evaluate = cli.complex_crocco
+
+    def capture(state, model, coenergy):
+        models.append(model)
+        return evaluate(state, model, coenergy)
+
+    monkeypatch.setattr(cli, "complex_crocco", capture)
+    wells = write_config(
+        tmp_path, f"[state]\n{state}\n[model]\ngamma_kind = two-well\nwell_1 = -0.5\nwell_2 = 2.0\n", "w.cfg"
+    )
+    default = write_config(tmp_path, f"[state]\n{state}\n[model]\ngamma_kind = two-well\n", "d.cfg")
+    assert main(["eval-complex", "--config", wells, "--out", str(tmp_path / "w")]) == 0
+    assert main(["eval-complex", "--config", default, "--out", str(tmp_path / "d")]) == 0
+    assert [(m.gamma_kind, m.well_1, m.well_2) for m in models] == [
+        ("two-well", -0.5, 2.0),
+        ("two-well", -1.0, 1.0),
+    ]
+    assert (tmp_path / "w" / "norms.csv").read_text() != (tmp_path / "d" / "norms.csv").read_text()
 
 
 def test_outputs_are_byte_identical_across_runs(tmp_path):

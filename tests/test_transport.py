@@ -7,6 +7,7 @@ from croccolab.fieldcalc import (
     Grid,
     div_tensor,
     div_vector,
+    l2_norm,
     linf_norm,
     refinement_study,
 )
@@ -19,13 +20,16 @@ from croccolab.manufactured import (
     two_mode_vorticity,
     uniform_order_parameter,
 )
+from croccolab import transport
 from croccolab.models import ComplexFluidModel
 from croccolab.transport import (
     CFLError,
+    PoissonError,
     TransportConfig,
     TransportError,
     TransportState,
     _arakawa,
+    _inverse_symbol,
     _laplacian_compact,
     cfl_number,
     curl_div_norms,
@@ -61,6 +65,39 @@ def test_poisson_residual_below_tolerance():
     psi = solve_streamfunction(grid, omega)
     assert np.max(np.abs(_laplacian_compact(grid, psi) + omega)) <= 1e-10
     assert abs(np.mean(psi)) <= 1e-14
+
+
+def _fft2_solve(grid, omega):
+    """Complex-FFT solve with the full eigenvalue table (the reference route)."""
+    nx, ny = grid.extents
+    hx, hy = grid.spacing
+    ex = (2.0 * np.cos(2.0 * np.pi * np.arange(nx) / nx) - 2.0) / (hx * hx)
+    ey = (2.0 * np.cos(2.0 * np.pi * np.arange(ny) / ny) - 2.0) / (hy * hy)
+    lam = ex[:, None] + ey[None, :]
+    rhs_hat = np.fft.fft2(-omega)
+    psi_hat = np.zeros_like(rhs_hat)
+    mask = np.abs(lam) > 1e-14
+    psi_hat[mask] = rhs_hat[mask] / lam[mask]
+    return np.real(np.fft.ifft2(psi_hat))
+
+
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_real_fft_solve_matches_complex_fft_solve(n):
+    grid = Grid.periodic(n)
+    omega = two_mode_vorticity(grid)
+    psi = solve_streamfunction(grid, omega)
+    reference = _fft2_solve(grid, omega)
+    assert np.max(np.abs(psi - reference)) <= 1e-13 * np.max(np.abs(reference))
+    assert abs(np.mean(psi)) <= 1e-14
+    with pytest.raises(PoissonError, match="residual"):
+        solve_streamfunction(grid, omega, tol=1e-30)
+
+
+def test_inverse_symbol_is_cached_and_read_only():
+    table = _inverse_symbol(Grid.periodic(32))
+    assert table is _inverse_symbol(Grid.periodic(32))
+    assert table.shape == (32, 17) and table[0, 0] == 0.0
+    assert not table.flags.writeable
 
 
 def test_velocity_is_divergence_free():
@@ -101,6 +138,41 @@ def test_arakawa_matches_central_advection():
 
     report = refinement_study(probe, [TWO_PI / n for n in (32, 64, 128)])
     assert report.observed_order >= 1.8
+
+
+def _arakawa_rolls(grid, psi, zeta):
+    """The Arakawa Jacobian built from 16 np.roll shifts (the reference route)."""
+    hx, hy = grid.spacing
+    pe, pw = np.roll(psi, -1, axis=0), np.roll(psi, 1, axis=0)
+    pn, ps = np.roll(psi, -1, axis=1), np.roll(psi, 1, axis=1)
+    pne, pnw = np.roll(pn, -1, axis=0), np.roll(pn, 1, axis=0)
+    pse, psw = np.roll(ps, -1, axis=0), np.roll(ps, 1, axis=0)
+    ze, zw = np.roll(zeta, -1, axis=0), np.roll(zeta, 1, axis=0)
+    zn, zs = np.roll(zeta, -1, axis=1), np.roll(zeta, 1, axis=1)
+    zne, znw = np.roll(zn, -1, axis=0), np.roll(zn, 1, axis=0)
+    zse, zsw = np.roll(zs, -1, axis=0), np.roll(zs, 1, axis=0)
+    j1 = (pe - pw) * (zn - zs) - (pn - ps) * (ze - zw)
+    j2 = pe * (zne - zse) - pw * (znw - zsw) - pn * (zne - znw) + ps * (zse - zsw)
+    j3 = zn * (pne - pnw) - zs * (pse - psw) - ze * (pne - pse) + zw * (pnw - psw)
+    return (j1 + j2 + j3) / (12.0 * hx * hy)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_arakawa_bit_identical_to_roll_formula(n):
+    grid = Grid.periodic(n)
+    rng = np.random.default_rng(n)
+    psi, zeta = rng.standard_normal((2, n, n))
+    assert np.array_equal(_arakawa(grid, psi, zeta), _arakawa_rolls(grid, psi, zeta))
+
+
+def test_compact_laplacian_matches_roll_formula():
+    grid = Grid.periodic(32)
+    values = np.random.default_rng(3).standard_normal(grid.extents)
+    h2 = grid.spacing[0] ** 2
+    reference = sum(
+        (np.roll(values, -1, axis=a) - 2.0 * values + np.roll(values, 1, axis=a)) / h2 for a in (0, 1)
+    )
+    assert np.array_equal(_laplacian_compact(grid, values), reference)
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +370,54 @@ def test_run_samples_and_sign_changes():
     assert enstrophy(state) > 0.0
     assert te_work_rate(state, MODEL2) == 0.0  # uniform nu: no transfer
     assert cfl_number(state, config.dt) <= 0.5
+
+
+def test_frozen_run_matches_public_step_loop_bit_for_bit():
+    grid = Grid.periodic(32)
+    state = make_state(grid, two_mode_vorticity, generic_order_parameter)
+    config = TransportConfig(dt=0.2 * grid.spacing[0], steps=6, model=MODEL2, report_every=4)
+    result = run(config, state)
+    manual = state
+    for _ in range(config.steps):
+        manual = step(manual, config)
+    assert np.array_equal(result.final_state.omega.values, manual.omega.values)
+    assert np.array_equal(result.final_state.psi.values, manual.psi.values)
+    final = result.samples[-1]
+    assert final.rhs_norm == l2_norm(transport_rhs(manual, MODEL2))
+    assert final.te_work_rate == te_work_rate(manual, MODEL2)
+
+
+def test_frozen_run_builds_the_stress_once_per_run(monkeypatch):
+    calls = []
+    build = transport.substructural_stress
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(transport, "substructural_stress", counted)
+    grid = Grid.periodic(32)
+    state = make_state(grid, two_mode_vorticity, generic_order_parameter)
+    run(TransportConfig(dt=0.2 * grid.spacing[0], steps=10, model=MODEL2, report_every=5), state)
+    assert len(calls) <= 5
+
+
+def test_enstrophy_drift_is_a_running_max_over_every_step():
+    # omega0 = -a*S against the frozen source S: the enstrophy falls to ~0 at
+    # t = a and climbs back to Z0 at t = 2a, the end of the run, so the
+    # samples (t = 0 and the last step) alone would miss the excursion.
+    grid = Grid.periodic(32)
+    nu = generic_order_parameter(grid)
+    source = transport_rhs(TransportState.from_vorticity(grid, np.zeros(grid.extents), nu), MODEL2)
+    config = TransportConfig(dt=0.2 * grid.spacing[0], steps=12, model=MODEL2, report_every=100)
+    state = TransportState.from_vorticity(grid, -0.5 * config.steps * config.dt * source.values, nu)
+    result = run(config, state)
+    assert [s.t for s in result.samples] == [0.0, result.final_state.t]
+    z0 = enstrophy(state)
+    peak, manual = 0.0, state
+    for _ in range(config.steps):
+        manual = step(manual, config)
+        peak = max(peak, abs(enstrophy(manual) - z0))
+    assert result.enstrophy_drift == peak / abs(z0)
+    assert result.enstrophy_drift > 0.9
+    assert abs(result.samples[-1].enstrophy - z0) / abs(z0) < 1e-3
