@@ -28,6 +28,7 @@ side is data-parallel and independent runs can execute concurrently.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
@@ -210,8 +211,15 @@ def transport_rhs(state: TransportState, model: ComplexFluidModel) -> ScalarFiel
     return ScalarField(state.grid, _source(state.grid, state.nu, model)[0])
 
 
+# (nu, model, source) of the frozen-mode `run` in progress, or None
+_RUN_SOURCE: contextvars.ContextVar = contextvars.ContextVar("_RUN_SOURCE", default=None)
+
+
 def _source(grid: Grid, nu: OrderField, model: ComplexFluidModel) -> tuple[np.ndarray, VectorField]:
-    """(-curl(div T), div T) of the substructural stress on nu."""
+    """(-curl(div T), div T) of the substructural stress on nu; a frozen run's own is reused."""
+    held = _RUN_SOURCE.get()
+    if held is not None and held[0] is nu and held[1] is model:
+        return held[2]
     div_te = div_tensor(substructural_stress(grid, nu, model))
     return -curl_vector(div_te).values, div_te
 
@@ -286,19 +294,15 @@ def step(state: TransportState, config: TransportConfig) -> TransportState:
     Advances ``omega`` (and ``nu`` in advected mode) and re-solves the
     streamfunction from the updated vorticity.  With an identically-zero
     source the stage right sides reduce bit-for-bit to pure advection.
+    In frozen mode the source comes from the `run` in progress, if any.
     """
-    source = transport_rhs(state, config.model).values if config.mode == FROZEN else None
-    return _rk4_step(state, config, source)
-
-
-def _rk4_step(state: TransportState, config: TransportConfig, source: np.ndarray | None) -> TransportState:
-    """`step` with the frozen-mode source -curl(div T) given (None in advected mode)."""
     grid = state.grid
     cfl = cfl_number(state, config.dt)
     if cfl > config.cfl_limit:
         raise CFLError(f"CFL {cfl:.3f} exceeds limit {config.cfl_limit}")
 
     frozen = config.mode == FROZEN
+    source = transport_rhs(state, config.model).values if frozen else None
 
     def rate(om: np.ndarray, nu: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """(d omega/dt, d nu/dt) at one stage; d nu/dt is None when nu is frozen."""
@@ -341,10 +345,7 @@ def te_work_rate(state: TransportState, model: ComplexFluidModel) -> float:
     between the flow and the substructure (no closed budget is claimed in
     frozen mode).
     """
-    return _work_rate(state, div_tensor(substructural_stress(state.grid, state.nu, model)))
-
-
-def _work_rate(state: TransportState, div_te: VectorField) -> float:
+    div_te = _source(state.grid, state.nu, model)[1]
     return float(np.sum(state.velocity().values * -div_te.values)) * state.grid.cell_volume
 
 
@@ -385,12 +386,7 @@ def run(config: TransportConfig, initial: TransportState) -> RunResult:
     In frozen mode the source is built once and shared by every step and
     sample.  The enstrophy drift is tracked at every step.
     """
-    result = RunResult()
-    model = config.model
-    frozen = config.mode == FROZEN
-    if frozen:
-        source, div_te = _source(initial.grid, initial.nu, model)
-        rhs_norm = l2_norm(ScalarField(initial.grid, source))
+    result, model = RunResult(), config.model
 
     def sample(state: TransportState) -> None:
         result.samples.append(
@@ -399,21 +395,25 @@ def run(config: TransportConfig, initial: TransportState) -> RunResult:
                 l2_omega=l2_norm(state.omega),
                 max_omega=linf_norm(state.omega),
                 enstrophy=enstrophy(state),
-                rhs_norm=rhs_norm if frozen else l2_norm(transport_rhs(state, model)),
-                te_work_rate=_work_rate(state, div_te) if frozen else te_work_rate(state, model),
+                rhs_norm=l2_norm(transport_rhs(state, model)),
+                te_work_rate=te_work_rate(state, model),
             )
         )
         result.sign_changes.append((state.t, omega_sign_changes(state)))
 
-    state = initial
-    sample(state)
-    z0 = result.samples[0].enstrophy
-    peak = 0.0
-    for k in range(config.steps):
-        state = _rk4_step(state, config, source if frozen else None)
-        peak = max(peak, abs(enstrophy(state) - z0))
-        if (k + 1) % config.report_every == 0 or k + 1 == config.steps:
-            sample(state)
+    held = (initial.nu, model, _source(initial.grid, initial.nu, model)) if config.mode == FROZEN else None
+    token = _RUN_SOURCE.set(held)
+    try:
+        state, peak = initial, 0.0
+        sample(state)
+        z0 = result.samples[0].enstrophy
+        for k in range(config.steps):
+            state = step(state, config)
+            peak = max(peak, abs(enstrophy(state) - z0))
+            if (k + 1) % config.report_every == 0 or k + 1 == config.steps:
+                sample(state)
+    finally:
+        _RUN_SOURCE.reset(token)
     result.final_state = state
     result.enstrophy_drift = peak / abs(z0) if z0 else 0.0
     return result

@@ -400,6 +400,7 @@ def test_frozen_run_builds_the_stress_once_per_run(monkeypatch):
     state = make_state(grid, two_mode_vorticity, generic_order_parameter)
     run(TransportConfig(dt=0.2 * grid.spacing[0], steps=10, model=MODEL2, report_every=5), state)
     assert len(calls) <= 5
+    assert transport._RUN_SOURCE.get() is None  # the run lets go of its source
 
 
 def test_enstrophy_drift_is_a_running_max_over_every_step():
