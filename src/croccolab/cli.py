@@ -8,7 +8,8 @@ reproducible from their own outputs.
     [grid]       n, dim, length, boundary
     [state]      generator = <catalog name>   (or field-file paths
                  v/iota/eta/nu/w for externally supplied states)
-    [model]      catalog = korteweg | complex | smectic, plus that
+    [model]      catalog = korteweg | complex | smectic (when given, it must
+                 name the relation of the eval command), plus that
                  catalog's parameters (only needed for file-based states)
     [transport]  dt, steps, mode, report_every, omega0, nu
 
@@ -152,24 +153,6 @@ def _floats(raw: str) -> tuple[float, ...]:
     return tuple(float(t) for t in raw.replace(",", " ").split())
 
 
-def _korteweg_model(config: RunConfig) -> tuple[KortewegModel, KortewegCoEnergy]:
-    model = KortewegModel(
-        f_kind=config.get("model", "f_kind", "quadratic"),
-        c=config.getfloat("model", "c", 1.0),
-        iota_ref=config.getfloat("model", "iota_ref", 1.0),
-        well_1=config.getfloat("model", "well_1", 1.0),
-        well_2=config.getfloat("model", "well_2", 2.0),
-        beta=config.getfloat("model", "beta", 0.0),
-        e0=config.getfloat("model", "e0", 1.0),
-        c_v=config.getfloat("model", "c_v", 1.0),
-    )
-    coenergy = KortewegCoEnergy(
-        kappa0=config.getfloat("model", "kappa0", 0.0),
-        kappa1=config.getfloat("model", "kappa1", 0.0),
-    )
-    return model, coenergy
-
-
 def _complex_model(config: RunConfig, m: int) -> ComplexFluidModel:
     return ComplexFluidModel(
         m=config.getint("model", "m", m),
@@ -189,16 +172,6 @@ def _complex_model(config: RunConfig, m: int) -> ComplexFluidModel:
     )
 
 
-def _smectic_model(config: RunConfig) -> SmecticModel:
-    return SmecticModel(
-        gamma1=config.getfloat("model", "gamma1", 1.0),
-        gamma2=config.getfloat("model", "gamma2", 1.0),
-        eps_reg=config.getfloat("model", "eps_reg", 0.0),
-        e0=config.getfloat("model", "e0", 1.0),
-        c_v=config.getfloat("model", "c_v", 1.0),
-    )
-
-
 def _read(path: str, cls):
     field = read_field(path)
     if not isinstance(field, cls):
@@ -206,84 +179,100 @@ def _read(path: str, cls):
     return field
 
 
-def _write_report(report: CroccoReport, config: RunConfig, out_dir: str) -> None:
+def _write_table(config: RunConfig, out_dir: str, name: str, header: str, rows: list[str]) -> None:
+    """Write one CSV report headed by the resolved configuration, and echo that configuration."""
     os.makedirs(out_dir, exist_ok=True)
-    lines = [REPORT_MAGIC]
-    lines += [f"# config: {line}" for line in config.resolved_lines()]
-    lines.append("term,l2,linf")
-    for name, (l2, linf) in report.norms.items():
-        lines.append(f"{name},{_fmt(l2)},{_fmt(linf)}")
-    with open(os.path.join(out_dir, "norms.csv"), "w", encoding="utf-8") as fh:
+    lines = [REPORT_MAGIC] + [f"# config: {line}" for line in config.resolved_lines()] + [header] + rows
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    write_field(report.lhs, os.path.join(out_dir, "term_lhs.field"))
-    for name, term in report.terms.items():
-        write_field(term, os.path.join(out_dir, f"term_{name}.field"))
-    write_field(report.residual, os.path.join(out_dir, "term_residual.field"))
-    _echo_config(config, out_dir)
-
-
-def _echo_config(config: RunConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved_config.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join([REPORT_MAGIC] + config.resolved_lines()) + "\n")
 
 
-def _cmd_eval_korteweg(config: RunConfig, grid: Grid, out_dir: str) -> int:
+def _write_report(report: CroccoReport, config: RunConfig, out_dir: str) -> None:
+    rows = [f"{name},{_fmt(l2)},{_fmt(linf)}" for name, (l2, linf) in report.norms.items()]
+    _write_table(config, out_dir, "norms.csv", "term,l2,linf", rows)
+    write_field(report.lhs, os.path.join(out_dir, "term_lhs.field"))
+    for name, term in report.terms.items():
+        write_field(term, os.path.join(out_dir, f"term_{name}.field"))
+    write_field(report.residual, os.path.join(out_dir, "term_residual.field"))
+
+
+def _korteweg_inputs(config: RunConfig) -> tuple[KortewegState, KortewegModel, KortewegCoEnergy]:
+    state = KortewegState(
+        v=_read(_require(config, "state", "v"), VectorField),
+        iota=_read(_require(config, "state", "iota"), ScalarField),
+        eta=_read(_require(config, "state", "eta"), ScalarField),
+    )
+    model = KortewegModel(
+        f_kind=config.get("model", "f_kind", "quadratic"),
+        c=config.getfloat("model", "c", 1.0),
+        iota_ref=config.getfloat("model", "iota_ref", 1.0),
+        well_1=config.getfloat("model", "well_1", 1.0),
+        well_2=config.getfloat("model", "well_2", 2.0),
+        beta=config.getfloat("model", "beta", 0.0),
+        e0=config.getfloat("model", "e0", 1.0),
+        c_v=config.getfloat("model", "c_v", 1.0),
+    )
+    coenergy = KortewegCoEnergy(
+        kappa0=config.getfloat("model", "kappa0", 0.0),
+        kappa1=config.getfloat("model", "kappa1", 0.0),
+    )
+    return state, model, coenergy
+
+
+def _complex_inputs(config: RunConfig) -> tuple[ComplexState, ComplexFluidModel, OrderCoEnergy]:
+    nu = _read(_require(config, "state", "nu"), OrderField)
+    state = ComplexState(
+        v=_read(_require(config, "state", "v"), VectorField),
+        iota=_read(_require(config, "state", "iota"), ScalarField),
+        eta=_read(_require(config, "state", "eta"), ScalarField),
+        nu=nu,
+    )
+    model = _complex_model(config, nu.m)
+    return state, model, OrderCoEnergy.zero(model.m)
+
+
+def _smectic_inputs(config: RunConfig) -> tuple[SmecticState, SmecticModel]:
+    state = SmecticState(
+        v=_read(_require(config, "state", "v"), VectorField),
+        eta=_read(_require(config, "state", "eta"), ScalarField),
+        w=_read(_require(config, "state", "w"), ScalarField),
+    )
+    model = SmecticModel(
+        gamma1=config.getfloat("model", "gamma1", 1.0),
+        gamma2=config.getfloat("model", "gamma2", 1.0),
+        eps_reg=config.getfloat("model", "eps_reg", 0.0),
+        e0=config.getfloat("model", "e0", 1.0),
+        c_v=config.getfloat("model", "c_v", 1.0),
+    )
+    return state, model
+
+
+# relation kind -> (state generators, inputs read from field files, evaluator).
+# The evaluators look the relation up at call time, so a patched module
+# attribute is the one that runs.
+_RELATIONS = {
+    "korteweg": (manufactured.KORTEWEG_CATALOG, _korteweg_inputs, lambda *inputs: korteweg_crocco(*inputs)),
+    "complex": (manufactured.COMPLEX_CATALOG, _complex_inputs, lambda *inputs: complex_crocco(*inputs)),
+    "smectic": (manufactured.SMECTIC_CATALOG, _smectic_inputs, lambda *inputs: smectic_crocco(*inputs)),
+}
+
+
+def _cmd_eval(kind: str, config: RunConfig, grid: Grid, out_dir: str) -> int:
+    """eval-<kind>: evaluate one relation on a generated or file-based state."""
+    catalog = config.get("model", "catalog", kind)
+    if catalog != kind:
+        raise ConfigError(f"[model] catalog = {catalog} does not match eval-{kind}")
+    generators, read_inputs, evaluate = _RELATIONS[kind]
     generator = config.get("state", "generator")
-    if generator is not None:
-        builder = manufactured.CATALOG.get(generator)
-        if builder is None or generator.startswith("complex") or generator.startswith("generation"):
-            raise ConfigError(f"unknown capillary state generator {generator!r}")
-        state, model, coenergy = builder(grid)
+    if generator is None:
+        inputs = read_inputs(config)
+    elif generator in generators:
+        inputs = generators[generator](grid)
     else:
-        state = KortewegState(
-            v=_read(_require(config, "state", "v"), VectorField),
-            iota=_read(_require(config, "state", "iota"), ScalarField),
-            eta=_read(_require(config, "state", "eta"), ScalarField),
-        )
-        model, coenergy = _korteweg_model(config)
-    _write_report(korteweg_crocco(state, model, coenergy), config, out_dir)
-    return 0
-
-
-def _cmd_eval_complex(config: RunConfig, grid: Grid, out_dir: str) -> int:
-    generator = config.get("state", "generator")
-    if generator is not None:
-        builder = manufactured.CATALOG.get(generator)
-        if builder is None or not (
-            generator.startswith("complex") or generator.startswith("generation")
-        ):
-            raise ConfigError(f"unknown order-parameter state generator {generator!r}")
-        state, model, coenergy = builder(grid)
-    else:
-        nu = _read(_require(config, "state", "nu"), OrderField)
-        state = ComplexState(
-            v=_read(_require(config, "state", "v"), VectorField),
-            iota=_read(_require(config, "state", "iota"), ScalarField),
-            eta=_read(_require(config, "state", "eta"), ScalarField),
-            nu=nu,
-        )
-        model = _complex_model(config, nu.m)
-        coenergy = OrderCoEnergy.zero(model.m)
-    _write_report(complex_crocco(state, model, coenergy), config, out_dir)
-    return 0
-
-
-def _cmd_eval_smectic(config: RunConfig, grid: Grid, out_dir: str) -> int:
-    generator = config.get("state", "generator")
-    if generator is not None:
-        builder = manufactured.SMECTIC_CATALOG.get(generator)
-        if builder is None:
-            raise ConfigError(f"unknown layered state generator {generator!r}")
-        state, model = builder(grid)
-    else:
-        state = SmecticState(
-            v=_read(_require(config, "state", "v"), VectorField),
-            eta=_read(_require(config, "state", "eta"), ScalarField),
-            w=_read(_require(config, "state", "w"), ScalarField),
-        )
-        model = _smectic_model(config)
-    _write_report(smectic_crocco(state, model), config, out_dir)
+        raise ConfigError(f"unknown {kind} state generator {generator!r}")
+    _write_report(evaluate(*inputs), config, out_dir)
     return 0
 
 
@@ -315,75 +304,44 @@ def _cmd_transport(config: RunConfig, grid: Grid, out_dir: str) -> int:
     state = TransportState.from_vorticity(grid, omega_builder(grid), nu)
     result = transport_run(tconfig, state)
 
-    os.makedirs(out_dir, exist_ok=True)
-    lines = [REPORT_MAGIC]
-    lines += [f"# config: {line}" for line in config.resolved_lines()]
-    lines.append("t,l2_omega,max_omega,enstrophy,rhs_norm,te_work_rate")
-    for s in result.samples:
-        lines.append(
-            ",".join(_fmt(v) for v in (s.t, s.l2_omega, s.max_omega, s.enstrophy, s.rhs_norm, s.te_work_rate))
-        )
-    with open(os.path.join(out_dir, "timeseries.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    final = result.final_state
-    write_field(final.omega, os.path.join(out_dir, "omega.field"))
-    write_field(final.psi, os.path.join(out_dir, "psi.field"))
-    _echo_config(config, out_dir)
+    rows = [
+        ",".join(_fmt(v) for v in (s.t, s.l2_omega, s.max_omega, s.enstrophy, s.rhs_norm, s.te_work_rate))
+        for s in result.samples
+    ]
+    _write_table(config, out_dir, "timeseries.csv", "t,l2_omega,max_omega,enstrophy,rhs_norm,te_work_rate", rows)
+    write_field(result.final_state.omega, os.path.join(out_dir, "omega.field"))
+    write_field(result.final_state.psi, os.path.join(out_dir, "psi.field"))
     return 0
 
 
 def _cmd_mms_verify(config: RunConfig, base_n: int, levels: int, out_dir: str) -> int:
     grids = [Grid.periodic(base_n * 2**i) for i in range(levels)]
-    rows: list[tuple[str, str, list[float]]] = []
-    ok = True
-    for name in ("korteweg-classical", "korteweg-basic", "korteweg-inertia"):
-        report = defect_identity(manufactured.CATALOG[name], grids, min_order=0.0)
-        rows.append((name, report.order_label, [e for _, e in report.levels]))
-        ok &= report.meets_order(1.8)
-    report = complex_defect_identity(manufactured.CATALOG["complex-gl-m2"], grids, min_order=0.0)
-    rows.append(("complex-gl-m2", report.order_label, [e for _, e in report.levels]))
-    ok &= report.meets_order(1.8)
-
-    os.makedirs(out_dir, exist_ok=True)
-    lines = [REPORT_MAGIC]
-    lines += [f"# config: {line}" for line in config.resolved_lines()]
-    lines.append("case,observed_order," + ",".join(f"err_level{i}" for i in range(levels)))
-    for name, order, errs in rows:
-        lines.append(f"{name},{order}," + ",".join(_fmt(e) for e in errs))
-    with open(os.path.join(out_dir, "mms_report.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _echo_config(config, out_dir)
-    return 0 if ok else 2
+    reports = [
+        (name, defect_identity(manufactured.CATALOG[name], grids, min_order=0.0))
+        for name in ("korteweg-classical", "korteweg-basic", "korteweg-inertia")
+    ]
+    reports.append(
+        ("complex-gl-m2", complex_defect_identity(manufactured.CATALOG["complex-gl-m2"], grids, min_order=0.0))
+    )
+    rows = [f"{name},{r.order_label}," + ",".join(_fmt(e) for _, e in r.levels) for name, r in reports]
+    header = "case,observed_order," + ",".join(f"err_level{i}" for i in range(levels))
+    _write_table(config, out_dir, "mms_report.csv", header, rows)
+    return 0 if all(r.meets_order(1.8) for _, r in reports) else 2
 
 
 def _cmd_validate_models(config: RunConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    lines = [REPORT_MAGIC]
-    lines += [f"# config: {line}" for line in config.resolved_lines()]
-    lines.append("model,entry,max_rel_error,passed")
-    ok = True
-    for model in catalog_models():
-        report = validate_partials(model)
-        ok &= report.passed
-        for check in report.checks:
-            lines.append(f"{report.model},{check.entry},{_fmt(check.max_rel_error)},{check.passed}")
-    with open(os.path.join(out_dir, "validation.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _echo_config(config, out_dir)
-    return 0 if ok else 2
+    reports = [validate_partials(model) for model in catalog_models()]
+    rows = [
+        f"{r.model},{c.entry},{_fmt(c.max_rel_error)},{c.passed}" for r in reports for c in r.checks
+    ]
+    _write_table(config, out_dir, "validation.csv", "model,entry,max_rel_error,passed", rows)
+    return 0 if all(r.passed for r in reports) else 2
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = UsageParser(prog="croccolab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "eval-korteweg",
-        "eval-complex",
-        "eval-smectic",
-        "transport2d",
-        "mms-verify",
-        "validate-models",
-    ):
+    for name in [f"eval-{kind}" for kind in _RELATIONS] + ["transport2d", "mms-verify", "validate-models"]:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="run configuration file")
         p.add_argument("--out", default="out", help="output directory")
@@ -398,15 +356,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "validate-models":
             return _cmd_validate_models(config, args.out)
         grid = _build_grid(config, args.grid)
-        if args.command == "eval-korteweg":
-            return _cmd_eval_korteweg(config, grid, args.out)
-        if args.command == "eval-complex":
-            return _cmd_eval_complex(config, grid, args.out)
-        if args.command == "eval-smectic":
-            return _cmd_eval_smectic(config, grid, args.out)
         if args.command == "transport2d":
             return _cmd_transport(config, grid, args.out)
-        raise AssertionError(args.command)
+        return _cmd_eval(args.command.removeprefix("eval-"), config, grid, args.out)
     except (ConfigError, ValueError, OSError, CFLError, PoissonError) as exc:
         print(f"croccolab: {exc}", file=sys.stderr)
         return 2

@@ -19,8 +19,15 @@ Index conventions (normative for the whole package)
 
 All first derivatives are second-order central differences; a periodic axis
 wraps, a one-sided axis closes the boundary with the second-order one-sided
-stencil.  Second derivatives are repeated first derivatives, which keeps one
-code path for every rank and makes mixed partials symmetric to rounding.
+stencil.  One generic path serves every rank, and this module is the only
+place that loops over coordinate axes.  ``_grad`` appends a trailing
+derivative axis to an array of any rank, ``_div`` contracts its last axis,
+and ``_hess`` is ``_grad`` applied twice with the last two axes swapped.
+Second derivatives are therefore repeated first derivatives, which makes
+mixed partials symmetric to rounding.  The typed operators below (grad,
+div, Jacobian, Hessian, the ``order_*`` operators, steady advection) are
+thin wrappers over these helpers.  The relation modules call the helpers
+directly on intermediate arrays.
 
 Every operator is a pure function: fields are immutable after construction
 (their arrays are marked read-only) and operators allocate fresh arrays, so
@@ -243,19 +250,32 @@ def _diff(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
     return np.gradient(values, h, axis=axis, edge_order=2)
 
 
+def _grad(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """Gradient of any rank: out[..., i] = d a[...] / d x_i, a trailing derivative axis."""
+    return np.stack([_diff(grid, a, i) for i in range(grid.dim)], axis=-1)
+
+
+def _div(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """Divergence of any rank over the LAST axis: out[...] = sum_j d a[..., j] / d x_j."""
+    out = _diff(grid, a[..., 0], 0)
+    for j in range(1, grid.dim):
+        out = out + _diff(grid, a[..., j], j)
+    return out
+
+
+def _hess(grid: Grid, a: np.ndarray) -> np.ndarray:
+    """Second gradient of any rank: out[..., i, j] = d_i (d_j a[...])."""
+    return np.swapaxes(_grad(grid, _grad(grid, a)), -1, -2)
+
+
 def grad_scalar(f: ScalarField) -> VectorField:
     """Gradient of a scalar field: out[..., i] = df/dx_i."""
-    g = f.grid
-    return VectorField(g, np.stack([_diff(g, f.values, a) for a in range(g.dim)], axis=-1))
+    return VectorField(f.grid, _grad(f.grid, f.values))
 
 
 def div_vector(u: VectorField) -> ScalarField:
     """Divergence: sum_i d u_i / d x_i."""
-    g = u.grid
-    out = _diff(g, u.values[..., 0], 0)
-    for a in range(1, g.dim):
-        out = out + _diff(g, u.values[..., a], a)
-    return ScalarField(g, out)
+    return ScalarField(u.grid, _div(u.grid, u.values))
 
 
 def curl_vector(u: VectorField) -> VectorField | ScalarField:
@@ -280,11 +300,7 @@ def curl_vector(u: VectorField) -> VectorField | ScalarField:
 
 def grad_vector(u: VectorField) -> TensorField:
     """Jacobian: out[..., i, j] = d u_i / d x_j."""
-    g = u.grid
-    rows = []
-    for i in range(g.dim):
-        rows.append(np.stack([_diff(g, u.values[..., i], j) for j in range(g.dim)], axis=-1))
-    return TensorField(g, np.stack(rows, axis=-2))
+    return TensorField(u.grid, _grad(u.grid, u.values))
 
 
 def div_tensor(t: TensorField) -> VectorField:
@@ -293,14 +309,7 @@ def div_tensor(t: TensorField) -> VectorField:
     (div T)_i = d T_ij / d x_j.  The convention is normative; see the module
     docstring.
     """
-    g = t.grid
-    comps = []
-    for i in range(g.dim):
-        acc = _diff(g, t.values[..., i, 0], 0)
-        for j in range(1, g.dim):
-            acc = acc + _diff(g, t.values[..., i, j], j)
-        comps.append(acc)
-    return VectorField(g, np.stack(comps, axis=-1))
+    return VectorField(t.grid, _div(t.grid, t.values))
 
 
 def hessian_scalar(f: ScalarField) -> TensorField:
@@ -309,53 +318,28 @@ def hessian_scalar(f: ScalarField) -> TensorField:
     Built as repeated first derivatives, so mixed partials are symmetric to
     rounding and the truncation order is O(h^2) throughout.
     """
-    g = f.grid
-    firsts = [_diff(g, f.values, j) for j in range(g.dim)]
-    rows = []
-    for i in range(g.dim):
-        rows.append(np.stack([_diff(g, firsts[j], i) for j in range(g.dim)], axis=-1))
-    return TensorField(g, np.stack(rows, axis=-2))
+    return TensorField(f.grid, _hess(f.grid, f.values))
 
 
 def order_grad(nu: OrderField) -> OrderGradField:
     """Chart-wise gradient: out[..., a, i] = d nu^a / d x_i."""
-    g = nu.grid
-    out = np.stack([_diff(g, nu.values, i) for i in range(g.dim)], axis=-1)
-    return OrderGradField(g, out)
+    return OrderGradField(nu.grid, _grad(nu.grid, nu.values))
 
 
 def order_second_grad(nu: OrderField) -> OrderHessField:
     """Chart-wise second gradient: out[..., a, i, j] = d^2 nu^a / (dx_i dx_j)."""
-    g = nu.grid
-    firsts = [_diff(g, nu.values, j) for j in range(g.dim)]
-    rows = []
-    for i in range(g.dim):
-        rows.append(np.stack([_diff(g, firsts[j], i) for j in range(g.dim)], axis=-1))
-    return OrderHessField(g, np.stack(rows, axis=-2))
-
-
-_ADVECT_RESULT: dict[type, type] = {
-    ScalarField: ScalarField,
-    VectorField: VectorField,
-    TensorField: TensorField,
-    OrderField: OrderField,
-    OrderGradField: OrderGradField,
-    OrderHessField: OrderHessField,
-}
+    return OrderHessField(nu.grid, _hess(nu.grid, nu.values))
 
 
 def advect_steady(f: Field, v: VectorField) -> Field:
     """Steady material derivative (v . grad) f, componentwise, same rank as f."""
     grid = require_same_grid(f, v)
-    extra = f.values.ndim - grid.dim
+    g = _grad(grid, f.values)
+    vb = v.values.reshape(grid.extents + (1,) * (f.values.ndim - grid.dim) + (grid.dim,))
     out = np.zeros_like(f.values)
     for a in range(grid.dim):
-        va = v.values[..., a].reshape(grid.extents + (1,) * extra)
-        out += va * _diff(grid, f.values, a)
-    result_cls = _ADVECT_RESULT.get(type(f))
-    if result_cls is None:
-        raise TypeError(f"advect_steady does not support {type(f).__name__}")
-    return result_cls(grid, out)
+        out += vb[..., a] * g[..., a]
+    return type(f)(grid, out)
 
 
 # ---------------------------------------------------------------------------

@@ -308,16 +308,22 @@ def generic_order_parameter(grid: Grid) -> OrderField:
     return OrderField(grid, nu)
 
 
-CATALOG = {
+KORTEWEG_CATALOG = {
     "korteweg-basic": korteweg_basic,
     "korteweg-inertia": korteweg_inertia,
     "korteweg-classical": korteweg_classical,
     "korteweg-two-well": korteweg_two_well,
+    "cancellation-profile": cancellation_profile,
+}
+
+COMPLEX_CATALOG = {
     "complex-gl-m2": complex_gl_m2,
     "complex-gl-m2-inertialess": complex_gl_m2_inertialess,
-    "cancellation-profile": cancellation_profile,
     "generation-sphere": generation_sphere,
 }
+
+# every (state, model, coenergy) builder, capillary and order-parameter
+CATALOG = {**KORTEWEG_CATALOG, **COMPLEX_CATALOG}
 
 VORTICITY_CATALOG = {
     "taylor-green": taylor_green_vorticity,

@@ -23,7 +23,11 @@ inertia-free reductions are bit-exact.
 
 All evaluators here are pure and operate on numpy arrays (fields pass their
 ``values``); objectivity holds because gradients enter only through their
-euclidean magnitude.
+euclidean magnitude.  The one field-level entry point is :func:`gl_partials`:
+it evaluates the Ginzburg-Landau potential and its four partials once per
+state, runs the sphere check once and checks every output finite, and the
+order-parameter relation engine consumes that bundle.  The capillary
+relation calls the model methods directly.
 """
 
 from __future__ import annotations
@@ -32,13 +36,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fieldcalc import (
-    OrderField,
-    OrderGradField,
-    ScalarField,
-    VectorField,
-    require_same_grid,
-)
+from .fieldcalc import OrderField, OrderGradField, ScalarField, require_same_grid
 
 QUADRATIC = "quadratic"
 TWO_WELL = "two-well"
@@ -157,49 +155,6 @@ class KortewegCoEnergy:
     def dchi_diota(self, iota: np.ndarray, iota_dot: np.ndarray) -> np.ndarray:
         del iota  # affine kappa: the iota-partial is state independent
         return 0.5 * self.kappa1 * np.asarray(iota_dot) ** 2
-
-
-@dataclass(frozen=True)
-class KortewegPartials:
-    dphi_diota: ScalarField
-    dphi_dgrad_iota: VectorField
-    theta: ScalarField
-
-
-def korteweg_partials(
-    model: KortewegModel,
-    iota: ScalarField,
-    grad_iota: VectorField,
-    eta: ScalarField,
-) -> KortewegPartials:
-    """Pointwise constitutive partials of the capillary potential."""
-    grid = require_same_grid(iota, grad_iota, eta)
-    dpi = _check_finite("dphi_diota", model.dphi_diota(iota.values))
-    dpg = _check_finite("dphi_dgrad_iota", model.dphi_dgrad_iota(grad_iota.values))
-    th = _check_finite("theta", model.theta(eta.values))
-    return KortewegPartials(
-        dphi_diota=ScalarField(grid, dpi),
-        dphi_dgrad_iota=VectorField(grid, dpg),
-        theta=ScalarField(grid, th),
-    )
-
-
-@dataclass(frozen=True)
-class CoEnergyTerms:
-    dchi_diota_dot: ScalarField
-    dchi_diota: ScalarField
-
-
-def korteweg_coenergy_terms(
-    coenergy: KortewegCoEnergy,
-    iota: ScalarField,
-    iota_dot: ScalarField,
-) -> CoEnergyTerms:
-    grid = require_same_grid(iota, iota_dot)
-    return CoEnergyTerms(
-        dchi_diota_dot=ScalarField(grid, coenergy.dchi_diota_dot(iota.values, iota_dot.values)),
-        dchi_diota=ScalarField(grid, coenergy.dchi_diota(iota.values, iota_dot.values)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +281,19 @@ def check_sphere_constraint(model: ComplexFluidModel, nu: OrderField) -> None:
 
 @dataclass(frozen=True)
 class GinzburgLandauPartials:
-    dphi_diota: ScalarField
-    dphi_dnu: OrderField
-    dphi_dgrad_nu: OrderGradField
-    theta: ScalarField
+    """The Ginzburg-Landau potential and its partials, evaluated once per state.
+
+    Arrays over the cells of one grid: ``dphi_diota``, ``theta`` and ``phi``
+    are scalar, ``dphi_dnu`` carries the chart axis and ``dphi_dgrad_nu``
+    the chart and spatial axes ``(m, dim)``.  This is the
+    bundle every order-parameter relation, residual and interaction reads.
+    """
+
+    dphi_diota: np.ndarray
+    dphi_dnu: np.ndarray
+    dphi_dgrad_nu: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
 
 
 def gl_partials(
@@ -339,16 +303,17 @@ def gl_partials(
     grad_nu: OrderGradField,
     eta: ScalarField,
 ) -> GinzburgLandauPartials:
-    """Pointwise constitutive partials of the Ginzburg-Landau potential."""
-    grid = require_same_grid(iota, nu, grad_nu, eta)
+    """Potential and pointwise partials of the Ginzburg-Landau model, each checked finite."""
+    require_same_grid(iota, nu, grad_nu, eta)
     if nu.m != model.m or grad_nu.m != model.m:
         raise ModelError(f"chart dimension mismatch: model m={model.m}, fields m={nu.m}")
     check_sphere_constraint(model, nu)
     return GinzburgLandauPartials(
-        dphi_diota=ScalarField(grid, _check_finite("dphi_diota", model.dphi_diota(iota.values, nu.values))),
-        dphi_dnu=OrderField(grid, _check_finite("dphi_dnu", model.dphi_dnu(iota.values, nu.values))),
-        dphi_dgrad_nu=OrderGradField(grid, model.dphi_dgrad_nu(grad_nu.values)),
-        theta=ScalarField(grid, _check_finite("theta", model.theta(eta.values))),
+        dphi_diota=_check_finite("dphi_diota", model.dphi_diota(iota.values, nu.values)),
+        dphi_dnu=_check_finite("dphi_dnu", model.dphi_dnu(iota.values, nu.values)),
+        dphi_dgrad_nu=_check_finite("dphi_dgrad_nu", model.dphi_dgrad_nu(grad_nu.values)),
+        theta=_check_finite("theta", model.theta(eta.values)),
+        phi=_check_finite("phi", model.phi(iota.values, nu.values, grad_nu.values, eta.values)),
     )
 
 
@@ -411,26 +376,6 @@ class OrderCoEnergy:
     def kinetic_energy(self, nu_dot: np.ndarray) -> np.ndarray:
         nd = np.asarray(nu_dot)
         return 0.5 * np.einsum("...a,ab,...b->...", nd, self.omega_matrix(), nd)
-
-
-@dataclass(frozen=True)
-class OrderCoEnergyTerms:
-    dchi_dnu_dot: OrderField
-    dchi_dnu: OrderField
-
-
-def order_coenergy_terms(
-    coenergy: OrderCoEnergy,
-    nu: OrderField,
-    nu_dot: OrderField,
-) -> OrderCoEnergyTerms:
-    grid = require_same_grid(nu, nu_dot)
-    if nu.m != coenergy.m:
-        raise ModelError(f"chart dimension mismatch: co-energy m={coenergy.m}, field m={nu.m}")
-    return OrderCoEnergyTerms(
-        dchi_dnu_dot=OrderField(grid, coenergy.dchi_dnu_dot(nu.values, nu_dot.values)),
-        dchi_dnu=OrderField(grid, coenergy.dchi_dnu(nu.values, nu_dot.values)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from .crocco import (
     CroccoReport,
     _build_report,
     _complex_terms,
-    _ComplexFields,
     lamb_vector,
     speed_squared,
 )
@@ -46,13 +45,13 @@ from .fieldcalc import (
     OrderField,
     ScalarField,
     VectorField,
-    _diff,
+    _grad,
     div_vector,
     grad_scalar,
     hessian_scalar,
     require_same_grid,
 )
-from .models import OrderCoEnergy
+from .models import GinzburgLandauPartials, OrderCoEnergy
 
 _TINY = 1e-300
 
@@ -68,7 +67,6 @@ class SmecticModel:
     gamma1: float
     gamma2: float
     eps_reg: float = 0.0
-    alpha: float = 0.0  # layer inertia; accepted but outside the relation here
     e0: float = 1.0
     c_v: float = 1.0
 
@@ -191,7 +189,7 @@ def smectic_crocco(state: SmecticState, model: SmecticModel) -> CroccoReport:
     h_c = ScalarField(grid, 0.5 * speed_squared(state.v).values + xi_c)
     enthalpy = VectorField(grid, -grad_scalar(h_c).values)
 
-    grad_s = np.stack([_diff(grid, s.values, i) for i in range(grid.dim)], axis=-1)
+    grad_s = _grad(grid, s.values)
     micro_grad = VectorField(grid, -np.einsum("...ji,...j->...i", grad_s, gw))
 
     balance_content = ScalarField(grid, iota * div_s)
@@ -231,12 +229,12 @@ def smectic_via_general(state: SmecticState, model: SmecticModel) -> CroccoRepor
     )
     s = smectic_microstress(state, model)
     phi = smectic_energy(state, model).values + model.entropic(state.eta.values)
-    fields = _ComplexFields(
-        phi=phi,
+    parts = GinzburgLandauPartials(
         dphi_diota=np.zeros(grid.extents),
         dphi_dnu=np.zeros(grid.extents + (1,)),
         dphi_dgrad_nu=s.values[..., None, :],
         theta=model.theta(state.eta.values),
+        phi=phi,
     )
-    lhs, terms = _complex_terms(cstate, fields, OrderCoEnergy.zero(1))
+    lhs, terms = _complex_terms(cstate, parts, OrderCoEnergy.zero(1))
     return _build_report("smectic", COMPLEX_SCHEMA, lhs, terms)

@@ -43,6 +43,7 @@ from .fieldcalc import (
     TensorField,
     VectorField,
     _diff,
+    _div,
     curl_vector,
     div_tensor,
     l2_norm,
@@ -232,9 +233,7 @@ def stress_divergence_expanded(grid: Grid, nu: OrderField, model: ComplexFluidMo
     """
     gnu = order_grad(nu).values
     p = model.dphi_dgrad_nu(gnu)
-    div_p = _diff(grid, p[..., 0], 0)
-    for j in range(1, grid.dim):
-        div_p = div_p + _diff(grid, p[..., j], j)
+    div_p = _div(grid, p)
     hess = order_second_grad(nu).values
     out = np.einsum("...ai,...a->...i", gnu, div_p) + np.einsum("...aj,...aji->...i", p, hess)
     return VectorField(grid, out)
@@ -270,14 +269,18 @@ def potential_condition_check(tensors: Sequence[TensorField]) -> PotentialCondit
     if len(tensors) == 0:
         raise TransportError("need at least one tensor field")
     levels = tuple((t.grid.spacing[0], curl_div_norms(t)[1]) for t in tensors)
-    # curl(div .) amplifies rounding like eps/h^3; norms this small on O(1)
-    # stress fields mean the alteration is exactly zero discretely.
-    if max(e for _, e in levels) <= 1e-9:
+    # curl(div .) amplifies rounding like eps/h^3; norms this small relative
+    # to the stress itself mean the alteration is exactly zero discretely.
+    # Both the floor and the fit see the norms relative to the largest entry
+    # of T, so T and s*T get the same verdict for every s > 0.
+    scale = max(float(np.max(np.abs(t.values))) for t in tensors)
+    if max(e for _, e in levels) <= 1e-9 * scale:
         order = None if len(levels) < 3 else float("inf")
         return PotentialConditionReport(levels, order, "conserving")
     if len(tensors) < 3:
         return PotentialConditionReport(levels, None, "altering")
-    report = refinement_study(dict(levels).__getitem__, [h for h, _ in levels])
+    relative = {h: e / scale for h, e in levels}
+    report = refinement_study(relative.__getitem__, [h for h, _ in levels])
     verdict = "conserving" if report.meets_order(1.5) else "altering"
     return PotentialConditionReport(levels, report.observed_order, verdict)
 

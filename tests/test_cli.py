@@ -160,6 +160,30 @@ def test_unknown_generator_exits_two(tmp_path):
     assert main(["eval-korteweg", "--config", config, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, generator, catalog",
+    [
+        ("eval-korteweg", "korteweg-basic", "smectic"),
+        ("eval-complex", "complex-gl-m2", "korteweg"),
+        ("eval-smectic", "smectic-wavy", "complex"),
+        ("eval-korteweg", "korteweg-basic", "banana"),
+    ],
+)
+def test_catalog_naming_another_relation_exits_two(tmp_path, capsys, command, generator, catalog):
+    config = write_config(tmp_path, f"[state]\ngenerator = {generator}\n\n[model]\ncatalog = {catalog}\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", config, "--grid", "16", "--out", str(out)]) == 2
+    assert f"catalog = {catalog} does not match {command}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generator_of_another_relation_exits_two(tmp_path):
+    config = write_config(tmp_path, "[state]\ngenerator = complex-gl-m2\n")
+    assert main(["eval-korteweg", "--config", config, "--grid", "16", "--out", str(tmp_path / "o")]) == 2
+    config = write_config(tmp_path, "[state]\ngenerator = korteweg-basic\n", "k.cfg")
+    assert main(["eval-smectic", "--config", config, "--grid", "16", "--out", str(tmp_path / "o")]) == 2
+
+
 def test_transport_cfl_failure_exits_two(tmp_path, capsys):
     config = write_config(tmp_path, "[transport]\ndt = 5.0\nomega0 = taylor-green\n")
     assert main(["transport2d", "--config", config, "--grid", "32", "--out", str(tmp_path / "o")]) == 2

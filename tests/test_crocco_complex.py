@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from croccolab import crocco, models
 from croccolab.crocco import (
     ComplexState,
     complex_crocco,
@@ -29,9 +30,13 @@ from croccolab.manufactured import (
     generation_sphere,
     korteweg_basic,
 )
-from croccolab.models import ComplexFluidModel, OrderCoEnergy
+from croccolab.models import ComplexFluidModel, OrderCoEnergy, gl_partials
 
 TWO_PI = 2.0 * np.pi
+
+
+def partials(state, model):
+    return gl_partials(model, state.iota, state.nu, state.grad_nu, state.eta)
 
 
 def uniform_complex_state(grid, m=2, nu=(0.2, -0.1), v=(0.5, 0.1), iota=1.5, eta=0.3):
@@ -52,7 +57,7 @@ def test_interactions_uniform_nu_pure_pressure():
     grid = Grid.periodic(16)
     model = ComplexFluidModel(m=2, k=1.2, nu_ref=(0.2, -0.1), a=0.8, c=1.1, iota_ref=1.0)
     state = uniform_complex_state(grid, nu=(0.2, -0.1))
-    inter = complex_interactions(state, model)
+    inter = complex_interactions(state, partials(state, model))
     assert linf_norm(inter.microstress) == 0.0
     # stress reduces to rho*iota*dphi_diota * I
     expected = model.dphi_diota(state.iota.values, state.nu.values)
@@ -65,7 +70,7 @@ def test_interactions_self_interaction_hand_value():
     grid = Grid.periodic(8)
     model = ComplexFluidModel(m=2, k=2.0, nu_ref=(0.0, 0.0), a=1.0)
     state = uniform_complex_state(grid, nu=(1.0, 0.0), iota=1.0)
-    inter = complex_interactions(state, model)
+    inter = complex_interactions(state, partials(state, model))
     assert np.allclose(inter.self_interaction.values[..., 0], 2.0)
     assert np.allclose(inter.self_interaction.values[..., 1], 0.0)
 
@@ -76,7 +81,7 @@ def test_interactions_match_capillary_stress_structure():
     grid = Grid.periodic(32)
     state, kmodel, _ = korteweg_basic(grid)
     cstate, cmodel, _ = korteweg_embedding(state, kmodel)
-    inter = complex_interactions(cstate, cmodel)
+    inter = complex_interactions(cstate, partials(cstate, cmodel))
     from croccolab.crocco import korteweg_stress
 
     te = korteweg_stress(state, kmodel)
@@ -95,7 +100,7 @@ def test_balance_zero_for_uniform_equilibrium():
     grid = Grid.periodic(16)
     model = ComplexFluidModel(m=2, k=1.5, nu_ref=(0.2, -0.1), a=0.7)
     state = uniform_complex_state(grid, nu=(0.2, -0.1))
-    res = substructural_balance_residual(state, model, OrderCoEnergy.zero(2))
+    res = substructural_balance_residual(state, partials(state, model), OrderCoEnergy.zero(2))
     assert linf_norm(res) == 0.0
 
 
@@ -119,7 +124,7 @@ def test_balance_harmonic_equilibrium_refines():
     def probe(h):
         grid = Grid.periodic(round(TWO_PI / h))
         state, model = build(grid)
-        return linf_norm(substructural_balance_residual(state, model, OrderCoEnergy.zero(1)))
+        return linf_norm(substructural_balance_residual(state, partials(state, model), OrderCoEnergy.zero(1)))
 
     report = refinement_study(probe, [TWO_PI / n for n in (32, 64, 128)])
     assert report.observed_order >= 1.8
@@ -129,8 +134,8 @@ def test_balance_constant_covector_advection_vanishes():
     grid = Grid.periodic(16)
     state, model, _ = complex_gl_m2(grid)
     co = OrderCoEnergy(tuple((0.0, 0.0) for _ in range(2)), (0.7, -0.3))
-    with_into = substructural_balance_residual(state, model, co)
-    without = substructural_balance_residual(state, model, OrderCoEnergy.zero(2))
+    with_into = substructural_balance_residual(state, partials(state, model), co)
+    without = substructural_balance_residual(state, partials(state, model), OrderCoEnergy.zero(2))
     assert np.array_equal(with_into.values, without.values)
 
 
@@ -195,21 +200,40 @@ def test_complex_defect_identity_refines(name):
     assert report.meets_order(1.8), report.levels
 
 
+def test_complex_defect_identity_evaluates_the_bundle_once_per_level(monkeypatch):
+    calls = {"gl_partials": 0, "check_sphere_constraint": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(crocco, "gl_partials")
+    counted(models, "check_sphere_constraint")
+    grids = [Grid.periodic(n) for n in (16, 32, 64)]
+    report = complex_defect_identity(CATALOG["complex-gl-m2"], grids)
+    assert report.meets_order(1.8), report.levels
+    assert calls == {"gl_partials": 3, "check_sphere_constraint": 3}
+
+
 def test_defect_needs_the_substructural_coupling():
     # Without the coupling built from the substructural balance residual the
     # defect stays order one on free manufactured states.
     grid = Grid.periodic(64)
     state, model, co = complex_gl_m2(grid)
     report = complex_crocco(state, model, co)
-    bare = linf_norm(
-        VectorField(grid, report.residual.values - complex_momentum_residual(state, model).values)
-    )
+    parts = partials(state, model)
+    bare = linf_norm(VectorField(grid, report.residual.values - complex_momentum_residual(state, parts).values))
     coupled = linf_norm(
         VectorField(
             grid,
             report.residual.values
-            - complex_momentum_residual(state, model).values
-            - substructural_coupling(state, model, co).values,
+            - complex_momentum_residual(state, parts).values
+            - substructural_coupling(state, parts, co).values,
         )
     )
     assert bare > 0.1

@@ -19,6 +19,7 @@ from croccolab.fieldcalc import (
     ScalarField,
     TensorField,
     VectorField,
+    _diff,
     advect_steady,
     curl_vector,
     div_tensor,
@@ -309,6 +310,86 @@ def test_advect_vector_rank_preserved():
     v = VectorField(grid, np.ones(grid.extents + (2,)))
     out = advect_steady(u, v)
     assert isinstance(out, VectorField)
+
+
+# ---------------------------------------------------------------------------
+# one rank-generic stencil path, bit-identical to the per-axis loop formulas
+# ---------------------------------------------------------------------------
+
+
+def _loop_grad_scalar(g, f):
+    return np.stack([_diff(g, f, a) for a in range(g.dim)], axis=-1)
+
+
+def _loop_div_vector(g, u):
+    out = _diff(g, u[..., 0], 0)
+    for a in range(1, g.dim):
+        out = out + _diff(g, u[..., a], a)
+    return out
+
+
+def _loop_grad_vector(g, u):
+    rows = [np.stack([_diff(g, u[..., i], j) for j in range(g.dim)], axis=-1) for i in range(g.dim)]
+    return np.stack(rows, axis=-2)
+
+
+def _loop_div_tensor(g, t):
+    comps = []
+    for i in range(g.dim):
+        acc = _diff(g, t[..., i, 0], 0)
+        for j in range(1, g.dim):
+            acc = acc + _diff(g, t[..., i, j], j)
+        comps.append(acc)
+    return np.stack(comps, axis=-1)
+
+
+def _loop_second_grad(g, f):
+    firsts = [_diff(g, f, j) for j in range(g.dim)]
+    rows = [np.stack([_diff(g, firsts[j], i) for j in range(g.dim)], axis=-1) for i in range(g.dim)]
+    return np.stack(rows, axis=-2)
+
+
+def _loop_advect(g, f, v):
+    extra = f.ndim - g.dim
+    out = np.zeros_like(f)
+    for a in range(g.dim):
+        out += v[..., a].reshape(g.extents + (1,) * extra) * _diff(g, f, a)
+    return out
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid.periodic(12),
+        Grid.one_sided((9, 11), (0.3, 0.2)),
+        Grid.periodic(6, dim=3),
+        Grid.one_sided((5, 6, 7), (0.4, 0.3, 0.25)),
+    ],
+    ids=["periodic-2d", "one-sided-2d", "periodic-3d", "one-sided-3d"],
+)
+def test_generic_operators_equal_the_loop_formulas(grid):
+    rng = np.random.default_rng(11)
+    d, ext = grid.dim, grid.extents
+    f = rng.standard_normal(ext)
+    u = rng.standard_normal(ext + (d,))
+    t = rng.standard_normal(ext + (d, d))
+    nu = rng.standard_normal(ext + (3,))
+    v = VectorField(grid, rng.standard_normal(ext + (d,)))
+    pairs = [
+        (grad_scalar(ScalarField(grid, f)), _loop_grad_scalar(grid, f)),
+        (div_vector(VectorField(grid, u)), _loop_div_vector(grid, u)),
+        (grad_vector(VectorField(grid, u)), _loop_grad_vector(grid, u)),
+        (div_tensor(TensorField(grid, t)), _loop_div_tensor(grid, t)),
+        (hessian_scalar(ScalarField(grid, f)), _loop_second_grad(grid, f)),
+        (order_grad(OrderField(grid, nu)), _loop_grad_scalar(grid, nu)),
+        (order_second_grad(OrderField(grid, nu)), _loop_second_grad(grid, nu)),
+        (advect_steady(ScalarField(grid, f), v), _loop_advect(grid, f, v.values)),
+        (advect_steady(OrderField(grid, nu), v), _loop_advect(grid, nu, v.values)),
+        (advect_steady(TensorField(grid, t), v), _loop_advect(grid, t, v.values)),
+    ]
+    for field, reference in pairs:
+        assert np.array_equal(field.values, reference)
+        assert np.array_equal(np.signbit(field.values), np.signbit(reference))
 
 
 # ---------------------------------------------------------------------------

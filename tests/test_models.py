@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from croccolab.crocco import KortewegState, complex_crocco, korteweg_embedding
 from croccolab.fieldcalc import Grid, OrderField, OrderGradField, ScalarField, VectorField
 from croccolab.models import (
     ComplexFluidModel,
@@ -16,9 +17,6 @@ from croccolab.models import (
     catalog_models,
     check_sphere_constraint,
     gl_partials,
-    korteweg_coenergy_terms,
-    korteweg_partials,
-    order_coenergy_terms,
     validate_partials,
 )
 
@@ -40,19 +38,18 @@ def test_korteweg_partials_at_energy_minimum():
     grid = Grid.periodic(8)
     model = KortewegModel(f_kind="quadratic", c=2.0, iota_ref=1.5, beta=0.3)
     iota, gi, eta = fields_on(grid, 1.5, (0.0, 0.0), 0.2)
-    parts = korteweg_partials(model, iota, gi, eta)
-    assert np.max(np.abs(parts.dphi_diota.values)) == 0.0
-    assert np.max(np.abs(parts.dphi_dgrad_iota.values)) == 0.0
-    assert np.min(parts.theta.values) > 0.0
+    assert np.max(np.abs(model.dphi_diota(iota.values))) == 0.0
+    assert np.max(np.abs(model.dphi_dgrad_iota(gi.values))) == 0.0
+    assert np.min(model.theta(eta.values)) > 0.0
 
 
 def test_korteweg_gradient_partial_is_linear():
     grid = Grid.periodic(8, dim=3)
     model = KortewegModel(beta=2.0)
-    iota, gi, eta = fields_on(grid, 1.0, (1.0, 0.0, 0.0), 0.0)
-    parts = korteweg_partials(model, iota, gi, eta)
-    assert np.allclose(parts.dphi_dgrad_iota.values[..., 0], 2.0)
-    assert np.max(np.abs(parts.dphi_dgrad_iota.values[..., 1:])) == 0.0
+    _, gi, _ = fields_on(grid, 1.0, (1.0, 0.0, 0.0), 0.0)
+    p = model.dphi_dgrad_iota(gi.values)
+    assert np.allclose(p[..., 0], 2.0)
+    assert np.max(np.abs(p[..., 1:])) == 0.0
 
 
 def test_two_well_partial_hand_value():
@@ -69,14 +66,17 @@ def test_theta_positive_everywhere():
 
 
 def test_exp_overflow_reported_with_cell():
+    # the capillary potential reaches gl_partials through its m = 1 embedding
     grid = Grid.periodic(8)
     model = KortewegModel()
-    iota, gi, eta = fields_on(grid, 1.0, (0.0, 0.0), 0.0)
+    iota, _, _ = fields_on(grid, 1.0, (0.0, 0.0), 0.0)
+    v = VectorField(grid, np.zeros(grid.extents + (2,)))
     hot = np.zeros(grid.extents)
     hot[2, 3] = 1e4  # exp overflows to inf
+    state = KortewegState(v, iota, ScalarField(grid, hot))
     with np.errstate(over="ignore"):
         with pytest.raises(EvaluationError, match=r"\(2, 3\)"):
-            korteweg_partials(model, iota, gi, ScalarField(grid, hot))
+            complex_crocco(*korteweg_embedding(state, model))
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +88,12 @@ def test_coenergy_rest_state_and_constant_kappa():
     grid = Grid.periodic(8)
     iota = ScalarField(grid, np.full(grid.extents, 1.3))
     zero = ScalarField(grid, np.zeros(grid.extents))
-    terms = korteweg_coenergy_terms(KortewegCoEnergy(kappa0=2.0, kappa1=1.0), iota, zero)
-    assert np.max(np.abs(terms.dchi_diota_dot.values)) == 0.0
-    assert np.max(np.abs(terms.dchi_diota.values)) == 0.0
+    co = KortewegCoEnergy(kappa0=2.0, kappa1=1.0)
+    assert np.max(np.abs(co.dchi_diota_dot(iota.values, zero.values))) == 0.0
+    assert np.max(np.abs(co.dchi_diota(iota.values, zero.values))) == 0.0
     rate = ScalarField(grid, np.full(grid.extents, 0.7))
-    const_kappa = korteweg_coenergy_terms(KortewegCoEnergy(kappa0=2.0, kappa1=0.0), iota, rate)
-    assert np.max(np.abs(const_kappa.dchi_diota.values)) == 0.0
+    const_kappa = KortewegCoEnergy(kappa0=2.0, kappa1=0.0)
+    assert np.max(np.abs(const_kappa.dchi_diota(iota.values, rate.values))) == 0.0
 
 
 def test_coenergy_hand_values():
@@ -116,8 +116,8 @@ def test_gl_partials_at_anchor():
     nu = OrderField(grid, np.broadcast_to([0.1, -0.2], grid.extents + (2,)).copy())
     gnu = OrderGradField(grid, np.zeros(grid.extents + (2, 2)))
     parts = gl_partials(model, iota, nu, gnu, eta)
-    assert np.max(np.abs(parts.dphi_dnu.values)) == 0.0
-    assert np.max(np.abs(parts.dphi_dgrad_nu.values)) == 0.0
+    assert np.max(np.abs(parts.dphi_dnu)) == 0.0
+    assert np.max(np.abs(parts.dphi_dgrad_nu)) == 0.0
 
 
 def test_gl_gradient_partial_linear_and_quadratic_hand_value():
@@ -130,11 +130,11 @@ def test_gl_gradient_partial_linear_and_quadratic_hand_value():
     gnu = OrderGradField(grid, gnu_values)
     nu = OrderField(grid, np.broadcast_to([0.5, -1.0], grid.extents + (2,)).copy())
     parts = gl_partials(model, iota, nu, gnu, eta)
-    assert np.allclose(parts.dphi_dgrad_nu.values[..., 0, 0], 3.0)
-    assert np.max(np.abs(parts.dphi_dgrad_nu.values[..., 1, :])) == 0.0
+    assert np.allclose(parts.dphi_dgrad_nu[..., 0, 0], 3.0)
+    assert np.max(np.abs(parts.dphi_dgrad_nu[..., 1, :])) == 0.0
     # quadratic gamma with k=2 and nu - nu0 = (0.5, -1): dphi_dnu = (1, -2)
-    assert np.allclose(parts.dphi_dnu.values[..., 0], 1.0)
-    assert np.allclose(parts.dphi_dnu.values[..., 1], -2.0)
+    assert np.allclose(parts.dphi_dnu[..., 0], 1.0)
+    assert np.allclose(parts.dphi_dnu[..., 1], -2.0)
 
 
 def test_gl_chart_dimension_mismatch():
@@ -178,9 +178,8 @@ def test_order_coenergy_zero_at_rest():
     grid = Grid.periodic(8)
     co = OrderCoEnergy(((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0))
     nu = OrderField(grid, np.zeros(grid.extents + (2,)))
-    terms = order_coenergy_terms(co, nu, nu)
-    assert np.max(np.abs(terms.dchi_dnu_dot.values)) == 0.0
-    assert np.max(np.abs(terms.dchi_dnu.values)) == 0.0
+    assert np.max(np.abs(co.dchi_dnu_dot(nu.values, nu.values))) == 0.0
+    assert np.max(np.abs(co.dchi_dnu(nu.values, nu.values))) == 0.0
 
 
 def test_order_coenergy_identity_matrix():
@@ -286,11 +285,11 @@ def test_complex_model_reduces_to_korteweg_partials():
     from croccolab.fieldcalc import grad_scalar, order_grad
 
     gi = grad_scalar(iota)
-    kparts = korteweg_partials(kmodel, iota, gi, eta)
     nu = OrderField(grid, iota.values[..., None])
     gnu = order_grad(nu)
     cparts = gl_partials(cmodel, iota, nu, gnu, eta)
-    assert np.array_equal(kparts.dphi_diota.values, cparts.dphi_diota.values)
-    assert np.array_equal(kparts.theta.values, cparts.theta.values)
-    assert np.array_equal(gi.values * 0.7, cparts.dphi_dgrad_nu.values[..., 0, :])
-    assert np.max(np.abs(cparts.dphi_dnu.values)) == 0.0
+    assert np.array_equal(kmodel.dphi_diota(iota.values), cparts.dphi_diota)
+    assert np.array_equal(kmodel.theta(eta.values), cparts.theta)
+    assert np.array_equal(kmodel.dphi_dgrad_iota(gi.values), cparts.dphi_dgrad_nu[..., 0, :])
+    assert np.array_equal(kmodel.phi(iota.values, gi.values, eta.values), cparts.phi)
+    assert np.max(np.abs(cparts.dphi_dnu)) == 0.0

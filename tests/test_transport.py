@@ -5,6 +5,7 @@ import pytest
 
 from croccolab.fieldcalc import (
     Grid,
+    TensorField,
     div_tensor,
     div_vector,
     l2_norm,
@@ -272,6 +273,20 @@ def test_potential_condition_generic_altering():
     report = potential_condition_check(tensors)
     assert report.verdict == "altering"
     assert min(e for _, e in report.norms) > 0.5  # bounded away from zero
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1e10])
+def test_potential_condition_verdict_is_scale_free(scale):
+    def scaled(builder):
+        grids = [Grid.periodic(n) for n in (32, 64, 128)]
+        return [
+            TensorField(g, scale * substructural_stress(g, builder(g), MODEL2).values) for g in grids
+        ]
+
+    assert potential_condition_check(scaled(generic_order_parameter)).verdict == "altering"
+    assert potential_condition_check(scaled(potential_order_parameter)).verdict == "conserving"
+    exact = potential_condition_check(scaled(eigencomponent_order_parameter))
+    assert exact.verdict == "conserving" and exact.observed_order == float("inf")
 
 
 # ---------------------------------------------------------------------------
