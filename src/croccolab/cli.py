@@ -9,8 +9,9 @@ reproducible from their own outputs.
     [state]      generator = <catalog name>   (or field-file paths
                  v/iota/eta/nu/w for externally supplied states)
     [model]      catalog = korteweg | complex | smectic (when given, it must
-                 name the relation of the eval command), plus that
-                 catalog's parameters (only needed for file-based states)
+                 name the relation of the eval command; transport2d takes
+                 only complex, mms-verify none), plus that catalog's
+                 parameters (only needed for file-based states)
     [transport]  dt, steps, mode, report_every, omega0, nu
 
 Commands (exit 0 on success, 2 on validation or solver failure, 1 on usage error):
@@ -259,11 +260,16 @@ _RELATIONS = {
 }
 
 
-def _cmd_eval(kind: str, config: RunConfig, grid: Grid, out_dir: str) -> int:
-    """eval-<kind>: evaluate one relation on a generated or file-based state."""
+def _check_catalog(config: RunConfig, command: str, kind: str | None) -> None:
+    """Reject a [model] catalog other than `kind`, the model `command` runs (None: it takes none)."""
     catalog = config.get("model", "catalog", kind)
     if catalog != kind:
-        raise ConfigError(f"[model] catalog = {catalog} does not match eval-{kind}")
+        raise ConfigError(f"[model] catalog = {catalog} does not match {command}")
+
+
+def _cmd_eval(kind: str, config: RunConfig, grid: Grid, out_dir: str) -> int:
+    """eval-<kind>: evaluate one relation on a generated or file-based state."""
+    _check_catalog(config, f"eval-{kind}", kind)
     generators, read_inputs, evaluate = _RELATIONS[kind]
     generator = config.get("state", "generator")
     if generator is None:
@@ -284,6 +290,7 @@ def _require(config: RunConfig, section: str, key: str) -> str:
 
 
 def _cmd_transport(config: RunConfig, grid: Grid, out_dir: str) -> int:
+    _check_catalog(config, "transport2d", "complex")
     omega_name = config.get("transport", "omega0", "two-mode")
     nu_name = config.get("transport", "nu", "uniform")
     omega_builder = manufactured.VORTICITY_CATALOG.get(omega_name)
@@ -315,6 +322,7 @@ def _cmd_transport(config: RunConfig, grid: Grid, out_dir: str) -> int:
 
 
 def _cmd_mms_verify(config: RunConfig, base_n: int, levels: int, out_dir: str) -> int:
+    _check_catalog(config, "mms-verify", None)
     grids = [Grid.periodic(base_n * 2**i) for i in range(levels)]
     reports = [
         (name, defect_identity(manufactured.CATALOG[name], grids, min_order=0.0))

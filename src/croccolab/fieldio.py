@@ -20,6 +20,16 @@ in-memory layout of the field arrays).  Binary payloads are raw IEEE-754
 doubles; CSV payloads print 17 significant digits, so both encodings
 round-trip bit-exactly.  ``m`` is the chart dimension for order-parameter
 kinds and 0 otherwise.
+
+A binary payload is viewed in place with ``np.frombuffer``.  A CSV payload
+is decoded in one C-level pass by ``np.loadtxt`` (comma delimiter, no
+comment character), after the reader has checked that it has one line per
+cell and no blank line.  A malformed CSV payload raises ``FieldFileError``
+naming the first bad row, counted from 1 at the line after ``payload``: a
+blank row, a row with the wrong number of values, or a row holding a
+token that is not a number.  A payload whose every row has the same wrong
+width is reported as a width mismatch.  Non-finite values parse, and the
+field constructor then rejects them with their cell index.
 """
 
 from __future__ import annotations
@@ -154,12 +164,18 @@ def read_field(path: str) -> Field:
         flat = np.frombuffer(payload, dtype="<f8").reshape(n_cells, components)
     elif encoding == "csv":
         lines = payload.decode("utf-8").splitlines()
+        if "" in lines:  # np.loadtxt would skip it and shift every later row
+            raise FieldFileError(f"CSV payload row {lines.index('') + 1} is blank")
         if len(lines) != n_cells:
             raise FieldFileError(
                 f"payload length mismatch: expected {n_cells} lines, got {len(lines)}"
             )
-        flat = np.array([[float(t) for t in line.split(",")] for line in lines])
-        if flat.shape != (n_cells, components):
+        try:
+            flat = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError as exc:
+            message = _csv_row_error(lines, components) or f"malformed CSV payload: {exc}"
+            raise FieldFileError(message) from exc
+        if flat.shape[1] != components:
             raise FieldFileError(
                 f"payload width mismatch: expected {components} components, got {flat.shape[1]}"
             )
@@ -170,6 +186,20 @@ def read_field(path: str) -> Field:
     values = flat.reshape(grid.extents + shape)
     cls = _CLASS_BY_KIND[kind]
     return cls(grid, values)  # the constructor re-checks finiteness with position
+
+
+def _csv_row_error(lines: list[str], components: int) -> str | None:
+    """Name the first CSV payload row (counted from 1) that is not `components` numbers."""
+    for row, line in enumerate(lines, 1):
+        tokens = line.split(",")
+        if len(tokens) != components:
+            return f"CSV payload row {row} has {len(tokens)} values, expected {components}"
+        for token in tokens:
+            try:
+                float(token)
+            except ValueError:
+                return f"CSV payload row {row} holds non-numeric token {token.strip()!r}"
+    return None
 
 
 def _component_shape(kind: str, dim: int, m: int) -> tuple[int, ...]:

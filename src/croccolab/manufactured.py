@@ -27,20 +27,38 @@ from .smectic import SmecticModel, SmecticState
 
 
 def _xy(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Open mesh: x as an (nx, 1) column and y as a (1, ny) row.
+
+    Separable terms such as ``sin(x) * cos(y)`` then evaluate their
+    functions on the 1-D coordinates and meet in one broadcast product;
+    a non-separable argument such as ``x + y`` still broadcasts to the
+    full grid.  Every cell sees the same arithmetic as on a full meshgrid.
+    """
     if grid.dim != 2:
         raise ValueError("manufactured catalog is 2-D")
-    x, y = grid.meshgrid()
+    x, y = np.meshgrid(grid.axis_coords(0), grid.axis_coords(1), indexing="ij", sparse=True)
     return x, y
+
+
+def _full(grid: Grid, a: np.ndarray | float) -> np.ndarray:
+    """`a` broadcast over the whole grid (read-only view; fields copy it)."""
+    return np.broadcast_to(a, grid.extents)
+
+
+def _stack(grid: Grid, *components: np.ndarray | float) -> np.ndarray:
+    """Components broadcast over the grid, stacked on a trailing axis."""
+    out = np.empty(grid.extents + (len(components),))
+    for i, c in enumerate(components):
+        out[..., i] = c
+    return out
 
 
 def _korteweg_fields(grid: Grid) -> tuple[VectorField, ScalarField, ScalarField]:
     x, y = _xy(grid)
-    v = np.stack(
-        [
-            0.6 + 0.35 * np.sin(x) * np.cos(y),
-            -0.4 + 0.25 * np.cos(x) * np.sin(y),
-        ],
-        axis=-1,
+    v = _stack(
+        grid,
+        0.6 + 0.35 * np.sin(x) * np.cos(y),
+        -0.4 + 0.25 * np.cos(x) * np.sin(y),
     )
     iota = 2.0 + 0.45 * np.sin(x) * np.cos(y) + 0.2 * np.cos(y)
     eta = 0.3 * np.sin(y) + 0.2 * np.cos(x)
@@ -79,13 +97,7 @@ def complex_gl_m2(grid: Grid) -> tuple[ComplexState, ComplexFluidModel, OrderCoE
     """Generic two-component order parameter with full Omega/lambda co-energy."""
     x, y = _xy(grid)
     v, iota, eta = _korteweg_fields(grid)
-    nu = np.stack(
-        [
-            0.1 + 0.5 * np.sin(x) * np.cos(y),
-            0.35 * np.cos(x + y),
-        ],
-        axis=-1,
-    )
+    nu = _stack(grid, 0.1 + 0.5 * np.sin(x) * np.cos(y), 0.35 * np.cos(x + y))
     model = ComplexFluidModel(
         m=2,
         gamma_kind="quadratic",
@@ -131,11 +143,11 @@ def cancellation_profile(grid: Grid) -> tuple[KortewegState, KortewegModel, Kort
     )
     if np.min(u_sq) <= 0.0:
         raise ValueError("cancellation profile parameters give non-positive speed")
-    v = np.stack([np.sqrt(u_sq), np.zeros_like(u_sq)], axis=-1)
-    eta = p["eta_amp"] * np.sin(x)
+    v = _stack(grid, np.sqrt(u_sq), 0.0)
+    eta = _full(grid, p["eta_amp"] * np.sin(x))
     model = KortewegModel(f_kind="quadratic", c=p["c"], iota_ref=p["iota_c"], beta=p["beta"])
     return (
-        KortewegState(VectorField(grid, v), ScalarField(grid, iota), ScalarField(grid, eta)),
+        KortewegState(VectorField(grid, v), ScalarField(grid, _full(grid, iota)), ScalarField(grid, eta)),
         model,
         KortewegCoEnergy(),
     )
@@ -149,13 +161,12 @@ def generation_sphere(grid: Grid) -> tuple[ComplexState, ComplexFluidModel, Orde
     the sphere, so the enthalpy field is exactly uniform while the
     substructural terms stay active through the anisotropic co-energy.
     """
-    x, y = _xy(grid)
-    del y
+    x, _ = _xy(grid)
     alpha = 1.0
-    nu = np.stack([np.cos(alpha * x), np.sin(alpha * x)], axis=-1)
-    v = np.stack([0.9 * np.ones_like(x), 0.4 * np.ones_like(x)], axis=-1)
-    iota = np.ones_like(x) * 1.5
-    eta = np.zeros_like(x)
+    nu = _stack(grid, np.cos(alpha * x), np.sin(alpha * x))
+    v = _stack(grid, 0.9, 0.4)
+    iota = _full(grid, 1.5)
+    eta = _full(grid, 0.0)
     model = ComplexFluidModel(
         m=2,
         gamma_kind="quadratic",
@@ -189,10 +200,11 @@ def _layer_grid(grid: Grid) -> Grid:
 def smectic_flat(grid: Grid) -> tuple[SmecticState, SmecticModel]:
     """Unit-spaced flat layers, uniform entropy and speed: the ground state."""
     grid = _layer_grid(grid)
-    x, y = _xy(grid)
-    v = np.stack([0.7 * np.ones_like(x), np.zeros_like(x)], axis=-1)
+    _, y = _xy(grid)
+    v = _stack(grid, 0.7, 0.0)
+    eta, w = _full(grid, 0.0), _full(grid, y)
     return (
-        SmecticState(VectorField(grid, v), ScalarField(grid, np.zeros_like(x)), ScalarField(grid, y)),
+        SmecticState(VectorField(grid, v), ScalarField(grid, eta), ScalarField(grid, w)),
         _SMECTIC_MODEL,
     )
 
@@ -200,12 +212,11 @@ def smectic_flat(grid: Grid) -> tuple[SmecticState, SmecticModel]:
 def smectic_compressed(grid: Grid) -> tuple[SmecticState, SmecticModel]:
     """Uniformly compressed flat layers (w = (1+e) y with e = 0.15)."""
     grid = _layer_grid(grid)
-    x, y = _xy(grid)
-    v = np.stack([0.7 * np.ones_like(x), np.zeros_like(x)], axis=-1)
+    _, y = _xy(grid)
+    v = _stack(grid, 0.7, 0.0)
+    eta, w = _full(grid, 0.0), _full(grid, 1.15 * y)
     return (
-        SmecticState(
-            VectorField(grid, v), ScalarField(grid, np.zeros_like(x)), ScalarField(grid, 1.15 * y)
-        ),
+        SmecticState(VectorField(grid, v), ScalarField(grid, eta), ScalarField(grid, w)),
         _SMECTIC_MODEL,
     )
 
@@ -215,7 +226,7 @@ def smectic_wavy(grid: Grid) -> tuple[SmecticState, SmecticModel]:
     grid = _layer_grid(grid)
     x, y = _xy(grid)
     w = 0.9 * y + 0.15 * np.sin(x) * np.cos(y)
-    v = np.stack([0.5 + 0.2 * np.sin(y), -0.3 + 0.1 * np.cos(x)], axis=-1)
+    v = _stack(grid, 0.5 + 0.2 * np.sin(y), -0.3 + 0.1 * np.cos(x))
     eta = 0.2 * np.sin(x + y)
     return (
         SmecticState(VectorField(grid, v), ScalarField(grid, eta), ScalarField(grid, w)),
@@ -275,7 +286,7 @@ def potential_order_parameter(grid: Grid) -> OrderField:
     the gradient-potential condition.
     """
     x, y = _xy(grid)
-    nu = np.stack([np.sin(x) * np.sin(y), 0.7 * np.cos(x) * np.cos(2.0 * y)], axis=-1)
+    nu = _stack(grid, np.sin(x) * np.sin(y), 0.7 * np.cos(x) * np.cos(2.0 * y))
     return OrderField(grid, nu)
 
 
@@ -286,7 +297,7 @@ def eigencomponent_order_parameter(grid: Grid) -> OrderField:
     stencils cancel and curl(div T) sits at the rounding floor.
     """
     x, y = _xy(grid)
-    nu = np.stack([np.sin(x) * np.sin(y), np.cos(x)], axis=-1)
+    nu = _stack(grid, np.sin(x) * np.sin(y), np.cos(x))
     return OrderField(grid, nu)
 
 
@@ -298,12 +309,10 @@ def generic_order_parameter(grid: Grid) -> OrderField:
     an order-one field under refinement.
     """
     x, y = _xy(grid)
-    nu = np.stack(
-        [
-            np.sin(x) * np.sin(y) + 0.3 * np.cos(2.0 * x),
-            0.5 * np.cos(x + y) + 0.4 * np.sin(y),
-        ],
-        axis=-1,
+    nu = _stack(
+        grid,
+        np.sin(x) * np.sin(y) + 0.3 * np.cos(2.0 * x),
+        0.5 * np.cos(x + y) + 0.4 * np.sin(y),
     )
     return OrderField(grid, nu)
 

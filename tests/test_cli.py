@@ -177,6 +177,31 @@ def test_catalog_naming_another_relation_exits_two(tmp_path, capsys, command, ge
     assert not out.exists()
 
 
+@pytest.mark.parametrize("catalog", ["korteweg", "smectic", "banana"])
+def test_transport_catalog_other_than_complex_exits_two(tmp_path, capsys, catalog):
+    config = write_config(tmp_path, f"[model]\ncatalog = {catalog}\n\n[transport]\nsteps = 2\n")
+    out = tmp_path / "o"
+    assert main(["transport2d", "--config", config, "--grid", "16", "--out", str(out)]) == 2
+    assert f"catalog = {catalog} does not match transport2d" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_transport_accepts_the_complex_catalog(tmp_path):
+    config = write_config(tmp_path, "[model]\ncatalog = complex\n\n[transport]\nsteps = 2\n")
+    out = tmp_path / "o"
+    assert main(["transport2d", "--config", config, "--grid", "16", "--out", str(out)]) == 0
+    assert "model.catalog = complex" in (out / "resolved_config.txt").read_text()
+
+
+@pytest.mark.parametrize("catalog", ["korteweg", "complex"])
+def test_mms_verify_rejects_any_catalog(tmp_path, capsys, catalog):
+    config = write_config(tmp_path, f"[model]\ncatalog = {catalog}\n")
+    out = tmp_path / "o"
+    assert main(["mms-verify", "--config", config, "--grid", "8", "--out", str(out)]) == 2
+    assert f"catalog = {catalog} does not match mms-verify" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generator_of_another_relation_exits_two(tmp_path):
     config = write_config(tmp_path, "[state]\ngenerator = complex-gl-m2\n")
     assert main(["eval-korteweg", "--config", config, "--grid", "16", "--out", str(tmp_path / "o")]) == 2

@@ -20,6 +20,7 @@ from croccolab.fieldcalc import (
     TensorField,
     VectorField,
     _diff,
+    _pointwise_magnitude,
     advect_steady,
     curl_vector,
     div_tensor,
@@ -390,6 +391,58 @@ def test_generic_operators_equal_the_loop_formulas(grid):
     for field, reference in pairs:
         assert np.array_equal(field.values, reference)
         assert np.array_equal(np.signbit(field.values), np.signbit(reference))
+
+
+# ---------------------------------------------------------------------------
+# slice stencil and component-sum norm, bit-identical to the formulas they replace
+# ---------------------------------------------------------------------------
+
+
+def _roll_diff(grid, values, axis):
+    """The periodic difference built from two np.roll copies (the reference route)."""
+    h = grid.spacing[axis]
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid((12, 7), (0.3, 0.7), ("periodic", "periodic")), Grid.periodic(5, dim=3, length=1.7)],
+    ids=["periodic-2d", "periodic-3d"],
+)
+@pytest.mark.parametrize("components", [(), (2,), (3, 2), (2, 3, 2)], ids=["rank0", "rank1", "rank2", "rank3"])
+def test_periodic_diff_bit_identical_to_roll_formula(grid, components):
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(grid.extents + components)
+    values.flat[::7] = -0.0
+    wide = rng.standard_normal(grid.extents + components + (3,))
+    inputs = {
+        "contiguous": values,
+        "strided": wide[..., 1],
+        "fortran": np.asfortranarray(values),
+        "reversed": values[::-1],
+    }
+    for label, a in inputs.items():
+        for axis in range(grid.dim):
+            got, ref = _diff(grid, a, axis), _roll_diff(grid, a, axis)
+            assert got.shape == ref.shape, (label, axis)
+            assert np.array_equal(_bits(got), _bits(ref)), (label, axis)
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_pointwise_magnitude_bit_identical_to_component_sum(width):
+    grid = Grid.periodic(9)
+    rng = np.random.default_rng(width)
+    values = rng.standard_normal(grid.extents + (width,))
+    values.flat[::5] = -0.0
+    values.flat[1::11] = 5e-324
+    values.flat[2::13] *= 1e150
+    flat = values.reshape(grid.extents + (-1,))
+    reference = np.sqrt(np.sum(flat * flat, axis=-1))
+    assert np.array_equal(_bits(_pointwise_magnitude(OrderField(grid, values))), _bits(reference))
 
 
 # ---------------------------------------------------------------------------

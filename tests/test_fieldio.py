@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from croccolab.cli import main
 from croccolab.fieldcalc import (
     Grid,
     OrderField,
@@ -14,7 +16,7 @@ from croccolab.fieldcalc import (
     TensorField,
     VectorField,
 )
-from croccolab.fieldio import FieldFileError, read_field, write_field
+from croccolab.fieldio import _CLASS_BY_KIND, FieldFileError, _component_shape, read_field, write_field
 
 
 def sample_fields():
@@ -99,18 +101,114 @@ def test_rejects_unknown_encoding(tmp_path):
         write_field(field, str(tmp_path / "x"), encoding="json")
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    st.lists(
-        st.floats(allow_nan=False, allow_infinity=False, width=64),
-        min_size=16,
-        max_size=16,
-    ),
-    st.sampled_from(["binary", "csv"]),
-)
-def test_round_trip_property(tmp_path_factory, values, encoding):
+def _csv_file(tmp_path):
     grid = Grid.periodic(4)
-    field = ScalarField(grid, np.array(values).reshape(4, 4))
+    field = VectorField(grid, np.random.default_rng(3).standard_normal(grid.extents + (2,)))
+    path = tmp_path / "f.csv"
+    write_field(field, str(path), encoding="csv")
+    return path
+
+
+def _edit_payload(path, edit):
+    """Apply `edit` to the list of payload lines of a CSV field file."""
+    head, payload = path.read_text().split("payload\n")
+    lines = payload.splitlines()
+    edit(lines)
+    path.write_text(head + "payload\n" + "\n".join(lines) + "\n")
+
+
+def _ragged(lines):
+    lines[2] += ",1.5"
+
+
+def _non_numeric(lines):
+    lines[4] = "0.25,abc"
+
+
+def _blank(lines):
+    lines.insert(6, "")
+
+
+def _widen(lines):
+    lines[:] = [f"{line},0" for line in lines]
+
+
+MALFORMED_CSV = {
+    "ragged": (_ragged, "CSV payload row 3 has 3 values, expected 2"),
+    "non-numeric": (_non_numeric, "CSV payload row 5 holds non-numeric token 'abc'"),
+    "blank": (_blank, "CSV payload row 7 is blank"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+def test_malformed_csv_row_is_named(tmp_path, case):
+    edit, message = MALFORMED_CSV[case]
+    path = _csv_file(tmp_path)
+    _edit_payload(path, edit)
+    with pytest.raises(FieldFileError) as info:
+        read_field(str(path))
+    assert str(info.value) == message
+
+
+def test_csv_width_mismatch_on_every_row(tmp_path):
+    path = _csv_file(tmp_path)
+    _edit_payload(path, _widen)
+    with pytest.raises(FieldFileError, match="expected 2 components, got 3"):
+        read_field(str(path))
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+def test_malformed_csv_through_the_cli_exits_two(tmp_path, capsys, case):
+    edit, message = MALFORMED_CSV[case]
+    grid = Grid.periodic(4)
+    x, y = grid.meshgrid()
+    write_field(VectorField(grid, np.stack([0.3 + 0.1 * np.sin(x), 0.2 * np.cos(y)], -1)), str(tmp_path / "v.field"))
+    write_field(ScalarField(grid, 1.5 + 0.2 * np.sin(y)), str(tmp_path / "iota.field"))
+    write_field(ScalarField(grid, 0.1 * np.cos(x)), str(tmp_path / "eta.field"))
+    nu = tmp_path / "nu.field"
+    write_field(OrderField(grid, np.stack([0.4 * np.sin(x), 0.3 * np.cos(y)], -1)), str(nu), encoding="csv")
+    _edit_payload(nu, edit)
+    state = "".join(f"{key} = {tmp_path}/{key}.field\n" for key in ("v", "iota", "eta", "nu"))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"[state]\n{state}")
+    assert main(["eval-complex", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"croccolab: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# round trip of every kind, shape and encoding, bit for bit
+# ---------------------------------------------------------------------------
+
+# -0.0, the smallest and largest subnormals, the smallest normal, +-max double
+EDGE_VALUES = (-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               np.finfo(float).max, -np.finfo(float).max)
+
+
+@st.composite
+def random_fields(draw):
+    kind = draw(st.sampled_from(sorted(_CLASS_BY_KIND)))
+    dim = draw(st.sampled_from((2, 3)))
+    extents = tuple(draw(st.integers(4, 7 if dim == 2 else 5)) for _ in range(dim))
+    spacing = tuple(draw(st.floats(1e-3, 1e3)) for _ in range(dim))
+    boundary = tuple(draw(st.sampled_from(("periodic", "one-sided"))) for _ in range(dim))
+    grid = Grid(extents, spacing, boundary)
+    shape = extents + _component_shape(kind, dim, draw(st.integers(1, 3)))
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    values = draw(arrays(np.float64, shape, elements=finite | st.sampled_from(EDGE_VALUES)))
+    start = draw(st.integers(0, values.size - len(EDGE_VALUES)))
+    values.reshape(-1)[start : start + len(EDGE_VALUES)] = EDGE_VALUES
+    return _CLASS_BY_KIND[kind](grid, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_fields(), st.sampled_from(["binary", "csv"]))
+def test_round_trip_property(tmp_path_factory, field, encoding):
     path = tmp_path_factory.mktemp("io") / "f.field"
     write_field(field, str(path), encoding=encoding)
-    assert np.array_equal(read_field(str(path)).values, field.values)
+    back = read_field(str(path))
+    assert type(back) is type(field)
+    assert back.grid == field.grid
+    assert back.values.shape == field.values.shape
+    assert np.array_equal(back.values.view(np.int64), field.values.view(np.int64))
