@@ -6,9 +6,9 @@
 Each pair runs ``benchmarks/run.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout, one after the other; even pairs run the
 parent first and odd pairs the change first, so drift of the host's speed
-over the session falls on both sides alike.  ``--seconds`` defaults to the
-``run_seconds`` of CHANGE_DIR's ``BENCHMARK.json``, which also names the
-end-to-end metrics and which direction is better.
+over the session falls on both sides alike.  T is the ``run_seconds`` of
+CHANGE_DIR's ``BENCHMARK.json``, which also names the end-to-end metrics
+and which direction is better.
 
 Every run prints one line.  The summary gives, per end-to-end metric, each
 side's median and quartiles, the change's median relative to the parent's,
@@ -37,9 +37,8 @@ def parse_args(argv):
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json)")
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
     return parser.parse_args(argv)
 
 
@@ -90,7 +89,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
     pairs = []
