@@ -14,6 +14,9 @@ reproducible from their own outputs.
                  parameters (only needed for file-based states)
     [transport]  dt, steps, mode, report_every, omega0, nu
 
+mms-verify and validate-models run fixed suites (mms-verify takes its grid
+from --grid) and read no section, so they reject a config that has one.
+
 Commands (exit 0 on success, 2 on validation or solver failure, 1 on usage error):
 
     eval-korteweg   evaluate the capillary relation, write term fields + norms
@@ -267,6 +270,12 @@ def _check_catalog(config: RunConfig, command: str, kind: str | None) -> None:
         raise ConfigError(f"[model] catalog = {catalog} does not match {command}")
 
 
+def _check_no_sections(config: RunConfig, command: str) -> None:
+    """Reject every config section: `command` runs a fixed suite and would only echo them as if used."""
+    if config.sections:
+        raise ConfigError(f"{command} reads no config section, got [{sorted(config.sections)[0]}]")
+
+
 def _cmd_eval(kind: str, config: RunConfig, grid: Grid, out_dir: str) -> int:
     """eval-<kind>: evaluate one relation on a generated or file-based state."""
     _check_catalog(config, f"eval-{kind}", kind)
@@ -323,6 +332,7 @@ def _cmd_transport(config: RunConfig, grid: Grid, out_dir: str) -> int:
 
 def _cmd_mms_verify(config: RunConfig, base_n: int, levels: int, out_dir: str) -> int:
     _check_catalog(config, "mms-verify", None)
+    _check_no_sections(config, "mms-verify")
     grids = [Grid.periodic(base_n * 2**i) for i in range(levels)]
     reports = [
         (name, defect_identity(manufactured.CATALOG[name], grids, min_order=0.0))
@@ -338,6 +348,7 @@ def _cmd_mms_verify(config: RunConfig, base_n: int, levels: int, out_dir: str) -
 
 
 def _cmd_validate_models(config: RunConfig, out_dir: str) -> int:
+    _check_no_sections(config, "validate-models")
     reports = [validate_partials(model) for model in catalog_models()]
     rows = [
         f"{r.model},{c.entry},{_fmt(c.max_rel_error)},{c.passed}" for r in reports for c in r.checks

@@ -19,8 +19,20 @@ drift purely time-integration (RK4) sized; a naive central product form
 would leak enstrophy at a rate set by the spatial resolution, drowning the
 time-step signal.  Time stepping is classical explicit RK4.  The Poisson
 solve is a real FFT (``rfft2``) against an inverse-eigenvalue table cached
-per grid, and its residual is still checked at every solve.  In frozen mode
-nu and the model never change, so ``run`` builds the source once per run.
+per grid, and its residual is checked at every solve; a non-finite residual
+fails the check too.  In frozen mode nu and the model never change, so
+``run`` builds the source once per run.
+
+Validation sits at the state boundary.  ``TransportState`` and the
+``ScalarField`` / ``OrderField`` it holds are checked (shape, finiteness,
+zero-mean vorticity) when a step ends, and ``run`` checks once that the
+initial psi solves the Poisson problem for its omega.  The RK stages work
+on plain arrays and build no ``Field``: the stress contraction, the source
+``-curl(div T)`` and the Jacobian of omega and of every nu component run on
+the arrays of the stage.  A non-finite stage vorticity fails its Poisson
+solve, and a non-finite result fails the new state's checks.  The public
+``substructural_stress``, ``transport_rhs`` and ``te_work_rate`` wrap the
+same arrays in checked fields.
 
 The integrator owns its state single-threaded per run; the per-cell right
 side is data-parallel and independent runs can execute concurrently.
@@ -30,6 +42,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -44,6 +57,7 @@ from .fieldcalc import (
     VectorField,
     _diff,
     _div,
+    _grad,
     curl_vector,
     div_tensor,
     l2_norm,
@@ -83,14 +97,14 @@ def _require_periodic_square(grid: Grid) -> None:
 
 
 def _wrap_pad(values: np.ndarray) -> np.ndarray:
-    """Copy of a 2-D array with one periodic ghost cell on each side.
+    """Copy with one periodic ghost cell on each side of the LAST two axes.
 
-    Equals ``np.pad(values, 1, mode="wrap")`` without its per-call overhead,
-    which dominates the stencils at small grids.
+    Equals ``np.pad`` in ``mode="wrap"`` over those axes without its per-call
+    overhead, which dominates the stencils at small grids.
     """
-    p = np.empty((values.shape[0] + 2, values.shape[1] + 2))
-    p[1:-1, 1:-1], p[0, 1:-1], p[-1, 1:-1] = values, values[-1], values[0]
-    p[:, 0], p[:, -1] = p[:, -2], p[:, 1]
+    p = np.empty(values.shape[:-2] + (values.shape[-2] + 2, values.shape[-1] + 2))
+    p[..., 1:-1, 1:-1], p[..., 0, 1:-1], p[..., -1, 1:-1] = values, values[..., -1, :], values[..., 0, :]
+    p[..., 0], p[..., -1] = p[..., -2], p[..., 1]
     return p
 
 
@@ -118,25 +132,39 @@ def _inverse_symbol(grid: Grid) -> np.ndarray:
 def solve_streamfunction(grid: Grid, omega: np.ndarray, tol: float = POISSON_TOL) -> np.ndarray:
     """Zero-mean psi with lap(psi) = -omega on the compact 5-point stencil."""
     psi = np.fft.irfft2(np.fft.rfft2(omega) * _inverse_symbol(grid), s=grid.extents)
-    residual = np.max(np.abs(_laplacian_compact(grid, psi) + omega))
-    if residual > tol:
-        raise PoissonError(f"streamfunction residual {residual:.3e} exceeds {tol:.1e}")
+    _require_poisson(grid, psi, omega, tol)
     return psi
 
 
+def _require_poisson(grid: Grid, psi: np.ndarray, omega: np.ndarray, tol: float) -> None:
+    """Raise PoissonError unless lap(psi) = -omega within tol; a non-finite residual fails too."""
+    residual = np.max(np.abs(_laplacian_compact(grid, psi) + omega))
+    if not residual <= tol:
+        raise PoissonError(f"streamfunction residual {residual:.3e} exceeds {tol:.1e}")
+
+
 def _arakawa(grid: Grid, psi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Nine-point Jacobian J(psi, zeta) = psi_x zeta_y - psi_y zeta_x."""
+    """Nine-point Jacobian J(psi, zeta) = psi_x zeta_y - psi_y zeta_x.
+
+    ``zeta`` may carry a trailing component axis; every component is paired
+    with the same psi and the result has the shape of ``zeta``.
+    """
     hx, hy = grid.spacing
-    # neighbours as slices of wrap-padded copies; axis 0 runs west -> east, axis 1 south -> north
-    p, z = _wrap_pad(psi), _wrap_pad(zeta)
+    # components lead inside, so each operation runs over whole rows of one component
+    z = np.moveaxis(zeta, -1, 0) if zeta.ndim == 3 else zeta
+    # neighbours as slices of wrap-padded copies; axis 0 runs west -> east, axis 1 south -> north.
+    # Every neighbour difference of the stencil is a slice of one padded difference per axis
+    # (e.g. pne - pnw = px[:, 2:]), so each subtraction is done once and is the same subtraction.
+    p, zp = _wrap_pad(psi), _wrap_pad(z)
+    px, py = p[2:, :] - p[:-2, :], p[:, 2:] - p[:, :-2]
+    zx, zy = zp[..., 2:, :] - zp[..., :-2, :], zp[..., :, 2:] - zp[..., :, :-2]
     pe, pw, pn, ps = p[2:, 1:-1], p[:-2, 1:-1], p[1:-1, 2:], p[1:-1, :-2]
-    pne, pnw, pse, psw = p[2:, 2:], p[:-2, 2:], p[2:, :-2], p[:-2, :-2]
-    ze, zw, zn, zs = z[2:, 1:-1], z[:-2, 1:-1], z[1:-1, 2:], z[1:-1, :-2]
-    zne, znw, zse, zsw = z[2:, 2:], z[:-2, 2:], z[2:, :-2], z[:-2, :-2]
-    j1 = (pe - pw) * (zn - zs) - (pn - ps) * (ze - zw)
-    j2 = pe * (zne - zse) - pw * (znw - zsw) - pn * (zne - znw) + ps * (zse - zsw)
-    j3 = zn * (pne - pnw) - zs * (pse - psw) - ze * (pne - pse) + zw * (pnw - psw)
-    return (j1 + j2 + j3) / (12.0 * hx * hy)
+    ze, zw, zn, zs = zp[..., 2:, 1:-1], zp[..., :-2, 1:-1], zp[..., 1:-1, 2:], zp[..., 1:-1, :-2]
+    j1 = px[:, 1:-1] * zy[..., 1:-1, :] - py[1:-1, :] * zx[..., :, 1:-1]
+    j2 = pe * zy[..., 2:, :] - pw * zy[..., :-2, :] - pn * zx[..., :, 2:] + ps * zx[..., :, :-2]
+    j3 = zn * px[:, 2:] - zs * px[:, :-2] - ze * py[2:, :] + zw * py[:-2, :]
+    out = (j1 + j2 + j3) / (12.0 * hx * hy)
+    return np.moveaxis(out, 0, -1) if zeta.ndim == 3 else out
 
 
 @dataclass(frozen=True)
@@ -195,13 +223,27 @@ class TransportConfig:
             raise TransportError("cfl_limit must lie in (0, 0.5]")
 
 
+def _stress(grid: Grid, nu: np.ndarray, model: ComplexFluidModel) -> np.ndarray:
+    """T[..., i, j] = sum_a (grad nu)^a_i (dphi/dgrad nu)^a_j of the chart values nu (iota == 1)."""
+    if nu.shape[-1] != model.m:
+        raise ModelError(f"chart dimension mismatch: model m={model.m}, field m={nu.shape[-1]}")
+    gnu = _grad(grid, nu)
+    p = model.dphi_dgrad_nu(gnu)
+    # one accumulator per (i, j) over whole-grid component slices: a broadcast
+    # product summed over the chart axis would run inner loops two elements long
+    out = np.empty(gnu.shape[:-2] + (grid.dim, grid.dim))
+    for i in range(grid.dim):
+        for j in range(grid.dim):
+            acc = gnu[..., 0, i] * p[..., 0, j]
+            for a in range(1, model.m):
+                acc += gnu[..., a, i] * p[..., a, j]
+            out[..., i, j] = acc
+    return out
+
+
 def substructural_stress(grid: Grid, nu: OrderField, model: ComplexFluidModel) -> TensorField:
     """Dyadic stress T_ij = sum_a (grad nu)^a_i (dphi/dgrad nu)^a_j (iota == 1)."""
-    if nu.m != model.m:
-        raise ModelError(f"chart dimension mismatch: model m={model.m}, field m={nu.m}")
-    gnu = order_grad(nu).values
-    p = model.dphi_dgrad_nu(gnu)
-    return TensorField(grid, np.sum(gnu[..., :, None] * p[..., None, :], axis=-3))
+    return TensorField(grid, _stress(grid, nu.values, model))
 
 
 def transport_rhs(state: TransportState, model: ComplexFluidModel) -> ScalarField:
@@ -209,20 +251,21 @@ def transport_rhs(state: TransportState, model: ComplexFluidModel) -> ScalarFiel
 
     Exactly zero for uniform nu; O(h^2)-small whenever div T is a gradient.
     """
-    return ScalarField(state.grid, _source(state.grid, state.nu, model)[0])
+    return ScalarField(state.grid, _source(state.grid, state.nu.values, model)[0])
 
 
-# (nu, model, source) of the frozen-mode `run` in progress, or None
+# (nu values, model, source) of the frozen-mode `run` in progress, or None
 _RUN_SOURCE: contextvars.ContextVar = contextvars.ContextVar("_RUN_SOURCE", default=None)
 
 
-def _source(grid: Grid, nu: OrderField, model: ComplexFluidModel) -> tuple[np.ndarray, VectorField]:
-    """(-curl(div T), div T) of the substructural stress on nu; a frozen run's own is reused."""
+def _source(grid: Grid, nu: np.ndarray, model: ComplexFluidModel) -> tuple[np.ndarray, np.ndarray]:
+    """(-curl(div T), div T) as arrays for the chart values nu; a frozen run's own is reused."""
     held = _RUN_SOURCE.get()
     if held is not None and held[0] is nu and held[1] is model:
         return held[2]
-    div_te = div_tensor(substructural_stress(grid, nu, model))
-    return -curl_vector(div_te).values, div_te
+    div_te = _div(grid, _stress(grid, nu, model))
+    curl = _diff(grid, div_te[..., 1], 0) - _diff(grid, div_te[..., 0], 1)
+    return np.negative(curl, out=curl), div_te
 
 
 def stress_divergence_expanded(grid: Grid, nu: OrderField, model: ComplexFluidModel) -> VectorField:
@@ -286,8 +329,9 @@ def potential_condition_check(tensors: Sequence[TensorField]) -> PotentialCondit
 
 
 def cfl_number(state: TransportState, dt: float) -> float:
-    v = state.velocity().values
-    speed = float(np.max(np.sqrt(np.sum(v * v, axis=-1))))
+    """Largest |v| dt / h; sqrt is monotone and correctly rounded, so it is taken once, of the max |v|^2."""
+    vx, vy = _diff(state.grid, state.psi.values, 1), _diff(state.grid, state.psi.values, 0)
+    speed = math.sqrt(float(np.max(vx * vx + vy * vy)))
     return speed * dt / min(state.grid.spacing)
 
 
@@ -299,23 +343,24 @@ def step(state: TransportState, config: TransportConfig) -> TransportState:
     source the stage right sides reduce bit-for-bit to pure advection.
     In frozen mode the source comes from the `run` in progress, if any.
     """
-    grid = state.grid
+    grid, model = state.grid, config.model
     cfl = cfl_number(state, config.dt)
     if cfl > config.cfl_limit:
         raise CFLError(f"CFL {cfl:.3f} exceeds limit {config.cfl_limit}")
 
     frozen = config.mode == FROZEN
-    source = transport_rhs(state, config.model).values if frozen else None
+    # a frozen step tests its source for zeros once; None stands for an identically zero one
+    source = transport_rhs(state, model).values if frozen else None
+    if frozen and not np.any(source):
+        source = None
 
     def rate(om: np.ndarray, nu: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """(d omega/dt, d nu/dt) at one stage; d nu/dt is None when nu is frozen."""
         adv = _arakawa(grid, psi, om)  # J(psi, omega) = -(v.grad) omega
         if frozen:
-            src, dnu = source, None
-        else:
-            src = _source(grid, OrderField(grid, nu), config.model)[0]
-            dnu = np.stack([_arakawa(grid, psi, nu[..., a]) for a in range(nu.shape[-1])], axis=-1)
-        return (adv + src if np.any(src) else adv), dnu
+            return (adv if source is None else adv + source), None
+        src = _source(grid, nu, model)[0]
+        return (adv + src if np.any(src) else adv), _arakawa(grid, psi, nu)
 
     dt, tol = config.dt, config.poisson_tol
     om0, nu0, psi0 = state.omega.values, state.nu.values, state.psi.values
@@ -348,7 +393,7 @@ def te_work_rate(state: TransportState, model: ComplexFluidModel) -> float:
     between the flow and the substructure (no closed budget is claimed in
     frozen mode).
     """
-    div_te = _source(state.grid, state.nu, model)[1]
+    div_te = VectorField(state.grid, _source(state.grid, state.nu.values, model)[1])
     return float(np.sum(state.velocity().values * -div_te.values)) * state.grid.cell_volume
 
 
@@ -404,7 +449,9 @@ def run(config: TransportConfig, initial: TransportState) -> RunResult:
         )
         result.sign_changes.append((state.t, omega_sign_changes(state)))
 
-    held = (initial.nu, model, _source(initial.grid, initial.nu, model)) if config.mode == FROZEN else None
+    _require_poisson(initial.grid, initial.psi.values, initial.omega.values, config.poisson_tol)
+    nu = initial.nu.values
+    held = (nu, model, _source(initial.grid, nu, model)) if config.mode == FROZEN else None
     token = _RUN_SOURCE.set(held)
     try:
         state, peak = initial, 0.0

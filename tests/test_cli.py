@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from croccolab import cli
+from croccolab import cli, manufactured
 from croccolab.cli import ConfigError, RunConfig, main
 from croccolab.fieldcalc import Grid, OrderField, ScalarField, VectorField
 from croccolab.fieldio import read_field, write_field
@@ -202,6 +202,24 @@ def test_mms_verify_rejects_any_catalog(tmp_path, capsys, catalog):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, text, section",
+    [
+        ("validate-models", "[model]\ncatalog = smectic\n", "model"),
+        ("validate-models", "[grid]\nn = 16\n", "grid"),
+        ("mms-verify", "[model]\nbeta = 0.7\n\n[state]\ngenerator = korteweg-basic\n", "model"),
+        ("mms-verify", "[state]\ngenerator = korteweg-basic\n", "state"),
+        ("mms-verify", "[grid]\nn = 16\n", "grid"),
+    ],
+)
+def test_fixed_suites_reject_config_sections(tmp_path, capsys, command, text, section):
+    config = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert main([command, "--config", config, "--grid", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"croccolab: {command} reads no config section, got [{section}]\n"
+    assert not out.exists()
+
+
 def test_generator_of_another_relation_exits_two(tmp_path):
     config = write_config(tmp_path, "[state]\ngenerator = complex-gl-m2\n")
     assert main(["eval-korteweg", "--config", config, "--grid", "16", "--out", str(tmp_path / "o")]) == 2
@@ -213,6 +231,24 @@ def test_transport_cfl_failure_exits_two(tmp_path, capsys):
     config = write_config(tmp_path, "[transport]\ndt = 5.0\nomega0 = taylor-green\n")
     assert main(["transport2d", "--config", config, "--grid", "32", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("croccolab: CFL")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_transport_blow_up_exits_two_without_traceback(tmp_path, monkeypatch, capsys):
+    def near_overflow(grid):
+        nu = manufactured.generic_order_parameter(grid).values
+        return OrderField(grid, 1e308 + 7e307 * nu / np.max(np.abs(nu)))
+
+    monkeypatch.setitem(manufactured.ORDER_CATALOG, "near-overflow", near_overflow)
+    config = write_config(
+        tmp_path, "[model]\na = 0\n\n[transport]\nmode = advected\nnu = near-overflow\nsteps = 3\n"
+    )
+    out = tmp_path / "o"
+    assert main(["transport2d", "--config", config, "--grid", "16", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("croccolab: non-finite value") and "OrderField" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_transport_poisson_failure_exits_two(tmp_path, monkeypatch, capsys):

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from croccolab.fieldcalc import (
+    FieldValueError,
     Grid,
+    OrderField,
+    ScalarField,
     TensorField,
+    _grad,
+    curl_vector,
     div_tensor,
     div_vector,
     l2_norm,
     linf_norm,
+    order_grad,
     refinement_study,
 )
 from croccolab.manufactured import (
@@ -22,7 +28,7 @@ from croccolab.manufactured import (
     uniform_order_parameter,
 )
 from croccolab import transport
-from croccolab.models import ComplexFluidModel
+from croccolab.models import ComplexFluidModel, ModelError
 from croccolab.transport import (
     CFLError,
     PoissonError,
@@ -92,6 +98,16 @@ def test_real_fft_solve_matches_complex_fft_solve(n):
     assert abs(np.mean(psi)) <= 1e-14
     with pytest.raises(PoissonError, match="residual"):
         solve_streamfunction(grid, omega, tol=1e-30)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_poisson_rejects_non_finite_vorticity(bad):
+    grid = Grid.periodic(16)
+    omega = np.zeros(grid.extents)
+    omega[3, 5] = bad
+    with pytest.raises(PoissonError, match="residual nan"):
+        solve_streamfunction(grid, omega)
 
 
 def test_inverse_symbol_is_cached_and_read_only():
@@ -166,6 +182,19 @@ def test_arakawa_bit_identical_to_roll_formula(n):
     assert np.array_equal(_arakawa(grid, psi, zeta), _arakawa_rolls(grid, psi, zeta))
 
 
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_arakawa_components_bit_identical_to_roll_formula(n, k):
+    grid = Grid.periodic(n)
+    rng = np.random.default_rng(10 * n + k)
+    psi, zeta = rng.standard_normal((n, n)), rng.standard_normal((n, n, k))
+    out = _arakawa(grid, psi, zeta)
+    assert out.shape == zeta.shape
+    for a in range(k):
+        reference = _arakawa_rolls(grid, psi, zeta[..., a])
+        assert np.array_equal(out[..., a].view(np.int64), reference.view(np.int64))
+
+
 def test_compact_laplacian_matches_roll_formula():
     grid = Grid.periodic(32)
     values = np.random.default_rng(3).standard_normal(grid.extents)
@@ -179,6 +208,40 @@ def test_compact_laplacian_matches_roll_formula():
 # ---------------------------------------------------------------------------
 # the substructural source
 # ---------------------------------------------------------------------------
+
+
+def _broadcast_stress(grid, nu, model):
+    """The stress as one 5-D broadcast product summed over the chart axis (the reference route)."""
+    gnu = _grad(grid, nu)
+    p = model.dphi_dgrad_nu(gnu)
+    return np.sum(gnu[..., :, None] * p[..., None, :], axis=-3)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stress_contraction_matches_broadcast_sum(m):
+    grid, model = Grid.periodic(32), ComplexFluidModel(m=m, a=1.3)
+    nu = np.random.default_rng(m).standard_normal(grid.extents + (m,))
+    stress = transport._stress(grid, nu, model)
+    assert np.array_equal(stress.view(np.int64), _broadcast_stress(grid, nu, model).view(np.int64))
+    # components constant along y have exactly zero y-derivatives, so products
+    # such as (d nu/dx)(+0) are signed zeros; the reference's sum starts from
+    # +0 and drops their sign, so equality is by value there
+    nu[...] = np.sin(grid.axis_coords(0)[:, None, None] + np.arange(m))
+    reference = _broadcast_stress(grid, nu, model)
+    assert np.any(reference == 0.0)
+    assert np.array_equal(transport._stress(grid, nu, model), reference)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("builder", [taylor_green_vorticity, two_mode_vorticity])
+def test_cfl_number_matches_magnitude_formula(n, builder):
+    grid = Grid.periodic(n)
+    omega = builder(grid) + 0.3 * np.random.default_rng(n).standard_normal(grid.extents)
+    state = make_state(grid, lambda g: omega - np.mean(omega))
+    v = state.velocity().values
+    dt = 0.2 * grid.spacing[0]
+    reference = float(np.max(np.sqrt(np.sum(v * v, axis=-1)))) * dt / min(grid.spacing)
+    assert cfl_number(state, dt) == reference
 
 
 def test_rhs_zero_for_uniform_nu():
@@ -404,17 +467,17 @@ def test_frozen_run_matches_public_step_loop_bit_for_bit():
 
 def test_frozen_run_builds_the_stress_once_per_run(monkeypatch):
     calls = []
-    build = transport.substructural_stress
+    build = transport._stress
 
     def counted(*args):
         calls.append(1)
         return build(*args)
 
-    monkeypatch.setattr(transport, "substructural_stress", counted)
+    monkeypatch.setattr(transport, "_stress", counted)
     grid = Grid.periodic(32)
     state = make_state(grid, two_mode_vorticity, generic_order_parameter)
     run(TransportConfig(dt=0.2 * grid.spacing[0], steps=10, model=MODEL2, report_every=5), state)
-    assert len(calls) <= 5
+    assert 1 <= len(calls) <= 5
     assert transport._RUN_SOURCE.get() is None  # the run lets go of its source
 
 
@@ -437,3 +500,95 @@ def test_enstrophy_drift_is_a_running_max_over_every_step():
     assert result.enstrophy_drift == peak / abs(z0)
     assert result.enstrophy_drift > 0.9
     assert abs(result.samples[-1].enstrophy - z0) / abs(z0) < 1e-3
+
+
+def _field_stage_step(state, config):
+    """One advected RK4 step whose stages build Fields, a broadcast stress and per-component Jacobians.
+
+    The reference route for the array-based stages of `step`.
+    """
+    grid, model, dt, tol = state.grid, config.model, config.dt, config.poisson_tol
+    v = state.velocity().values
+    assert float(np.max(np.sqrt(np.sum(v * v, axis=-1)))) * dt / grid.spacing[0] <= config.cfl_limit
+
+    def rate(om, nu, psi):
+        gnu = order_grad(OrderField(grid, nu)).values
+        p = model.dphi_dgrad_nu(gnu)
+        stress = TensorField(grid, np.sum(gnu[..., :, None] * p[..., None, :], axis=-3))
+        src = -curl_vector(div_tensor(stress)).values
+        adv = _arakawa_rolls(grid, psi, om)
+        dnu = np.stack([_arakawa_rolls(grid, psi, nu[..., a]) for a in range(nu.shape[-1])], axis=-1)
+        return (adv + src if np.any(src) else adv), dnu
+
+    om0, nu0, psi0 = state.omega.values, state.nu.values, state.psi.values
+    k1o, k1n = rate(om0, nu0, psi0)
+    om = om0 + 0.5 * dt * k1o
+    k2o, k2n = rate(om, nu0 + 0.5 * dt * k1n, solve_streamfunction(grid, om, tol))
+    om = om0 + 0.5 * dt * k2o
+    k3o, k3n = rate(om, nu0 + 0.5 * dt * k2n, solve_streamfunction(grid, om, tol))
+    om = om0 + dt * k3o
+    k4o, k4n = rate(om, nu0 + dt * k3n, solve_streamfunction(grid, om, tol))
+    om1 = om0 + (dt / 6.0) * (k1o + 2.0 * k2o + 2.0 * k3o + k4o)
+    nu1 = nu0 + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
+    psi1 = solve_streamfunction(grid, om1, tol)
+    return TransportState(ScalarField(grid, om1), ScalarField(grid, psi1), OrderField(grid, nu1), state.t + dt)
+
+
+@pytest.mark.parametrize("nu_builder", [generic_order_parameter, uniform_order_parameter])
+def test_advected_run_bit_identical_to_field_stage_loop(nu_builder):
+    grid = Grid.periodic(32)
+    state = make_state(grid, two_mode_vorticity, nu_builder)
+    config = TransportConfig(dt=0.25 * grid.spacing[0], steps=8, model=MODEL2, mode="advected", report_every=4)
+    result = run(config, state)
+    manual = state
+    for _ in range(config.steps):
+        manual = _field_stage_step(manual, config)
+    for name in ("omega", "psi", "nu"):
+        got, want = getattr(result.final_state, name).values, getattr(manual, name).values
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
+@pytest.mark.parametrize("mode", ["frozen", "advected"])
+def test_chart_mismatch_raises_model_error(mode):
+    grid = Grid.periodic(16)
+    state = make_state(grid, two_mode_vorticity, generic_order_parameter)  # m = 2
+    config = TransportConfig(dt=0.2 * grid.spacing[0], steps=2, model=MODEL1, mode=mode)
+    with pytest.raises(ModelError, match="chart dimension mismatch"):
+        step(state, config)
+    with pytest.raises(ModelError, match="chart dimension mismatch"):
+        run(config, state)
+
+
+def test_run_rejects_an_inconsistent_initial_state():
+    grid = Grid.periodic(32)
+    state = make_state(grid, two_mode_vorticity, generic_order_parameter)
+    config = TransportConfig(dt=0.2 * grid.spacing[0], steps=1, model=MODEL2)
+    stale = TransportState(state.omega, ScalarField(grid, 1.01 * state.psi.values), state.nu)
+    with pytest.raises(PoissonError, match="streamfunction residual"):
+        run(config, stale)
+    tight = TransportConfig(dt=config.dt, steps=1, model=MODEL2, poisson_tol=1e-30)
+    with pytest.raises(PoissonError):  # the check uses the run's own tolerance
+        run(tight, state)
+    assert run(config, state).final_state.t == config.dt
+
+
+def near_overflow_order_parameter(grid):
+    """Positive nu within a factor 1.3 of the largest double: one advected step overflows it."""
+    nu = generic_order_parameter(grid).values
+    return OrderField(grid, 1e308 + 7e307 * nu / np.max(np.abs(nu)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_advected_blow_up_raises_typed_errors():
+    grid = Grid.periodic(16)
+    dt = 0.25 * grid.spacing[0]
+    # nu itself overflows: a = 0 keeps the source zero, so only the new state's check can see it
+    state = make_state(grid, two_mode_vorticity, near_overflow_order_parameter)
+    config = TransportConfig(dt=dt, steps=3, model=ComplexFluidModel(m=2, a=0.0), mode="advected")
+    with pytest.raises(FieldValueError, match="OrderField"):
+        run(config, state)
+    # the stress overflows inside the first stage: the NaN stage vorticity fails its Poisson solve
+    huge = OrderField(grid, 1e200 * generic_order_parameter(grid).values)
+    state = make_state(grid, two_mode_vorticity, lambda g: huge)
+    with pytest.raises(PoissonError, match="residual nan"):
+        step(state, TransportConfig(dt=dt, steps=1, model=MODEL2, mode="advected"))

@@ -12,7 +12,8 @@ are relative and the same in every checkout.  The commands are:
 * ``eval-korteweg``, ``eval-complex`` and ``eval-smectic`` from every
   catalog generator (periodic, and one generator per relation on a
   one-sided grid) and from field files;
-* ``transport2d``, frozen and advected;
+* ``transport2d``, frozen and advected with a generic nu, and advected
+  with a uniform nu (zero source);
 * ``mms-verify`` and ``validate-models``.
 
 OUTDIR/SHA256SUMS lists the sorted ``sha256  path`` of every file written
@@ -100,12 +101,14 @@ def _sessions(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
         state = "".join(f"{key} = {paths[f'{prefix}_{key}']}\n" for key in keys)
         cfg = _config(f"{command}-files", f"[grid]\nn = {GRID}\n\n[state]\n{state}\n{model}")
         sessions.append((f"{command}-files", [command, "--config", cfg]))
-    for mode in ("frozen", "advected"):
+    # the advected uniform-nu run takes the zero-source branch of every stage
+    for name, mode, nu in (("frozen", "frozen", "generic"), ("advected", "advected", "generic"),
+                           ("advected-uniform", "advected", "uniform")):
         cfg = _config(
-            f"transport-{mode}",
-            f"[transport]\nmode = {mode}\nnu = generic\nomega0 = two-mode\nsteps = 20\nreport_every = 5\n",
+            f"transport-{name}",
+            f"[transport]\nmode = {mode}\nnu = {nu}\nomega0 = two-mode\nsteps = 20\nreport_every = 5\n",
         )
-        sessions.append((f"transport2d-{mode}", ["transport2d", "--config", cfg, "--grid", str(GRID)]))
+        sessions.append((f"transport2d-{name}", ["transport2d", "--config", cfg, "--grid", str(GRID)]))
     sessions.append(("mms-verify", ["mms-verify", "--grid", str(GRID), "--refine", "3"]))
     sessions.append(("validate-models", ["validate-models"]))
     return sessions
