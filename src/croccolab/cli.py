@@ -1,21 +1,22 @@
 """Command-line entry points and the run-configuration format.
 
-Configuration is INI-style ``key = value`` text (stdlib configparser) with
-four sections; unknown sections or keys are rejected and the fully resolved
-configuration is echoed into every artifact a run produces, so runs are
-reproducible from their own outputs.
+Configuration is INI-style ``key = value`` text (stdlib configparser).  A
+command reads the keys listed below, rejects any other and parses every
+key given (finite numbers, booleans yes/no/true/false/1/0).  Artifacts echo
+every value used, defaults included, so a run is reproducible from them.  A
+[model] catalog must name the command's relation (complex for transport2d).
 
-    [grid]       n, dim, length, boundary
-    [state]      generator = <catalog name>   (or field-file paths
-                 v/iota/eta/nu/w for externally supplied states)
-    [model]      catalog = korteweg | complex | smectic (when given, it must
-                 name the relation of the eval command; transport2d takes
-                 only complex, mms-verify none), plus that catalog's
-                 parameters (only needed for file-based states)
-    [transport]  dt, steps, mode, report_every, omega0, nu
-
-mms-verify and validate-models run fixed suites (mms-verify takes its grid
-from --grid) and read no section, so they reject a config that has one.
+    eval-*       [grid] n, dim, length, boundary (--grid overrides n),
+                 [state] generator, [model] catalog; or, for a state read from
+                 field files, [state] v, iota, eta (korteweg), v, iota, eta, nu
+                 (complex) or v, eta, w (smectic) and [model] catalog plus the
+                 relation's parameters, the grid being the files' (any [grid]
+                 key given, and --grid, must match it)
+    transport2d  [grid] as above, [model] catalog plus the order-parameter
+                 parameters (m defaults to that of nu), [transport] dt (h/4),
+                 steps, mode, report_every, omega0, nu
+    mms-verify, validate-models: no section (fixed suites; mms-verify takes
+                 its grid from --grid and rejects any [model] catalog)
 
 Commands (exit 0 on success, 2 on validation or solver failure, 1 on usage error):
 
@@ -34,48 +35,24 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
-from typing import Sequence
-
-import numpy as np
+from dataclasses import fields, replace
+from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 from . import manufactured
 from .crocco import (
-    ComplexState,
-    CroccoReport,
-    KortewegState,
-    complex_crocco,
-    complex_defect_identity,
-    defect_identity,
-    korteweg_crocco,
+    ComplexState, CroccoReport, IdentityViolationError, KortewegState, complex_crocco, complex_defect_identity,
+    defect_identity, korteweg_crocco,
 )
-from .fieldcalc import Grid, OrderField, ScalarField, VectorField
+from .fieldcalc import ONE_SIDED, PERIODIC, TWO_PI, Grid, OrderField, ScalarField, VectorField
 from .fieldio import read_field, write_field
-from .models import (
-    ComplexFluidModel,
-    KortewegCoEnergy,
-    KortewegModel,
-    OrderCoEnergy,
-    catalog_models,
-    validate_partials,
-)
+from .models import ComplexFluidModel, KortewegCoEnergy, KortewegModel, OrderCoEnergy, catalog_models, validate_partials
 from .smectic import SmecticModel, SmecticState, smectic_crocco
-from .transport import CFLError, PoissonError, TransportConfig, TransportState, run as transport_run
+from .transport import ADVECTED, FROZEN, CFLError, PoissonError, TransportConfig, TransportState, run as transport_run
 
 REPORT_MAGIC = "# CROCCOFIELD-REPORT v1"
-
-_SECTION_KEYS = {
-    "grid": {"n", "dim", "length", "boundary"},
-    "state": {"generator", "v", "iota", "eta", "nu", "w"},
-    "model": {
-        "catalog", "f_kind", "c", "iota_ref", "well_1", "well_2", "beta", "e0", "c_v",
-        "kappa0", "kappa1",
-        "m", "gamma_kind", "k", "nu_ref", "nu_ref_slope", "a", "sphere_constrained",
-        "gamma1", "gamma2", "eps_reg",
-    },
-    "transport": {"dt", "steps", "mode", "report_every", "omega0", "nu"},
-}
 
 
 class ConfigError(ValueError):
@@ -95,22 +72,133 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _finite(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _choice(options, parse: Callable = str) -> Callable:
+    """Parser of a value among `options`, looked up at parse time so a catalog entry added later counts."""
+    def parse_choice(raw: str):
+        if (value := parse(raw)) not in options:
+            raise ValueError(f"not one of {', '.join(map(str, options))}")
+        return value
+    return parse_choice
+
+
+_BOOLS = {"yes": True, "no": False, "true": True, "false": False, "1": True, "0": False}
+_PARSERS = {
+    int: int, float: _finite, str: str, bool: lambda raw: _BOOLS[_choice(_BOOLS)(raw)],
+    tuple[float, ...]: lambda raw: tuple(_finite(t) for t in raw.replace(",", " ").split()),
+}
+
+
+def _echo(value) -> str:
+    """Config text that the value's parser reads back as `value`."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, tuple):
+        return ", ".join(map(_fmt, value))
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
+
+
+def _model_keys(cls, skip: Sequence[str] = (), **defaults) -> dict[str, tuple]:
+    """One [model] key per dataclass field, parsed by its annotated type; the default, unless given, is the field's."""
+    hints = get_type_hints(cls)
+    return {f.name: (_PARSERS[hints[f.name]], defaults.get(f.name)) for f in fields(cls) if f.name not in skip}
+
+
+_MODEL_KEYS = {
+    KortewegModel: _model_keys(KortewegModel),
+    KortewegCoEnergy: _model_keys(KortewegCoEnergy),
+    ComplexFluidModel: _model_keys(ComplexFluidModel, skip=("f_well_1", "f_well_2")),
+    SmecticModel: _model_keys(SmecticModel, gamma1=1.0, gamma2=1.0),
+}
+_GRID = {
+    "n": (int, 64),
+    "dim": (_choice((2, 3), int), 2),
+    "length": (_finite, TWO_PI),
+    "boundary": (_choice((PERIODIC, ONE_SIDED)), PERIODIC),
+}
+_FIELD_KINDS = {"v": VectorField, "iota": ScalarField, "eta": ScalarField, "nu": OrderField, "w": ScalarField}
+
+
+class _Relation(NamedTuple):
+    generators: dict
+    state: type
+    files: tuple[str, ...]  # [state] field-file keys, each a keyword of `state`
+    models: tuple[type, ...]  # built from [model] for a file-based state, in evaluator order
+    evaluate: Callable
+    grid: dict = _GRID  # [grid] keys of a generator run
+
+
+# The evaluators look the relation up at call time, so a patched module attribute
+# is the one that runs.  A file-based complex state gets the zero rate co-energy.
+_RELATIONS = {
+    "korteweg": _Relation(manufactured.KORTEWEG_CATALOG, KortewegState, ("v", "iota", "eta"),
+                          (KortewegModel, KortewegCoEnergy), lambda *inputs: korteweg_crocco(*inputs)),
+    "complex": _Relation(manufactured.COMPLEX_CATALOG, ComplexState, ("v", "iota", "eta", "nu"), (ComplexFluidModel,),
+                         lambda state, model, coenergy=None: complex_crocco(
+                             state, model, OrderCoEnergy.zero(model.m) if coenergy is None else coenergy)),
+    # the layer generators build every state on a one-sided grid, as its layers are not periodic
+    "smectic": _Relation(manufactured.SMECTIC_CATALOG, SmecticState, ("v", "eta", "w"), (SmecticModel,),
+                         lambda *inputs: smectic_crocco(*inputs),
+                         {**_GRID, "boundary": (_choice((ONE_SIDED,)), ONE_SIDED)}),
+}
+
+# command -> section -> key -> (parser, default).  A [model] catalog must equal its
+# default.  A None default is filled in by the command (dt, m) or marks a key that is
+# required (a state file) or only checked against the grid of the field files.
+_SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
+    "transport2d": {
+        "grid": _GRID,
+        "model": {"catalog": (str, "complex"), **_MODEL_KEYS[ComplexFluidModel]},
+        "transport": {
+            "dt": (_finite, None),
+            "steps": (int, 100),
+            "mode": (_choice((FROZEN, ADVECTED)), FROZEN),
+            "report_every": (int, 10),
+            "omega0": (_choice(manufactured.VORTICITY_CATALOG), "two-mode"),
+            "nu": (_choice(manufactured.ORDER_CATALOG), "uniform"),
+        },
+    },
+    "mms-verify": {},
+    "validate-models": {},
+}
+for _kind, _rel in _RELATIONS.items():
+    _SCHEMAS[f"eval-{_kind}"] = {
+        "grid": {key: (parse, None) for key, (parse, _) in _GRID.items()},
+        "state": {key: (str, None) for key in _rel.files},
+        "model": {"catalog": (str, _kind), **{k: v for cls in _rel.models for k, v in _MODEL_KEYS[cls].items()}},
+    }
+    _SCHEMAS[f"eval-{_kind} with a state generator"] = {
+        "grid": _rel.grid, "state": {"generator": (_choice(_rel.generators), None)}, "model": {"catalog": (str, _kind)},
+    }
+_KNOWN = {  # every key some command reads, by section
+    section: set().union(*(schema.get(section, ()) for schema in _SCHEMAS.values()))
+    for section in ("grid", "state", "model", "transport")
+}
+
+
 class RunConfig:
-    """Validated key = value configuration with full-echo support."""
+    """Raw key = value configuration; each command takes from it the keys it reads."""
 
     def __init__(self, sections: dict[str, dict[str, str]]):
         for section, keys in sections.items():
-            allowed = _SECTION_KEYS.get(section)
-            if allowed is None:
+            if section not in _KNOWN:
                 raise ConfigError(f"unknown config section [{section}]")
-            unknown = set(keys) - allowed
+            unknown = set(keys) - _KNOWN[section]
             if unknown:
                 raise ConfigError(f"unknown key(s) {sorted(unknown)} in section [{section}]")
         self.sections = sections
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
-        parser = configparser.ConfigParser(delimiters=("=",), interpolation=None)
+        # no default section: [DEFAULT] keys would reach every section, or no command when it stands alone
+        parser = configparser.ConfigParser(delimiters=("=",), interpolation=None, default_section="")
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 parser.read_file(fh)
@@ -118,62 +206,62 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls({s: dict(parser.items(s)) for s in parser.sections()})
 
-    @classmethod
-    def empty(cls) -> "RunConfig":
-        return cls({})
+    def get(self, section: str, key: str) -> str | None:
+        return self.sections.get(section, {}).get(key)
 
-    def get(self, section: str, key: str, default: str | None = None) -> str | None:
-        return self.sections.get(section, {}).get(key, default)
-
-    def getfloat(self, section: str, key: str, default: float) -> float:
-        raw = self.get(section, key)
-        return default if raw is None else float(raw)
-
-    def getint(self, section: str, key: str, default: int) -> int:
-        raw = self.get(section, key)
-        return default if raw is None else int(raw)
-
-    def resolved_lines(self) -> list[str]:
-        lines = []
+    def take(self, command: str, grid_n: int | None = None) -> dict[str, dict]:
+        """Values of the keys `command` (a key of _SCHEMAS) reads: each given one parsed, the
+        others at their defaults (a None default left out); --grid `grid_n` overrides [grid] n."""
+        schema = _SCHEMAS[command]
         for section in sorted(self.sections):
-            for key in sorted(self.sections[section]):
-                lines.append(f"{section}.{key} = {self.sections[section][key]}")
-        return lines
+            unread = sorted(set(self.sections[section]) - set(schema.get(section, ())))
+            if not schema:
+                raise ConfigError(f"{command} reads no config section, got [{section}]")
+            if unread:
+                raise ConfigError(f"{command} does not read [{section}] {unread[0]}")
+        values = {section: {} for section in schema}
+        for section, keys in schema.items():
+            for key, (parse, default) in keys.items():
+                raw = self.get(section, key)
+                try:
+                    value = default if raw is None else parse(raw)
+                except ValueError as exc:
+                    raise ConfigError(f"[{section}] {key} = {raw}: {exc}") from None
+                if key == "catalog" and value != default:
+                    raise ConfigError(f"[model] catalog = {value} does not match {command}")
+                if value is not None:
+                    values[section][key] = value
+        if grid_n is not None:
+            values["grid"]["n"] = grid_n
+        return values
 
 
-def _build_grid(config: RunConfig, grid_override: int | None) -> Grid:
-    n = grid_override if grid_override is not None else config.getint("grid", "n", 64)
-    dim = config.getint("grid", "dim", 2)
-    length = config.getfloat("grid", "length", 2.0 * np.pi)
-    boundary = config.get("grid", "boundary", "periodic")
-    if boundary == "periodic":
-        return Grid.periodic(n, dim=dim, length=length)
-    if boundary == "one-sided":
-        return Grid.one_sided((n,) * dim, (length / n,) * dim)
-    raise ConfigError(f"boundary must be 'periodic' or 'one-sided', got {boundary!r}")
+def _grid(n: int, dim: int, length: float, boundary: str) -> Grid:
+    # built periodic, then given its policy, so one constructor checks n before dividing by it
+    return replace(Grid.periodic(n, dim, length), boundary=(boundary,) * dim)
 
 
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in raw.replace(",", " ").split())
+def _check_file_grid(grid: Grid, given: dict) -> None:
+    """Reject a [grid] value (or --grid) that does not describe the grid of the field files."""
+    agrees = {
+        "n": lambda n: grid.extents == (n,) * grid.dim,
+        "dim": lambda dim: grid.dim == dim,
+        "length": lambda length: grid.spacing == tuple(length / n for n in grid.extents),
+        "boundary": lambda boundary: grid.boundary == (boundary,) * grid.dim,
+    }
+    for key, value in given.items():
+        if not agrees[key](value):
+            raise ConfigError(f"[grid] {key} = {_echo(value)} does not match the field files' grid {grid}")
 
 
-def _complex_model(config: RunConfig, m: int) -> ComplexFluidModel:
-    return ComplexFluidModel(
-        m=config.getint("model", "m", m),
-        gamma_kind=config.get("model", "gamma_kind", "quadratic"),
-        k=config.getfloat("model", "k", 1.0),
-        nu_ref=_floats(config.get("model", "nu_ref", "")) or (),
-        nu_ref_slope=_floats(config.get("model", "nu_ref_slope", "")) or (),
-        well_1=config.getfloat("model", "well_1", -1.0),
-        well_2=config.getfloat("model", "well_2", 1.0),
-        a=config.getfloat("model", "a", 1.0),
-        f_kind=config.get("model", "f_kind", "quadratic"),
-        c=config.getfloat("model", "c", 1.0),
-        iota_ref=config.getfloat("model", "iota_ref", 1.0),
-        e0=config.getfloat("model", "e0", 1.0),
-        c_v=config.getfloat("model", "c_v", 1.0),
-        sphere_constrained=config.get("model", "sphere_constrained", "no") in ("yes", "true", "1"),
-    )
+def _build(cls, values: dict, nu: OrderField | None = None):
+    """`cls` from the [model] values it has keys for; `values` then holds every value it took.
+    With an order field `nu`, the chart dimension m defaults to, and must equal, that of nu."""
+    if nu is not None and values.setdefault("m", nu.m) != nu.m:
+        raise ConfigError(f"[model] m = {values['m']} does not match the chart dimension {nu.m} of nu")
+    model = cls(**{key: values[key] for key in _MODEL_KEYS[cls] if key in values})
+    values.update((key, getattr(model, key)) for key in _MODEL_KEYS[cls])
+    return model
 
 
 def _read(path: str, cls):
@@ -183,156 +271,68 @@ def _read(path: str, cls):
     return field
 
 
-def _write_table(config: RunConfig, out_dir: str, name: str, header: str, rows: list[str]) -> None:
+def _write_table(values: dict, out_dir: str, name: str, header: str, rows: list[str]) -> None:
     """Write one CSV report headed by the resolved configuration, and echo that configuration."""
+    resolved = [f"{s}.{k} = {_echo(values[s][k])}" for s in sorted(values) for k in sorted(values[s])]
     os.makedirs(out_dir, exist_ok=True)
-    lines = [REPORT_MAGIC] + [f"# config: {line}" for line in config.resolved_lines()] + [header] + rows
     with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([REPORT_MAGIC] + [f"# config: {line}" for line in resolved] + [header] + rows) + "\n")
     with open(os.path.join(out_dir, "resolved_config.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join([REPORT_MAGIC] + config.resolved_lines()) + "\n")
+        fh.write("\n".join([REPORT_MAGIC] + resolved) + "\n")
 
 
-def _write_report(report: CroccoReport, config: RunConfig, out_dir: str) -> None:
+def _write_report(report: CroccoReport, values: dict, out_dir: str) -> None:
     rows = [f"{name},{_fmt(l2)},{_fmt(linf)}" for name, (l2, linf) in report.norms.items()]
-    _write_table(config, out_dir, "norms.csv", "term,l2,linf", rows)
+    _write_table(values, out_dir, "norms.csv", "term,l2,linf", rows)
     write_field(report.lhs, os.path.join(out_dir, "term_lhs.field"))
     for name, term in report.terms.items():
         write_field(term, os.path.join(out_dir, f"term_{name}.field"))
     write_field(report.residual, os.path.join(out_dir, "term_residual.field"))
 
 
-def _korteweg_inputs(config: RunConfig) -> tuple[KortewegState, KortewegModel, KortewegCoEnergy]:
-    state = KortewegState(
-        v=_read(_require(config, "state", "v"), VectorField),
-        iota=_read(_require(config, "state", "iota"), ScalarField),
-        eta=_read(_require(config, "state", "eta"), ScalarField),
-    )
-    model = KortewegModel(
-        f_kind=config.get("model", "f_kind", "quadratic"),
-        c=config.getfloat("model", "c", 1.0),
-        iota_ref=config.getfloat("model", "iota_ref", 1.0),
-        well_1=config.getfloat("model", "well_1", 1.0),
-        well_2=config.getfloat("model", "well_2", 2.0),
-        beta=config.getfloat("model", "beta", 0.0),
-        e0=config.getfloat("model", "e0", 1.0),
-        c_v=config.getfloat("model", "c_v", 1.0),
-    )
-    coenergy = KortewegCoEnergy(
-        kappa0=config.getfloat("model", "kappa0", 0.0),
-        kappa1=config.getfloat("model", "kappa1", 0.0),
-    )
-    return state, model, coenergy
-
-
-def _complex_inputs(config: RunConfig) -> tuple[ComplexState, ComplexFluidModel, OrderCoEnergy]:
-    nu = _read(_require(config, "state", "nu"), OrderField)
-    state = ComplexState(
-        v=_read(_require(config, "state", "v"), VectorField),
-        iota=_read(_require(config, "state", "iota"), ScalarField),
-        eta=_read(_require(config, "state", "eta"), ScalarField),
-        nu=nu,
-    )
-    model = _complex_model(config, nu.m)
-    return state, model, OrderCoEnergy.zero(model.m)
-
-
-def _smectic_inputs(config: RunConfig) -> tuple[SmecticState, SmecticModel]:
-    state = SmecticState(
-        v=_read(_require(config, "state", "v"), VectorField),
-        eta=_read(_require(config, "state", "eta"), ScalarField),
-        w=_read(_require(config, "state", "w"), ScalarField),
-    )
-    model = SmecticModel(
-        gamma1=config.getfloat("model", "gamma1", 1.0),
-        gamma2=config.getfloat("model", "gamma2", 1.0),
-        eps_reg=config.getfloat("model", "eps_reg", 0.0),
-        e0=config.getfloat("model", "e0", 1.0),
-        c_v=config.getfloat("model", "c_v", 1.0),
-    )
-    return state, model
-
-
-# relation kind -> (state generators, inputs read from field files, evaluator).
-# The evaluators look the relation up at call time, so a patched module
-# attribute is the one that runs.
-_RELATIONS = {
-    "korteweg": (manufactured.KORTEWEG_CATALOG, _korteweg_inputs, lambda *inputs: korteweg_crocco(*inputs)),
-    "complex": (manufactured.COMPLEX_CATALOG, _complex_inputs, lambda *inputs: complex_crocco(*inputs)),
-    "smectic": (manufactured.SMECTIC_CATALOG, _smectic_inputs, lambda *inputs: smectic_crocco(*inputs)),
-}
-
-
-def _check_catalog(config: RunConfig, command: str, kind: str | None) -> None:
-    """Reject a [model] catalog other than `kind`, the model `command` runs (None: it takes none)."""
-    catalog = config.get("model", "catalog", kind)
-    if catalog != kind:
-        raise ConfigError(f"[model] catalog = {catalog} does not match {command}")
-
-
-def _check_no_sections(config: RunConfig, command: str) -> None:
-    """Reject every config section: `command` runs a fixed suite and would only echo them as if used."""
-    if config.sections:
-        raise ConfigError(f"{command} reads no config section, got [{sorted(config.sections)[0]}]")
-
-
-def _cmd_eval(kind: str, config: RunConfig, grid: Grid, out_dir: str) -> int:
+def _cmd_eval(kind: str, config: RunConfig, grid_n: int | None, out_dir: str) -> int:
     """eval-<kind>: evaluate one relation on a generated or file-based state."""
-    _check_catalog(config, f"eval-{kind}", kind)
-    generators, read_inputs, evaluate = _RELATIONS[kind]
-    generator = config.get("state", "generator")
-    if generator is None:
-        inputs = read_inputs(config)
-    elif generator in generators:
-        inputs = generators[generator](grid)
+    relation = _RELATIONS[kind]
+    if config.get("state", "generator") is not None:
+        values = config.take(f"eval-{kind} with a state generator", grid_n)
+        inputs = relation.generators[values["state"]["generator"]](_grid(**values["grid"]))
     else:
-        raise ConfigError(f"unknown {kind} state generator {generator!r}")
-    _write_report(evaluate(*inputs), config, out_dir)
+        values = config.take(f"eval-{kind}", grid_n)
+        missing = [key for key in relation.files if key not in values["state"]]
+        if missing:
+            raise ConfigError(f"eval-{kind} needs [state] {missing[0]} (or a state generator)")
+        state = relation.state(**{key: _read(path, _FIELD_KINDS[key]) for key, path in values["state"].items()})
+        _check_file_grid(state.v.grid, values["grid"])
+        inputs = (state, *(_build(cls, values["model"], getattr(state, "nu", None)) for cls in relation.models))
+    _write_report(relation.evaluate(*inputs), values, out_dir)
     return 0
 
 
-def _require(config: RunConfig, section: str, key: str) -> str:
-    raw = config.get(section, key)
-    if raw is None:
-        raise ConfigError(f"config needs [{section}] {key} (or a state generator)")
-    return raw
-
-
-def _cmd_transport(config: RunConfig, grid: Grid, out_dir: str) -> int:
-    _check_catalog(config, "transport2d", "complex")
-    omega_name = config.get("transport", "omega0", "two-mode")
-    nu_name = config.get("transport", "nu", "uniform")
-    omega_builder = manufactured.VORTICITY_CATALOG.get(omega_name)
-    nu_builder = manufactured.ORDER_CATALOG.get(nu_name)
-    if omega_builder is None:
-        raise ConfigError(f"unknown initial vorticity {omega_name!r}")
-    if nu_builder is None:
-        raise ConfigError(f"unknown substructure field {nu_name!r}")
-    nu = nu_builder(grid)
-    model = _complex_model(config, nu.m)
-    tconfig = TransportConfig(
-        dt=config.getfloat("transport", "dt", 0.25 * grid.spacing[0]),
-        steps=config.getint("transport", "steps", 100),
-        model=model,
-        mode=config.get("transport", "mode", "frozen"),
-        report_every=config.getint("transport", "report_every", 10),
-    )
-    state = TransportState.from_vorticity(grid, omega_builder(grid), nu)
+def _cmd_transport(config: RunConfig, grid_n: int | None, out_dir: str) -> int:
+    values = config.take("transport2d", grid_n)
+    grid = _grid(**values["grid"])
+    params = values["transport"]
+    nu = manufactured.ORDER_CATALOG[params["nu"]](grid)
+    model = _build(ComplexFluidModel, values["model"], nu)
+    params.setdefault("dt", 0.25 * grid.spacing[0])
+    tconfig = TransportConfig(params["dt"], params["steps"], model, params["mode"], report_every=params["report_every"])
+    state = TransportState.from_vorticity(grid, manufactured.VORTICITY_CATALOG[params["omega0"]](grid), nu)
     result = transport_run(tconfig, state)
 
     rows = [
         ",".join(_fmt(v) for v in (s.t, s.l2_omega, s.max_omega, s.enstrophy, s.rhs_norm, s.te_work_rate))
         for s in result.samples
     ]
-    _write_table(config, out_dir, "timeseries.csv", "t,l2_omega,max_omega,enstrophy,rhs_norm,te_work_rate", rows)
+    _write_table(values, out_dir, "timeseries.csv", "t,l2_omega,max_omega,enstrophy,rhs_norm,te_work_rate", rows)
     write_field(result.final_state.omega, os.path.join(out_dir, "omega.field"))
     write_field(result.final_state.psi, os.path.join(out_dir, "psi.field"))
     return 0
 
 
 def _cmd_mms_verify(config: RunConfig, base_n: int, levels: int, out_dir: str) -> int:
-    _check_catalog(config, "mms-verify", None)
-    _check_no_sections(config, "mms-verify")
+    if config.get("model", "catalog") is not None:  # the suite mixes capillary and order-parameter cases
+        raise ConfigError(f"[model] catalog = {config.get('model', 'catalog')} does not match mms-verify")
+    values = config.take("mms-verify")
     grids = [Grid.periodic(base_n * 2**i) for i in range(levels)]
     reports = [
         (name, defect_identity(manufactured.CATALOG[name], grids, min_order=0.0))
@@ -343,17 +343,15 @@ def _cmd_mms_verify(config: RunConfig, base_n: int, levels: int, out_dir: str) -
     )
     rows = [f"{name},{r.order_label}," + ",".join(_fmt(e) for _, e in r.levels) for name, r in reports]
     header = "case,observed_order," + ",".join(f"err_level{i}" for i in range(levels))
-    _write_table(config, out_dir, "mms_report.csv", header, rows)
+    _write_table(values, out_dir, "mms_report.csv", header, rows)
     return 0 if all(r.meets_order(1.8) for _, r in reports) else 2
 
 
 def _cmd_validate_models(config: RunConfig, out_dir: str) -> int:
-    _check_no_sections(config, "validate-models")
+    values = config.take("validate-models")
     reports = [validate_partials(model) for model in catalog_models()]
-    rows = [
-        f"{r.model},{c.entry},{_fmt(c.max_rel_error)},{c.passed}" for r in reports for c in r.checks
-    ]
-    _write_table(config, out_dir, "validation.csv", "model,entry,max_rel_error,passed", rows)
+    rows = [f"{r.model},{c.entry},{_fmt(c.max_rel_error)},{c.passed}" for r in reports for c in r.checks]
+    _write_table(values, out_dir, "validation.csv", "model,entry,max_rel_error,passed", rows)
     return 0 if all(r.passed for r in reports) else 2
 
 
@@ -369,16 +367,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = RunConfig.load(args.config) if args.config else RunConfig.empty()
+        config = RunConfig.load(args.config) if args.config else RunConfig({})
         if args.command == "mms-verify":
-            return _cmd_mms_verify(config, args.grid or 32, args.refine, args.out)
+            return _cmd_mms_verify(config, 32 if args.grid is None else args.grid, args.refine, args.out)
         if args.command == "validate-models":
             return _cmd_validate_models(config, args.out)
-        grid = _build_grid(config, args.grid)
         if args.command == "transport2d":
-            return _cmd_transport(config, grid, args.out)
-        return _cmd_eval(args.command.removeprefix("eval-"), config, grid, args.out)
-    except (ConfigError, ValueError, OSError, CFLError, PoissonError) as exc:
+            return _cmd_transport(config, args.grid, args.out)
+        return _cmd_eval(args.command.removeprefix("eval-"), config, args.grid, args.out)
+    except (ConfigError, ValueError, OSError, CFLError, PoissonError, IdentityViolationError) as exc:
         print(f"croccolab: {exc}", file=sys.stderr)
         return 2
 

@@ -104,6 +104,8 @@ class Grid:
     @classmethod
     def periodic(cls, n: int, dim: int = 2, length: float = TWO_PI) -> "Grid":
         """Periodic box [0, length)^dim with n cells per axis."""
+        if n < 4:  # before n divides the length
+            raise GridError(f"need at least 4 cells per axis for the stencils, got {n}")
         return cls((n,) * dim, (length / n,) * dim, (PERIODIC,) * dim)
 
     @classmethod

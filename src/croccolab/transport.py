@@ -215,8 +215,9 @@ class TransportConfig:
     poisson_tol: float = POISSON_TOL
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0 or self.steps < 0:
-            raise TransportError("dt must be positive and steps non-negative")
+        if not (0.0 < self.dt < math.inf) or self.steps < 0 or self.report_every < 1:
+            raise TransportError(f"need 0 < dt < inf, steps >= 0 and report_every >= 1, got "
+                                 f"dt={self.dt}, steps={self.steps}, report_every={self.report_every}")
         if self.mode not in (FROZEN, ADVECTED):
             raise TransportError(f"mode must be '{FROZEN}' or '{ADVECTED}'")
         if not (0.0 < self.cfl_limit <= 0.5):

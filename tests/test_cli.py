@@ -1,7 +1,14 @@
 """Command-line interface: exit codes, artifacts, determinism, config rules."""
 
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from croccolab import cli, manufactured
 from croccolab.cli import ConfigError, RunConfig, main
@@ -29,8 +36,22 @@ def test_unknown_section_and_key_rejected(tmp_path):
 
 
 def test_resolved_lines_are_sorted_and_complete(tmp_path):
-    config = RunConfig.load(write_config(tmp_path, "[grid]\nn = 16\ndim = 2\n"))
-    assert config.resolved_lines() == ["grid.dim = 2", "grid.n = 16"]
+    # no config at all: every value the run used is echoed, defaults included
+    out = tmp_path / "o"
+    assert main(["transport2d", "--grid", "16", "--out", str(out)]) == 0
+    resolved = (out / "resolved_config.txt").read_text().splitlines()
+    assert resolved == [
+        "# CROCCOFIELD-REPORT v1",
+        "grid.boundary = periodic", "grid.dim = 2", "grid.length = 6.2831853071795862", "grid.n = 16",
+        "model.a = 1", "model.c = 1", "model.c_v = 1", "model.catalog = complex", "model.e0 = 1",
+        "model.f_kind = quadratic", "model.gamma_kind = quadratic", "model.iota_ref = 1", "model.k = 1",
+        "model.m = 2", "model.nu_ref = 0, 0", "model.nu_ref_slope = 0, 0", "model.sphere_constrained = no",
+        "model.well_1 = -1", "model.well_2 = 1",
+        "transport.dt = 0.098174770424681035", "transport.mode = frozen", "transport.nu = uniform",
+        "transport.omega0 = two-mode", "transport.report_every = 10", "transport.steps = 100",
+    ]
+    echoed = [line for line in (out / "timeseries.csv").read_text().splitlines() if line.startswith("# config: ")]
+    assert echoed == [f"# config: {line}" for line in resolved[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +121,9 @@ def test_eval_complex_and_smectic(tmp_path):
     config2 = write_config(tmp_path, "[state]\ngenerator = smectic-wavy\n", "s.cfg")
     assert main(["eval-smectic", "--config", config2, "--grid", "16", "--out", str(out2)]) == 0
     assert (out2 / "term_micro_hess.field").exists()
+    # the layered states live on one-sided grids, and the echo says so
+    assert "grid.boundary = one-sided\n" in (out2 / "resolved_config.txt").read_text()
+    assert read_field(str(out2 / "term_micro_hess.field")).grid.boundary == ("one-sided", "one-sided")
 
 
 def test_transport_timeseries_columns(tmp_path):
@@ -153,6 +177,14 @@ def test_unknown_command_exits_one():
 def test_bad_config_exits_two(tmp_path):
     config = write_config(tmp_path, "[grid]\nresolution = 8\n")
     assert main(["eval-korteweg", "--config", config, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("text", ["[DEFAULT]\nsteps = 2\n", "[DEFAULT]\nsteps = 2\n\n[transport]\nmode = frozen\n"])
+def test_default_section_is_an_unknown_section(tmp_path, capsys, text):
+    code, err = run_cli(["transport2d", "--config", write_config(tmp_path, text), "--grid", "16", "--out",
+                         str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert_one_line_error(err, "unknown config section [DEFAULT]")
 
 
 def test_unknown_generator_exits_two(tmp_path):
@@ -298,3 +330,261 @@ def test_outputs_are_byte_identical_across_runs(tmp_path):
     assert main(["eval-korteweg", "--config", config, "--grid", "16", "--out", str(out2)]) == 0
     assert (out1 / "norms.csv").read_bytes() == (out2 / "norms.csv").read_bytes()
     assert (out1 / "term_wall.field").read_bytes() == (out2 / "term_wall.field").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# per-command schemas: read, check and echo exactly the keys a command uses
+# ---------------------------------------------------------------------------
+
+
+def write_states(directory, generator="complex-gl-m2"):
+    """Field files of a catalog state on a 16^2 grid (v, iota, eta, nu or v, eta, w); returns key -> path."""
+    state = {**manufactured.CATALOG, **manufactured.SMECTIC_CATALOG}[generator](Grid.periodic(16))[0]
+    paths = {}
+    for key in ("v", "iota", "eta", "nu", "w"):
+        if getattr(state, key, None) is not None:
+            paths[key] = str(directory / f"{key}.field")
+            write_field(getattr(state, key), paths[key])
+    return paths
+
+
+def state_section(paths, keys):
+    return "[state]\n" + "".join(f"{key} = {paths[key]}\n" for key in keys) + "\n"
+
+
+def run_cli(argv, capsys):
+    """Exit code and stderr of one in-process run."""
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def assert_one_line_error(err, *fragments):
+    assert err.startswith("croccolab: ") and err.count("\n") == 1 and "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+@pytest.mark.parametrize(
+    "command, text, fragment",
+    [
+        ("transport2d", "[state]\ngenerator = korteweg-basic\n", "transport2d does not read [state] generator"),
+        ("eval-korteweg", "[state]\ngenerator = korteweg-basic\n\n[transport]\nmode = advected\n",
+         "does not read [transport] mode"),
+        ("eval-complex", "[state]\ngenerator = complex-gl-m2\n\n[model]\nm = 3\n", "does not read [model] m"),
+        ("eval-complex", "[state]\ngenerator = complex-gl-m2\n\n[model]\nbeta = 3\n", "does not read [model] beta"),
+        ("eval-smectic", "[state]\ngenerator = smectic-wavy\nv = v.field\n", "does not read [state] v"),
+        ("eval-complex", "[state]\nv = v.field\n\n[model]\nbeta = 3\n", "eval-complex does not read [model] beta"),
+        ("eval-korteweg", "[state]\nw = w.field\n", "eval-korteweg does not read [state] w"),
+        ("eval-smectic", "[transport]\nsteps = 2\n", "eval-smectic does not read [transport] steps"),
+    ],
+)
+def test_keys_a_command_does_not_read_exit_two(tmp_path, capsys, command, text, fragment):
+    out = tmp_path / "o"
+    code, err = run_cli([command, "--config", write_config(tmp_path, text), "--grid", "16", "--out", str(out)], capsys)
+    assert code == 2
+    assert_one_line_error(err, fragment)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text, fragment",
+    [
+        ("transport2d", "[grid]\nn = abc\n", "[grid] n = abc"),
+        ("eval-korteweg", "[grid]\nn = abc\n\n[state]\ngenerator = korteweg-basic\n", "[grid] n = abc"),
+        ("transport2d", "[model]\nsphere_constrained = ja\n", "[model] sphere_constrained = ja"),
+        ("transport2d", "[transport]\ndt = nan\n", "[transport] dt = nan"),
+        ("transport2d", "[grid]\nlength = inf\n", "[grid] length = inf"),
+        ("transport2d", "[model]\nnu_ref = 0.1, x\n", "[model] nu_ref = 0.1, x"),
+        ("transport2d", "[transport]\nmode = sideways\n", "[transport] mode = sideways"),
+        ("eval-smectic", "[state]\ngenerator = nonsense\n", "[state] generator = nonsense"),
+        ("eval-smectic", "[grid]\nboundary = periodic\n\n[state]\ngenerator = smectic-wavy\n",
+         "[grid] boundary = periodic: not one of one-sided"),
+    ],
+)
+def test_every_given_key_is_parsed_even_when_overridden(tmp_path, capsys, command, text, fragment):
+    code, err = run_cli([command, "--config", write_config(tmp_path, text), "--grid", "16", "--out",
+                         str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert_one_line_error(err, fragment)
+
+
+@pytest.mark.parametrize(
+    "text, fragment",
+    [
+        ("[transport]\nreport_every = 0\nsteps = 2\n", "report_every >= 1, got dt="),
+        ("[transport]\nreport_every = -3\nsteps = 2\n", "report_every=-3"),
+        ("[transport]\ndt = 0\nsteps = 2\n", "dt=0.0"),
+    ],
+)
+def test_transport_rejects_bad_report_every_and_dt(tmp_path, capsys, text, fragment):
+    out = tmp_path / "o"
+    code, err = run_cli(["transport2d", "--config", write_config(tmp_path, text), "--grid", "16", "--out",
+                         str(out)], capsys)
+    assert code == 2
+    assert_one_line_error(err, fragment)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("eval-korteweg", "[state]\ngenerator = korteweg-basic\n"),
+        ("eval-complex", "[state]\ngenerator = complex-gl-m2\n"),
+        ("eval-smectic", "[state]\ngenerator = smectic-wavy\n"),
+        ("transport2d", "[transport]\nsteps = 2\n"),
+        ("mms-verify", None),
+    ],
+)
+def test_grid_size_zero_exits_two(tmp_path, capsys, command, text):
+    config = [] if text is None else ["--config", write_config(tmp_path, text)]
+    out = tmp_path / "o"
+    code, err = run_cli([command, *config, "--grid", "0", "--out", str(out)], capsys)
+    assert code == 2
+    assert_one_line_error(err, "need at least 4 cells per axis")
+    assert not out.exists()
+    if text is not None:
+        config = write_config(tmp_path, f"[grid]\nn = 0\n\n{text}", "zero.cfg")
+        code, err = run_cli([command, "--config", config, "--out", str(out)], capsys)
+        assert code == 2
+        assert_one_line_error(err, "need at least 4 cells per axis")
+
+
+@pytest.mark.parametrize(
+    "grid_text, flag",
+    [
+        ("n = 32\n", []),
+        ("", ["--grid", "8"]),
+        ("n = 16\n", ["--grid", "8"]),
+        ("length = 3.0\n", []),
+        ("boundary = one-sided\n", []),
+        ("dim = 3\n", []),
+    ],
+)
+def test_file_based_grid_keys_must_match_the_files(tmp_path, capsys, grid_text, flag):
+    paths = write_states(tmp_path)
+    text = f"[grid]\n{grid_text}\n" + state_section(paths, ("v", "iota", "eta"))
+    out = tmp_path / "o"
+    code, err = run_cli(["eval-korteweg", "--config", write_config(tmp_path, text), *flag, "--out", str(out)], capsys)
+    assert code == 2
+    assert_one_line_error(err, "does not match the field files' grid")
+    assert not out.exists()
+
+
+def test_file_based_grid_keys_that_match_are_echoed(tmp_path):
+    paths = write_states(tmp_path)
+    text = ("[grid]\nn = 16\ndim = 2\nlength = 6.283185307179586\nboundary = periodic\n\n"
+            + state_section(paths, ("v", "iota", "eta")))
+    out = tmp_path / "o"
+    assert main(["eval-korteweg", "--config", write_config(tmp_path, text), "--grid", "16", "--out", str(out)]) == 0
+    resolved = (out / "resolved_config.txt").read_text()
+    assert "grid.n = 16\n" in resolved and "grid.length = 6.2831853071795862\n" in resolved
+    assert "model.kappa0 = 0\n" in resolved and "model.beta = 0\n" in resolved
+
+
+def test_file_based_complex_chart_dimension_must_match_nu(tmp_path, capsys):
+    paths = write_states(tmp_path)
+    text = state_section(paths, ("v", "iota", "eta", "nu")) + "[model]\nm = 3\n"
+    code, err = run_cli(["eval-complex", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "o")],
+                        capsys)
+    assert code == 2
+    assert_one_line_error(err, "[model] m = 3 does not match the chart dimension 2 of nu")
+
+
+def test_mms_verify_on_a_grid_too_coarse_for_the_identity_exits_two(tmp_path, capsys):
+    out = tmp_path / "o"
+    code, err = run_cli(["mms-verify", "--grid", "4", "--out", str(out)], capsys)
+    assert code == 2
+    assert_one_line_error(err, "defect identity refines at order")
+    assert not out.exists()
+
+
+def config_from_resolved(path):
+    """INI text holding exactly the lines of a resolved_config.txt."""
+    sections = {}
+    for line in path.read_text().splitlines()[1:]:
+        dotted, value = line.split(" = ", 1)
+        section, key = dotted.split(".", 1)
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    return "".join(f"[{section}]\n" + "".join(lines) + "\n" for section, lines in sections.items())
+
+
+def artifacts(out):
+    """Bytes of every .field file and the data rows of every CSV written under out."""
+    found = {}
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".field":
+            found[path.name] = path.read_bytes()
+        elif path.suffix == ".csv":
+            found[path.name] = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return found
+
+
+@pytest.mark.parametrize(
+    "command, text, flag",
+    [
+        ("eval-korteweg", "[grid]\nboundary = one-sided\n\n[state]\ngenerator = korteweg-inertia\n", "16"),
+        ("eval-complex", "[state]\ngenerator = complex-gl-m2\n", "12"),
+        ("eval-smectic", "[grid]\nlength = 6.0\n\n[state]\ngenerator = smectic-wavy\n", "16"),
+        ("eval-korteweg", "files:v,iota,eta\n[model]\nbeta = 0.7\nc = 1.3\nkappa0 = 0.4\n", "16"),
+        ("eval-complex", "files:v,iota,eta,nu\n[model]\nk = 1.1\nnu_ref = 0.2, -0.1\na = 0.8\n", None),
+        ("eval-smectic", "files:v,eta,w\n[model]\ngamma1 = 1.2\neps_reg = 0.1\n", "16"),
+        ("transport2d", "[transport]\nnu = generic\nsteps = 6\nreport_every = 2\n\n[model]\na = 0.8\n", "16"),
+        ("transport2d", "[transport]\nmode = advected\nnu = generic\ndt = 0.05\nsteps = 6\n", "16"),
+    ],
+)
+def test_resolved_config_reproduces_the_run(tmp_path, command, text, flag):
+    if text.startswith("files:"):
+        keys, text = text.removeprefix("files:").split("\n", 1)
+        generator = "smectic-wavy" if command == "eval-smectic" else "complex-gl-m2"
+        text = state_section(write_states(tmp_path, generator), keys.split(",")) + text
+    first, second = tmp_path / "first", tmp_path / "second"
+    grid = [] if flag is None else ["--grid", flag]
+    assert main([command, "--config", write_config(tmp_path, text), *grid, "--out", str(first)]) == 0
+    resolved = write_config(tmp_path, config_from_resolved(first / "resolved_config.txt"), "resolved.cfg")
+    assert main([command, "--config", resolved, "--out", str(second)]) == 0
+    assert artifacts(second) == artifacts(first)
+    assert (second / "resolved_config.txt").read_bytes() == (first / "resolved_config.txt").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def state_files(tmp_path_factory):
+    return sorted(
+        path for generator in ("complex-gl-m2", "smectic-wavy")
+        for path in write_states(tmp_path_factory.mktemp(generator), generator).values()
+    )
+
+
+_SECTIONS = sorted(cli._KNOWN) + ["banana", "DEFAULT"]
+_KEYS = sorted(set().union(*cli._KNOWN.values())) + ["resolution"]
+_TOKENS = [
+    "abc", "", "1e", "ja", "nan", "inf", "-inf", "0", "-1", "-3", "0.5", "2.5e-2", "1, 2", "yes", "no",
+    "periodic", "one-sided", "frozen", "advected", "two-mode", "taylor-green", "generic", "uniform",
+    "korteweg-basic", "complex-gl-m2", "smectic-wavy", "korteweg", "complex", "smectic", "quadratic", "two-well",
+]
+_COMMANDS = ["eval-korteweg", "eval-complex", "eval-smectic", "transport2d", "mms-verify", "validate-models"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_random_configs_exit_zero_one_or_two_without_traceback(state_files, data):
+    values = st.one_of(st.sampled_from(_TOKENS), st.integers(-2, 16).map(str), st.sampled_from(state_files))
+    sections = data.draw(st.dictionaries(
+        st.sampled_from(_SECTIONS), st.dictionaries(st.sampled_from(_KEYS), values, max_size=4), max_size=3
+    ))
+    grid = data.draw(st.sampled_from([None, "0", "-2", "4", "8"]))
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                   for section, keys in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.cfg")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command in _COMMANDS:
+            argv = [command, "--config", config, "--refine", "3", "--out", os.path.join(tmp, command)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv + ([] if grid is None else ["--grid", grid]))
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1, 2), (command, text, grid)
+            assert "Traceback" not in err.getvalue()

@@ -59,6 +59,12 @@ def test_grid_rejects_bad_parameters():
         Grid((8,), (0.1,), ("periodic",))
 
 
+@pytest.mark.parametrize("n", [0, -1, 3])
+def test_periodic_grid_rejects_too_few_cells_before_dividing(n):
+    with pytest.raises(GridError, match="at least 4 cells"):
+        Grid.periodic(n)
+
+
 def test_field_shape_and_finiteness_validation():
     grid = Grid.periodic(8)
     with pytest.raises(FieldShapeError):

@@ -136,6 +136,22 @@ def test_state_rejects_non_square_grid():
         TransportState.from_vorticity(grid, np.zeros(grid.extents), uniform_order_parameter(grid))
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ({"report_every": 0}, "report_every=0"),
+        ({"report_every": -3}, "report_every=-3"),
+        ({"dt": float("nan")}, "dt=nan"),
+        ({"dt": float("inf")}, "dt=inf"),
+        ({"dt": 0.0}, "dt=0.0"),
+        ({"dt": -0.1}, "dt=-0.1"),
+    ],
+)
+def test_config_rejects_bad_report_every_and_dt(bad, match):
+    with pytest.raises(TransportError, match=match):
+        TransportConfig(**{"dt": 0.05, "steps": 4, "model": MODEL2, **bad})
+
+
 def test_arakawa_matches_central_advection():
     # J(psi, omega) must approximate -(v.grad) omega at second order
     def probe(h):

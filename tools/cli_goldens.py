@@ -12,8 +12,9 @@ are relative and the same in every checkout.  The commands are:
 * ``eval-korteweg``, ``eval-complex`` and ``eval-smectic`` from every
   catalog generator (periodic, and one generator per relation on a
   one-sided grid) and from field files;
-* ``transport2d``, frozen and advected with a generic nu, and advected
-  with a uniform nu (zero source);
+* ``transport2d``, frozen and advected with a generic nu, advected with a
+  uniform nu (zero source), and with no config at all, which must echo
+  every default it ran with;
 * ``mms-verify`` and ``validate-models``.
 
 OUTDIR/SHA256SUMS lists the sorted ``sha256  path`` of every file written
@@ -109,6 +110,7 @@ def _sessions(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
             f"[transport]\nmode = {mode}\nnu = {nu}\nomega0 = two-mode\nsteps = 20\nreport_every = 5\n",
         )
         sessions.append((f"transport2d-{name}", ["transport2d", "--config", cfg, "--grid", str(GRID)]))
+    sessions.append(("transport2d-no-config", ["transport2d", "--grid", str(GRID)]))
     sessions.append(("mms-verify", ["mms-verify", "--grid", str(GRID), "--refine", "3"]))
     sessions.append(("validate-models", ["validate-models"]))
     return sessions
