@@ -41,6 +41,13 @@ relation, its residuals and its interactions read one
 the constitutive pass and the sphere check once per grid level.
 ``complex_crocco`` takes the model and builds the bundle itself.
 
+Terms are assembled as arrays.  ``_korteweg_terms`` and ``_complex_terms``,
+the one engine of the general relation, return the lhs and the term arrays;
+``complex_crocco`` and the layered relation of :mod:`croccolab.smectic`
+(nu = w, m = 1) feed that engine.  The defect identities difference the
+arrays through ``_residual_from``; ``_build_report`` alone builds a report's
+term fields, checks them finite and names a non-finite term and its cell.
+
 Everything here is pure: states and reports are immutable value objects and
 evaluators allocate fresh fields, so independent states can be evaluated
 concurrently.
@@ -54,6 +61,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .fieldcalc import (
+    Field,
+    FieldValueError,
     Grid,
     OrderField,
     OrderGradField,
@@ -61,18 +70,18 @@ from .fieldcalc import (
     ScalarField,
     TensorField,
     VectorField,
+    _advect,
     _div,
+    _first_nonfinite,
     _grad,
+    _hess,
+    _linf,
     advect_steady,
     curl_vector,
-    div_tensor,
-    div_vector,
     grad_scalar,
-    hessian_scalar,
     l2_norm,
     linf_norm,
     order_grad,
-    order_second_grad,
     refinement_study,
     require_same_grid,
 )
@@ -109,6 +118,15 @@ class IdentityViolationError(AssertionError):
 # ---------------------------------------------------------------------------
 
 
+def _density(iota: ScalarField, *others: Field) -> ScalarField:
+    """rho = 1/iota of a state whose fields share one grid and whose iota is positive."""
+    grid = require_same_grid(iota, *others)
+    if np.min(iota.values) <= 0.0:
+        bad = tuple(int(i) for i in np.argwhere(iota.values <= 0.0)[0])
+        raise StateError(f"specific volume must be positive, violated at cell {bad}")
+    return ScalarField(grid, 1.0 / iota.values)
+
+
 @dataclass(frozen=True)
 class KortewegState:
     """Steady flow state (v, iota, eta) with iota > 0 and rho = 1/iota.
@@ -127,11 +145,7 @@ class KortewegState:
     iota_dot: ScalarField = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        grid = require_same_grid(self.v, self.iota, self.eta)
-        if np.min(self.iota.values) <= 0.0:
-            bad = tuple(int(i) for i in np.argwhere(self.iota.values <= 0.0)[0])
-            raise StateError(f"specific volume must be positive, violated at cell {bad}")
-        object.__setattr__(self, "rho", ScalarField(grid, 1.0 / self.iota.values))
+        object.__setattr__(self, "rho", _density(self.iota, self.v, self.eta))
         object.__setattr__(self, "grad_iota", grad_scalar(self.iota))
         object.__setattr__(self, "iota_dot", advect_steady(self.iota, self.v))
 
@@ -158,23 +172,15 @@ class ComplexState:
     nu_dot: OrderField = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        grid = require_same_grid(self.v, self.iota, self.eta, self.nu)
-        if np.min(self.iota.values) <= 0.0:
-            bad = tuple(int(i) for i in np.argwhere(self.iota.values <= 0.0)[0])
-            raise StateError(f"specific volume must be positive, violated at cell {bad}")
-        object.__setattr__(self, "rho", ScalarField(grid, 1.0 / self.iota.values))
+        object.__setattr__(self, "rho", _density(self.iota, self.v, self.eta, self.nu))
         gnu = order_grad(self.nu)
         object.__setattr__(self, "grad_nu", gnu)
         nu_dot = np.einsum("...ai,...i->...a", gnu.values, self.v.values)
-        object.__setattr__(self, "nu_dot", OrderField(grid, nu_dot))
+        object.__setattr__(self, "nu_dot", OrderField(self.nu.grid, nu_dot))
 
     @property
     def grid(self) -> Grid:
         return self.v.grid
-
-    @property
-    def m(self) -> int:
-        return self.nu.m
 
 
 def lamb_vector(v: VectorField) -> VectorField:
@@ -188,8 +194,13 @@ def lamb_vector(v: VectorField) -> VectorField:
     return VectorField(grid, np.cross(w.values, v.values))
 
 
-def speed_squared(v: VectorField) -> ScalarField:
-    return ScalarField(v.grid, np.sum(v.values**2, axis=-1))
+def _speed2(v: VectorField) -> np.ndarray:
+    return np.sum(v.values**2, axis=-1)
+
+
+def _thermo(grid: Grid, theta: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """theta * grad(eta)."""
+    return theta[..., None] * _grad(grid, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -231,22 +242,31 @@ class CroccoReport:
         return VectorField(self.lhs.grid, acc)
 
 
-def _residual_from(lhs: VectorField, terms: dict[str, VectorField], schema: Sequence[str]) -> VectorField:
+def _residual_from(lhs: VectorField, terms: Mapping[str, np.ndarray], schema: Sequence[str]) -> np.ndarray:
+    """lhs minus the term arrays, subtracted one by one in schema order."""
     res = lhs.values.copy()
     for name in schema:
-        res -= terms[name].values
-    return VectorField(lhs.grid, res)
+        res -= terms[name]
+    return res
 
 
-def _build_report(relation: str, schema: Sequence[str], lhs: VectorField, terms: dict[str, VectorField]) -> CroccoReport:
+def _report_field(relation: str, name: str, grid: Grid, values: np.ndarray) -> VectorField:
+    try:
+        return VectorField(grid, values)
+    except FieldValueError:
+        cell = _first_nonfinite(values)[: grid.dim]
+        raise FieldValueError(f"{relation} term {name} is non-finite at cell {cell}") from None
+
+
+def _build_report(relation: str, schema: Sequence[str], lhs: VectorField, terms: dict[str, np.ndarray]) -> CroccoReport:
+    """The report of term arrays: the one place their fields are built and checked finite."""
     if tuple(terms.keys()) != tuple(schema):
         raise SchemaError(f"{relation} schema must be {tuple(schema)}, got {tuple(terms.keys())}")
-    residual = _residual_from(lhs, terms, schema)
-    norms: dict[str, tuple[float, float]] = {"lhs": (l2_norm(lhs), linf_norm(lhs))}
-    for name in schema:
-        norms[name] = (l2_norm(terms[name]), linf_norm(terms[name]))
-    norms["residual"] = (l2_norm(residual), linf_norm(residual))
-    return CroccoReport(relation, lhs, dict(terms), residual, norms)
+    fields = {name: _report_field(relation, name, lhs.grid, terms[name]) for name in schema}
+    residual = _report_field(relation, "residual", lhs.grid, _residual_from(lhs, terms, schema))
+    named = {"lhs": lhs, **fields, "residual": residual}
+    norms = {name: (l2_norm(field), linf_norm(field)) for name, field in named.items()}
+    return CroccoReport(relation, lhs, fields, residual, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +274,30 @@ def _build_report(relation: str, schema: Sequence[str], lhs: VectorField, terms:
 # ---------------------------------------------------------------------------
 
 
+def _rho_p(state: KortewegState, model: KortewegModel) -> np.ndarray:
+    """rho*P with P = dphi_dgrad_iota."""
+    return state.rho.values[..., None] * model.dphi_dgrad_iota(state.grad_iota.values)
+
+
+def _p_grad_iota(state: KortewegState, model: KortewegModel) -> np.ndarray:
+    """P.grad(iota) with P = dphi_dgrad_iota."""
+    g_iota = state.grad_iota.values
+    return np.sum(model.dphi_dgrad_iota(g_iota) * g_iota, axis=-1)
+
+
+def _iota_rate(state: KortewegState, coenergy: KortewegCoEnergy) -> np.ndarray:
+    """(v.grad)(dchi_diota_dot), the steady rate of the co-energy's rate partial."""
+    a = coenergy.dchi_diota_dot(state.iota.values, state.iota_dot.values)
+    return _advect(state.grid, a, state.v.values)
+
+
+def _dyad(state: KortewegState, model: KortewegModel) -> np.ndarray:
+    return np.einsum("...i,...j->...ij", state.grad_iota.values, _rho_p(state, model))
+
+
 def korteweg_stress(state: KortewegState, model: KortewegModel) -> TensorField:
     """Dyadic capillary stress grad(iota) (x) rho*dphi_dgrad_iota (rank one per cell)."""
-    grid = state.grid
-    g_iota = state.grad_iota.values
-    p = model.dphi_dgrad_iota(g_iota)
-    te = np.einsum("...i,...j->...ij", g_iota, state.rho.values[..., None] * p)
-    return TensorField(grid, te)
+    return TensorField(state.grid, _dyad(state, model))
 
 
 def korteweg_stress_expanded(state: KortewegState, model: KortewegModel) -> VectorField:
@@ -271,11 +308,9 @@ def korteweg_stress_expanded(state: KortewegState, model: KortewegModel) -> Vect
     to O(h^2) and is used as its cross-check.
     """
     grid = state.grid
-    g_iota = state.grad_iota.values
-    rp = VectorField(grid, state.rho.values[..., None] * model.dphi_dgrad_iota(g_iota))
-    d = div_vector(rp)
-    hess = hessian_scalar(state.iota)
-    out = d.values[..., None] * g_iota + np.einsum("...ij,...j->...i", hess.values, rp.values)
+    rp = _rho_p(state, model)
+    hess = _hess(grid, state.iota.values)
+    out = _div(grid, rp)[..., None] * state.grad_iota.values + np.einsum("...ij,...j->...i", hess, rp)
     return VectorField(grid, out)
 
 
@@ -284,6 +319,19 @@ class KortewegPressures:
     p: ScalarField
     p_bar: ScalarField
     p_check: ScalarField
+
+
+def _pressures(state: KortewegState, model: KortewegModel, coenergy: KortewegCoEnergy) -> tuple[np.ndarray, ...]:
+    """The arrays (p, p_bar, p_check) of :func:`korteweg_pressures`."""
+    grid = state.grid
+    iota = state.iota.values
+    rho_iota = state.rho.values * iota
+    p = -rho_iota * model.dphi_diota(iota)
+    p = p + iota * _div(grid, _rho_p(state, model))
+    if coenergy.is_zero:
+        return p, p, np.zeros(grid.extents)
+    p_check = rho_iota * _iota_rate(state, coenergy) - coenergy.dchi_diota(iota, state.iota_dot.values)
+    return p, p - p_check, p_check
 
 
 def korteweg_pressures(
@@ -301,21 +349,11 @@ def korteweg_pressures(
     bit-exactly.
     """
     grid = state.grid
-    g_iota = state.grad_iota.values
-    rho_iota = state.rho.values * state.iota.values
-    p_static = -rho_iota * model.dphi_diota(state.iota.values)
-    rp = VectorField(grid, state.rho.values[..., None] * model.dphi_dgrad_iota(g_iota))
-    p_static = p_static + state.iota.values * div_vector(rp).values
-    p = ScalarField(grid, p_static)
-    if coenergy.is_zero:
-        zero = ScalarField(grid, np.zeros(grid.extents))
-        return KortewegPressures(p=p, p_bar=p, p_check=zero)
-    a = ScalarField(grid, coenergy.dchi_diota_dot(state.iota.values, state.iota_dot.values))
-    adv = advect_steady(a, state.v)
-    p_check = rho_iota * adv.values - coenergy.dchi_diota(state.iota.values, state.iota_dot.values)
+    p, p_bar, p_check = _pressures(state, model, coenergy)
+    p_field = ScalarField(grid, p)
     return KortewegPressures(
-        p=p,
-        p_bar=ScalarField(grid, p_static - p_check),
+        p=p_field,
+        p_bar=p_field if p_bar is p else ScalarField(grid, p_bar),
         p_check=ScalarField(grid, p_check),
     )
 
@@ -326,6 +364,13 @@ class KortewegEnthalpy:
     h: ScalarField
 
 
+def _korteweg_xi(state: KortewegState, model: KortewegModel) -> np.ndarray:
+    """xi = phi - iota*dphi_diota - P.grad(iota)."""
+    iota = state.iota.values
+    phi = model.phi(iota, state.grad_iota.values, state.eta.values)
+    return phi - iota * model.dphi_diota(iota) - _p_grad_iota(state, model)
+
+
 def korteweg_enthalpy(
     state: KortewegState,
     model: KortewegModel,
@@ -333,18 +378,9 @@ def korteweg_enthalpy(
 ) -> KortewegEnthalpy:
     """Specific enthalpy xi (minus the partial Legendre transform of phi in
     its kinematic arguments) and total enthalpy h = q^2/2 + xi."""
-    grid = state.grid
-    g_iota = state.grad_iota.values
-    phi = model.phi(state.iota.values, g_iota, state.eta.values)
-    p_grad = model.dphi_dgrad_iota(g_iota)
-    xi = (
-        phi
-        - state.iota.values * model.dphi_diota(state.iota.values)
-        - np.sum(p_grad * g_iota, axis=-1)
-    )
-    h = 0.5 * speed_squared(state.v).values + xi
     del coenergy  # enters only the pressure route, kept for a uniform signature
-    return KortewegEnthalpy(xi=ScalarField(grid, xi), h=ScalarField(grid, h))
+    xi = _korteweg_xi(state, model)
+    return KortewegEnthalpy(xi=ScalarField(state.grid, xi), h=ScalarField(state.grid, 0.5 * _speed2(state.v) + xi))
 
 
 def korteweg_enthalpy_alt(
@@ -358,17 +394,14 @@ def korteweg_enthalpy_alt(
     Agrees with the Legendre-transform route to O(h^2).
     """
     grid = state.grid
-    g_iota = state.grad_iota.values
-    phi = model.phi(state.iota.values, g_iota, state.eta.values)
-    p_grad = model.dphi_dgrad_iota(g_iota)
-    rp = VectorField(grid, state.rho.values[..., None] * p_grad)
-    pres = korteweg_pressures(state, model, coenergy)
+    iota = state.iota.values
+    _, p_bar, p_check = _pressures(state, model, coenergy)
     xi = (
-        phi
-        + state.iota.values * pres.p_bar.values
-        - state.iota.values**2 * div_vector(rp).values
-        + state.iota.values * pres.p_check.values
-        - np.sum(p_grad * g_iota, axis=-1)
+        model.phi(iota, state.grad_iota.values, state.eta.values)
+        + iota * p_bar
+        - iota**2 * _div(grid, _rho_p(state, model))
+        + iota * p_check
+        - _p_grad_iota(state, model)
     )
     return ScalarField(grid, xi)
 
@@ -388,19 +421,32 @@ def classical_crocco(state: KortewegState, model: KortewegModel) -> CroccoReport
     if model.beta != 0.0:
         raise SchemaError("classical relation needs a gradient-free model (beta = 0)")
     grid = state.grid
-    lhs = lamb_vector(state.v)
-    theta = model.theta(state.eta.values)
-    thermo = VectorField(grid, theta[..., None] * grad_scalar(state.eta).values)
-    g_iota = state.grad_iota.values
-    phi = model.phi(state.iota.values, g_iota, state.eta.values)
-    big_h = ScalarField(
-        grid,
-        0.5 * speed_squared(state.v).values
-        + phi
-        - state.iota.values * model.dphi_diota(state.iota.values),
-    )
-    enthalpy = VectorField(grid, -grad_scalar(big_h).values)
-    return _build_report("classical", CLASSICAL_SCHEMA, lhs, {"thermo": thermo, "enthalpy": enthalpy})
+    iota, eta = state.iota.values, state.eta.values
+    big_h = 0.5 * _speed2(state.v) + model.phi(iota, state.grad_iota.values, eta) - iota * model.dphi_diota(iota)
+    terms = {"thermo": _thermo(grid, model.theta(eta), eta), "enthalpy": -_grad(grid, big_h)}
+    return _build_report("classical", CLASSICAL_SCHEMA, lamb_vector(state.v), terms)
+
+
+def _korteweg_terms(
+    state: KortewegState, model: KortewegModel, coenergy: KortewegCoEnergy
+) -> tuple[VectorField, dict[str, np.ndarray]]:
+    """The lhs and the term arrays of the capillary relation."""
+    grid = state.grid
+    iota, eta = state.iota.values, state.eta.values
+    h = 0.5 * _speed2(state.v) + _korteweg_xi(state, model)
+    wall = iota**2 * _div(grid, _rho_p(state, model)) + _p_grad_iota(state, model)
+    if coenergy.is_zero:
+        inertia = np.zeros(grid.extents + (grid.dim,))
+    else:
+        content = _iota_rate(state, coenergy) - coenergy.dchi_diota(iota, state.iota_dot.values)
+        inertia = iota[..., None] * _grad(grid, content)
+    terms = {
+        "thermo": _thermo(grid, model.theta(eta), eta),
+        "enthalpy": -_grad(grid, h),
+        "wall": -_grad(grid, wall),
+        "inertia": inertia,
+    }
+    return lamb_vector(state.v), terms
 
 
 def korteweg_crocco(
@@ -417,38 +463,7 @@ def korteweg_crocco(
     With beta = 0 and the zero co-energy both fields are identically zero
     and the report coincides with the classical one.
     """
-    grid = state.grid
-    lhs = lamb_vector(state.v)
-    theta = model.theta(state.eta.values)
-    thermo = VectorField(grid, theta[..., None] * grad_scalar(state.eta).values)
-    enthalpy = VectorField(grid, -grad_scalar(korteweg_enthalpy(state, model, coenergy).h).values)
-
-    g_iota = state.grad_iota.values
-    p_grad = model.dphi_dgrad_iota(g_iota)
-    rp = VectorField(grid, state.rho.values[..., None] * p_grad)
-    wall_scalar = ScalarField(
-        grid,
-        state.iota.values**2 * div_vector(rp).values + np.sum(p_grad * g_iota, axis=-1),
-    )
-    wall = VectorField(grid, -grad_scalar(wall_scalar).values)
-
-    if coenergy.is_zero:
-        inertia = VectorField(grid, np.zeros(grid.extents + (grid.dim,)))
-    else:
-        a = ScalarField(grid, coenergy.dchi_diota_dot(state.iota.values, state.iota_dot.values))
-        content = ScalarField(
-            grid,
-            advect_steady(a, state.v).values
-            - coenergy.dchi_diota(state.iota.values, state.iota_dot.values),
-        )
-        inertia = VectorField(grid, state.iota.values[..., None] * grad_scalar(content).values)
-
-    return _build_report(
-        "korteweg",
-        KORTEWEG_SCHEMA,
-        lhs,
-        {"thermo": thermo, "enthalpy": enthalpy, "wall": wall, "inertia": inertia},
-    )
+    return _build_report("korteweg", KORTEWEG_SCHEMA, *_korteweg_terms(state, model, coenergy))
 
 
 def steady_momentum_residual(
@@ -463,13 +478,13 @@ def steady_momentum_residual(
     R identically (to discretization order) on arbitrary smooth states.
     """
     grid = state.grid
-    pres = korteweg_pressures(state, model, coenergy)
-    te = korteweg_stress(state, model)
+    iota = state.iota.values[..., None]
+    _, p_bar, _ = _pressures(state, model, coenergy)
     out = (
         lamb_vector(state.v).values
-        + 0.5 * grad_scalar(speed_squared(state.v)).values
-        + state.iota.values[..., None] * grad_scalar(pres.p_bar).values
-        + state.iota.values[..., None] * div_tensor(te).values
+        + 0.5 * _grad(grid, _speed2(state.v))
+        + iota * _grad(grid, p_bar)
+        + iota * _div(grid, _dyad(state, model))
     )
     return VectorField(grid, out)
 
@@ -489,9 +504,8 @@ def defect_identity(
 
     def probe_for(grid: Grid) -> float:
         state, model, coenergy = state_factory(grid)
-        report = korteweg_crocco(state, model, coenergy)
-        r = steady_momentum_residual(state, model, coenergy)
-        return linf_norm(VectorField(grid, report.residual.values - r.values))
+        defect = _residual_from(*_korteweg_terms(state, model, coenergy), KORTEWEG_SCHEMA)
+        return _linf(grid, defect - steady_momentum_residual(state, model, coenergy).values)
 
     return _run_identity_probe(probe_for, grids, min_order, "capillary defect identity")
 
@@ -546,10 +560,14 @@ def complex_interactions(state: ComplexState, parts: GinzburgLandauPartials) -> 
     )
 
 
-def _chi_rate(state: ComplexState, coenergy: OrderCoEnergy) -> np.ndarray:
-    """(v.grad)(dchi_dnudot), the steady rate of the co-energy's rate partial."""
-    a = coenergy.dchi_dnu_dot(state.nu.values, state.nu_dot.values)
-    return advect_steady(OrderField(state.grid, a), state.v).values
+def _order_rates(
+    v: VectorField, nu: np.ndarray, nu_dot: np.ndarray | None, coenergy: OrderCoEnergy
+) -> tuple[np.ndarray, np.ndarray]:
+    """(v.grad)(dchi_dnudot), the steady rate of the co-energy's rate partial, and dchi_dnu (zero without inertia)."""
+    if coenergy.is_zero:
+        zero = np.zeros(nu.shape)
+        return zero, zero
+    return _advect(v.grid, coenergy.dchi_dnu_dot(nu, nu_dot), v.values), coenergy.dchi_dnu(nu, nu_dot)
 
 
 def substructural_balance_residual(
@@ -566,69 +584,57 @@ def substructural_balance_residual(
     rho = state.rho.values
     s = rho[..., None, None] * parts.dphi_dgrad_nu
     z = rho[..., None] * parts.dphi_dnu
-    div_s = _div(grid, s)
-    if coenergy.is_zero:
-        inertial = np.zeros_like(z)
-    else:
-        inertial = _chi_rate(state, coenergy) - coenergy.dchi_dnu(state.nu.values, state.nu_dot.values)
-    return OrderField(grid, div_s - z - inertial)
+    chi_rate, dchi_dnu = _order_rates(state.v, state.nu.values, state.nu_dot.values, coenergy)
+    return OrderField(grid, _div(grid, s) - z - (chi_rate - dchi_dnu))
 
 
 def _complex_terms(
-    state: ComplexState,
-    parts: GinzburgLandauPartials,
-    coenergy: OrderCoEnergy,
-) -> tuple[VectorField, dict[str, VectorField]]:
-    """Shared engine assembling the componentwise relation terms."""
-    grid = state.grid
-    iota = state.iota.values
-    rho = state.rho.values
-    nu = state.nu.values
-    gnu = state.grad_nu.values
-    hess = order_second_grad(state.nu).values
+    v: VectorField, iota: np.ndarray, eta: np.ndarray, nu: np.ndarray, grad_nu: np.ndarray, nu_dot: np.ndarray | None,
+    parts: GinzburgLandauPartials, coenergy: OrderCoEnergy,
+) -> tuple[VectorField, dict[str, np.ndarray]]:
+    """Shared engine: the lhs and the componentwise term arrays of the relation.
 
-    lhs = lamb_vector(state.v)
-    thermo = VectorField(grid, parts.theta[..., None] * grad_scalar(state.eta).values)
+    Reads arrays over the cells of ``v``'s grid: ``nu`` with its chart axis,
+    ``grad_nu`` with the chart and spatial axes, and ``nu_dot``, which only a
+    non-zero co-energy reads.
+    """
+    grid = v.grid
+    rho = 1.0 / iota
+    hess = np.ascontiguousarray(_hess(grid, nu))  # einsum sums a strided operand in another order
 
     xi_c = (
         parts.phi
         - iota * parts.dphi_diota
         - np.sum(parts.dphi_dnu * nu, axis=-1)
-        - np.sum(parts.dphi_dgrad_nu * gnu, axis=(-2, -1))
+        - np.sum(parts.dphi_dgrad_nu * grad_nu, axis=(-2, -1))
     )
-    h_c = ScalarField(grid, 0.5 * speed_squared(state.v).values + xi_c)
-    enthalpy = VectorField(grid, -grad_scalar(h_c).values)
 
     s = rho[..., None, None] * parts.dphi_dgrad_nu
     div_s = _div(grid, s)
-
-    if coenergy.is_zero:
-        chi_rate = np.zeros(grid.extents + (state.m,))
-        dchi_dnu = chi_rate
-    else:
-        chi_rate = _chi_rate(state, coenergy)
-        dchi_dnu = coenergy.dchi_dnu(nu, state.nu_dot.values)
+    chi_rate, dchi_dnu = _order_rates(v, nu, nu_dot, coenergy)
 
     # -(grad P)^T grad(nu): sum_aj D_i(P^a_j) (grad nu)^a_j
     grad_p = _grad(grid, parts.dphi_dgrad_nu)  # (..., m, dim_j, dim_i)
-    micro_grad = VectorField(grid, -np.einsum("...aji,...aj->...i", grad_p, gnu))
-
     # -(grad(iota*(div S - d/dt dchi_dnudot + dchi_dnu)))^T nu
     grad_bal = _grad(grid, iota[..., None] * (div_s - chi_rate + dchi_dnu))
-    order_balance = VectorField(grid, -np.einsum("...ai,...a->...i", grad_bal, nu))
-
-    micro_div = VectorField(grid, -iota[..., None] * np.einsum("...ai,...a->...i", gnu, div_s))
-    micro_hess = VectorField(grid, -iota[..., None] * np.einsum("...aj,...aji->...i", s, hess))
 
     terms = {
-        "thermo": thermo,
-        "enthalpy": enthalpy,
-        "micro_grad": micro_grad,
-        "order_balance": order_balance,
-        "micro_div": micro_div,
-        "micro_hess": micro_hess,
+        "thermo": _thermo(grid, parts.theta, eta),
+        "enthalpy": -_grad(grid, 0.5 * _speed2(v) + xi_c),
+        "micro_grad": -np.einsum("...aji,...aj->...i", grad_p, grad_nu),
+        "order_balance": -np.einsum("...ai,...a->...i", grad_bal, nu),
+        "micro_div": -iota[..., None] * np.einsum("...ai,...a->...i", grad_nu, div_s),
+        "micro_hess": -iota[..., None] * np.einsum("...aj,...aji->...i", s, hess),
     }
-    return lhs, terms
+    return lamb_vector(v), terms
+
+
+def _state_terms(
+    state: ComplexState, parts: GinzburgLandauPartials, coenergy: OrderCoEnergy
+) -> tuple[VectorField, dict[str, np.ndarray]]:
+    """The engine fed from a typed order-parameter state."""
+    fields = (state.iota, state.eta, state.nu, state.grad_nu, state.nu_dot)
+    return _complex_terms(state.v, *(f.values for f in fields), parts, coenergy)
 
 
 def complex_crocco(
@@ -638,8 +644,7 @@ def complex_crocco(
 ) -> CroccoReport:
     """Order-parameter relation assembled from the componentwise form."""
     parts = gl_partials(model, state.iota, state.nu, state.grad_nu, state.eta)
-    lhs, terms = _complex_terms(state, parts, coenergy)
-    return _build_report("complex", COMPLEX_SCHEMA, lhs, terms)
+    return _build_report("complex", COMPLEX_SCHEMA, *_state_terms(state, parts, coenergy))
 
 
 def complex_momentum_residual(state: ComplexState, parts: GinzburgLandauPartials) -> VectorField:
@@ -651,14 +656,13 @@ def complex_momentum_residual(state: ComplexState, parts: GinzburgLandauPartials
     grid = state.grid
     rho = state.rho.values
     iota = state.iota.values
-    p_tilde = ScalarField(grid, -(rho * iota) * parts.dphi_diota)
-    s = rho[..., None, None] * parts.dphi_dgrad_nu
-    dyad = TensorField(grid, np.einsum("...ai,...aj->...ij", state.grad_nu.values, s))
+    p_tilde = -(rho * iota) * parts.dphi_diota
+    dyad = np.einsum("...ai,...aj->...ij", state.grad_nu.values, rho[..., None, None] * parts.dphi_dgrad_nu)
     out = (
         lamb_vector(state.v).values
-        + 0.5 * grad_scalar(speed_squared(state.v)).values
-        + iota[..., None] * grad_scalar(p_tilde).values
-        + iota[..., None] * div_tensor(dyad).values
+        + 0.5 * _grad(grid, _speed2(state.v))
+        + iota[..., None] * _grad(grid, p_tilde)
+        + iota[..., None] * _div(grid, dyad)
     )
     return VectorField(grid, out)
 
@@ -691,12 +695,12 @@ def complex_defect_identity(
     def probe_for(grid: Grid) -> float:
         state, model, coenergy = state_factory(grid)
         parts = gl_partials(model, state.iota, state.nu, state.grad_nu, state.eta)
-        defect = _residual_from(*_complex_terms(state, parts, coenergy), COMPLEX_SCHEMA)
+        defect = _residual_from(*_state_terms(state, parts, coenergy), COMPLEX_SCHEMA)
         target = (
             complex_momentum_residual(state, parts).values
             + substructural_coupling(state, parts, coenergy).values
         )
-        return linf_norm(VectorField(grid, defect.values - target))
+        return _linf(grid, defect - target)
 
     return _run_identity_probe(probe_for, grids, min_order, "order-parameter defect identity")
 
@@ -726,14 +730,12 @@ def corollary_check(report: CroccoReport, mode: str) -> CorollaryCheck:
     produced entirely by the substructure.
     """
     if mode == "cancellation":
-        target = report.terms_sum()
-        mag = np.sqrt(np.sum(target.values**2, axis=-1))
+        target = report.terms_sum().values
     elif mode == "generation":
-        diff = report.lhs.values - report.substructural_sum().values
-        mag = np.sqrt(np.sum(diff**2, axis=-1))
+        target = report.lhs.values - report.substructural_sum().values
     else:
         raise SchemaError(f"mode must be 'cancellation' or 'generation', got {mode!r}")
-    field = ScalarField(report.lhs.grid, mag)
+    field = ScalarField(report.lhs.grid, np.sqrt(np.sum(target**2, axis=-1)))
     return CorollaryCheck(mode, field, l2_norm(field), linf_norm(field))
 
 

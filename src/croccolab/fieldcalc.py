@@ -22,12 +22,14 @@ wraps, a one-sided axis closes the boundary with the second-order one-sided
 stencil.  One generic path serves every rank, and this module is the only
 place that loops over coordinate axes.  ``_grad`` appends a trailing
 derivative axis to an array of any rank, ``_div`` contracts its last axis,
-and ``_hess`` is ``_grad`` applied twice with the last two axes swapped.
-Second derivatives are therefore repeated first derivatives, which makes
-mixed partials symmetric to rounding.  The typed operators below (grad,
-div, Jacobian, Hessian, the ``order_*`` operators, steady advection) are
-thin wrappers over these helpers.  The relation modules call the helpers
-directly on intermediate arrays.
+``_hess`` is ``_grad`` applied twice with the last two axes swapped and
+``_advect`` is steady advection.  Second derivatives are therefore repeated
+first derivatives, which makes mixed partials symmetric to rounding.  The
+typed operators below (grad, div, Jacobian, Hessian, the ``order_*``
+operators, steady advection) are thin wrappers over these helpers.  The
+relation and transport modules call the helpers on plain intermediate
+arrays: a field, whose values are checked finite, is built only for a
+state, a report's terms and the result of a public function.
 
 Every operator is a pure function: fields are immutable after construction
 (their arrays are marked read-only) and operators allocate fresh arrays, so
@@ -347,15 +349,20 @@ def order_second_grad(nu: OrderField) -> OrderHessField:
     return OrderHessField(nu.grid, _hess(nu.grid, nu.values))
 
 
+def _advect(grid: Grid, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(v . grad) a for an array of any rank and velocity values v."""
+    g = _grad(grid, a)
+    vb = v.reshape(grid.extents + (1,) * (a.ndim - grid.dim) + (grid.dim,))
+    out = np.zeros_like(a)
+    for i in range(grid.dim):
+        out += vb[..., i] * g[..., i]
+    return out
+
+
 def advect_steady(f: Field, v: VectorField) -> Field:
     """Steady material derivative (v . grad) f, componentwise, same rank as f."""
     grid = require_same_grid(f, v)
-    g = _grad(grid, f.values)
-    vb = v.values.reshape(grid.extents + (1,) * (f.values.ndim - grid.dim) + (grid.dim,))
-    out = np.zeros_like(f.values)
-    for a in range(grid.dim):
-        out += vb[..., a] * g[..., a]
-    return type(f)(grid, out)
+    return type(f)(grid, _advect(grid, f.values, v.values))
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +370,11 @@ def advect_steady(f: Field, v: VectorField) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def _pointwise_magnitude(field: Field) -> np.ndarray:
+def _pointwise_magnitude(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Euclidean magnitude over all component axes, per cell."""
-    extra = field.values.ndim - field.grid.dim
-    if extra == 0:
-        return np.abs(field.values)
-    flat = field.values.reshape(field.grid.extents + (-1,))
+    if values.ndim == grid.dim:
+        return np.abs(values)
+    flat = values.reshape(grid.extents + (-1,))
     # component by component: np.sum over a short innermost axis costs far
     # more than its arithmetic, and below 8 components it adds in this order
     acc = flat[..., 0] * flat[..., 0]
@@ -377,14 +383,18 @@ def _pointwise_magnitude(field: Field) -> np.ndarray:
     return np.sqrt(acc, out=acc)
 
 
+def _linf(grid: Grid, values: np.ndarray) -> float:
+    return float(np.max(_pointwise_magnitude(grid, values)))
+
+
 def linf_norm(field: Field) -> float:
     """Max over cells of the per-cell euclidean component magnitude."""
-    return float(np.max(_pointwise_magnitude(field)))
+    return _linf(field.grid, field.values)
 
 
 def l2_norm(field: Field) -> float:
     """Cell-volume-weighted discrete L2 norm."""
-    mag = _pointwise_magnitude(field)
+    mag = _pointwise_magnitude(field.grid, field.values)
     return float(math.sqrt(np.sum(mag * mag) * field.grid.cell_volume))
 
 

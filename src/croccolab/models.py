@@ -72,13 +72,31 @@ def _mech_prime(kind: str, c: float, w1: float, w2: float, iota: np.ndarray) -> 
     return 2.0 * c * (iota - w1) * (iota - w2) * (2.0 * iota - w1 - w2)
 
 
+class ThermalPart:
+    """The separable entropic part ``e0*exp(eta/c_v)`` of a potential and its
+    temperature ``theta = d/d eta``, shared by every model with fields e0, c_v."""
+
+    e0: float
+    c_v: float
+
+    def _check_thermal(self) -> None:
+        if self.e0 <= 0.0 or self.c_v <= 0.0:
+            raise ModelError("entropic parameters e0, c_v must be > 0")
+
+    def entropic(self, eta: np.ndarray) -> np.ndarray:
+        return self.e0 * np.exp(np.asarray(eta) / self.c_v)
+
+    def theta(self, eta: np.ndarray) -> np.ndarray:
+        return (self.e0 / self.c_v) * np.exp(np.asarray(eta) / self.c_v)
+
+
 # ---------------------------------------------------------------------------
 # capillary fluid
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class KortewegModel:
+class KortewegModel(ThermalPart):
     """Potential f(iota, eta) + 0.5*beta*|grad iota|^2.
 
     ``f_kind`` selects the mechanical part: "quadratic" gives
@@ -101,8 +119,7 @@ class KortewegModel:
             raise ModelError(f"f_kind must be one of {_F_KINDS}, got {self.f_kind!r}")
         if self.beta < 0.0:
             raise ModelError("gradient coefficient beta must be >= 0")
-        if self.e0 <= 0.0 or self.c_v <= 0.0:
-            raise ModelError("entropic parameters e0, c_v must be > 0")
+        self._check_thermal()
 
     def _w1(self) -> float:
         return self.iota_ref if self.f_kind == QUADRATIC else self.well_1
@@ -115,16 +132,13 @@ class KortewegModel:
 
     def phi(self, iota: np.ndarray, grad_iota: np.ndarray, eta: np.ndarray) -> np.ndarray:
         gsq = np.sum(np.asarray(grad_iota) ** 2, axis=-1)
-        return self.f_mech(iota) + self.e0 * np.exp(eta / self.c_v) + 0.5 * self.beta * gsq
+        return self.f_mech(iota) + self.entropic(eta) + 0.5 * self.beta * gsq
 
     def dphi_diota(self, iota: np.ndarray) -> np.ndarray:
         return self.df_mech(iota)
 
     def dphi_dgrad_iota(self, grad_iota: np.ndarray) -> np.ndarray:
         return self.beta * np.asarray(grad_iota)
-
-    def theta(self, eta: np.ndarray) -> np.ndarray:
-        return (self.e0 / self.c_v) * np.exp(eta / self.c_v)
 
 
 @dataclass(frozen=True)
@@ -163,7 +177,7 @@ class KortewegCoEnergy:
 
 
 @dataclass(frozen=True)
-class ComplexFluidModel:
+class ComplexFluidModel(ThermalPart):
     """Ginzburg-Landau potential gamma(iota, nu, eta) + 0.5*a*||grad nu||^2.
 
     gamma kinds:
@@ -203,8 +217,7 @@ class ComplexFluidModel:
             raise ModelError(f"gamma_kind must be one of {_F_KINDS}, got {self.gamma_kind!r}")
         if self.a < 0.0:
             raise ModelError("gradient coefficient a must be >= 0")
-        if self.e0 <= 0.0 or self.c_v <= 0.0:
-            raise ModelError("entropic parameters e0, c_v must be > 0")
+        self._check_thermal()
         ref = tuple(self.nu_ref) if self.nu_ref else (0.0,) * self.m
         slope = tuple(self.nu_ref_slope) if self.nu_ref_slope else (0.0,) * self.m
         if len(ref) != self.m or len(slope) != self.m:
@@ -239,7 +252,7 @@ class ComplexFluidModel:
         return self._gamma(iota, nu, eta) + 0.5 * self.a * gnormsq
 
     def _gamma(self, iota: np.ndarray, nu: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        f = self.f_mech(iota) + self.e0 * np.exp(np.asarray(eta) / self.c_v)
+        f = self.f_mech(iota) + self.entropic(eta)
         if self.gamma_kind == QUADRATIC:
             d = np.asarray(nu) - self.nu_anchor(iota)
             return 0.5 * self.k * np.sum(d * d, axis=-1) + f
@@ -263,9 +276,6 @@ class ComplexFluidModel:
 
     def dphi_dgrad_nu(self, grad_nu: np.ndarray) -> np.ndarray:
         return self.a * np.asarray(grad_nu)
-
-    def theta(self, eta: np.ndarray) -> np.ndarray:
-        return (self.e0 / self.c_v) * np.exp(np.asarray(eta) / self.c_v)
 
 
 def check_sphere_constraint(model: ComplexFluidModel, nu: OrderField) -> None:

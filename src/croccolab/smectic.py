@@ -12,13 +12,14 @@ compressible-layer form
     S = gamma1*(|grad w| - 1)*n
         - gamma2*|grad w|^{-1} * (I - n(x)n) grad(div n)
 
-and the relation evaluator runs in incompressible mode (iota == 1) with the
-four substructural terms of the general order-parameter relation
-specialized to m = 1, nu = w, with ``S`` standing in for the gradient
-partial of the potential.  A separable entropic part ``e0*exp(eta/c_v)`` is
-added inside the evaluator so the temperature is positive; the mechanical
-energy reported by :func:`smectic_energy` excludes it (flat unit-spaced
-layers have zero energy).
+and the relation runs in incompressible mode (iota == 1) through the
+general order-parameter engine, fed nu = w with the cached ``grad(w)``,
+``S`` as the gradient partial, zero chart and iota partials and the zero
+rate co-energy; :func:`smectic_via_general` feeds it from a typed state
+instead, as the oracle.  A separable entropic part ``e0*exp(eta/c_v)`` is
+added so the temperature is positive; the mechanical energy reported by
+:func:`smectic_energy` excludes it (flat unit-spaced layers have zero
+energy).
 
 Cells where ``|grad w| <= eps_reg`` are flagged as defect cores and the
 director is regularized there by ``max(|grad w|, eps_reg)``; every report
@@ -37,21 +38,19 @@ from .crocco import (
     CroccoReport,
     _build_report,
     _complex_terms,
-    lamb_vector,
-    speed_squared,
+    _state_terms,
 )
 from .fieldcalc import (
     Grid,
     OrderField,
     ScalarField,
     VectorField,
+    _div,
     _grad,
-    div_vector,
     grad_scalar,
-    hessian_scalar,
     require_same_grid,
 )
-from .models import GinzburgLandauPartials, OrderCoEnergy
+from .models import GinzburgLandauPartials, OrderCoEnergy, ThermalPart
 
 _TINY = 1e-300
 
@@ -61,7 +60,7 @@ class DefectCoreError(ValueError):
 
 
 @dataclass(frozen=True)
-class SmecticModel:
+class SmecticModel(ThermalPart):
     """Layer compression / bending moduli and the core regularization length."""
 
     gamma1: float
@@ -75,14 +74,7 @@ class SmecticModel:
             raise ValueError("moduli gamma1, gamma2 must be positive")
         if self.eps_reg < 0.0:
             raise ValueError("eps_reg must be >= 0")
-        if self.e0 <= 0.0 or self.c_v <= 0.0:
-            raise ValueError("entropic parameters e0, c_v must be > 0")
-
-    def theta(self, eta: np.ndarray) -> np.ndarray:
-        return (self.e0 / self.c_v) * np.exp(np.asarray(eta) / self.c_v)
-
-    def entropic(self, eta: np.ndarray) -> np.ndarray:
-        return self.e0 * np.exp(np.asarray(eta) / self.c_v)
+        self._check_thermal()
 
 
 @dataclass(frozen=True)
@@ -110,6 +102,30 @@ class SmecticState:
         return self.iota.values
 
 
+def _director(state: SmecticState, model: SmecticModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``|grad w|``, its core-regularized value, the director array and the core flags."""
+    gw = state.grad_w.values
+    mag = np.sqrt(np.sum(gw * gw, axis=-1))
+    flags = mag <= model.eps_reg
+    if np.all(flags):
+        raise DefectCoreError("`|grad w|` is below the core threshold on every cell")
+    reg = np.maximum(mag, max(model.eps_reg, _TINY))
+    return mag, reg, gw / reg[..., None], flags
+
+
+def _layer_partials(state: SmecticState, model: SmecticModel) -> tuple[np.ndarray, np.ndarray]:
+    """Mechanical energy and effective microstress arrays, from one director and one ``div n``."""
+    grid = state.grid
+    mag, reg, n, _ = _director(state, model)
+    div_n = _div(grid, n)
+    energy = 0.5 * model.gamma1 * (mag - 1.0) ** 2 + 0.5 * model.gamma2 * div_n**2
+    g_div_n = _grad(grid, div_n)
+    # (I - n(x)n) u = u - n (n.u)
+    proj = g_div_n - n * np.sum(n * g_div_n, axis=-1)[..., None]
+    s = model.gamma1 * (mag - 1.0)[..., None] * n - model.gamma2 * (1.0 / reg)[..., None] * proj
+    return energy, s
+
+
 def director(state: SmecticState, model: SmecticModel) -> tuple[VectorField, np.ndarray]:
     """Unit layer normal and the defect-core flag mask.
 
@@ -117,24 +133,13 @@ def director(state: SmecticState, model: SmecticModel) -> tuple[VectorField, np.
     ``|grad w| <= eps_reg`` are flagged (with ``eps_reg = 0`` only exact
     zeros flag).  Raises when every cell is flagged.
     """
-    gw = state.grad_w.values
-    mag = np.sqrt(np.sum(gw * gw, axis=-1))
-    flags = mag <= model.eps_reg
-    if np.all(flags):
-        raise DefectCoreError("`|grad w|` is below the core threshold on every cell")
-    denom = np.maximum(mag, max(model.eps_reg, _TINY))
-    return VectorField(state.grid, gw / denom[..., None]), flags
+    _, _, n, flags = _director(state, model)
+    return VectorField(state.grid, n), flags
 
 
 def smectic_energy(state: SmecticState, model: SmecticModel) -> ScalarField:
     """Pointwise mechanical layer energy (compression + splay)."""
-    grid = state.grid
-    gw = state.grad_w.values
-    mag = np.sqrt(np.sum(gw * gw, axis=-1))
-    n, _ = director(state, model)
-    div_n = div_vector(n).values
-    energy = 0.5 * model.gamma1 * (mag - 1.0) ** 2 + 0.5 * model.gamma2 * div_n**2
-    return ScalarField(grid, energy)
+    return ScalarField(state.grid, _layer_partials(state, model)[0])
 
 
 def smectic_microstress(state: SmecticState, model: SmecticModel) -> VectorField:
@@ -143,24 +148,29 @@ def smectic_microstress(state: SmecticState, model: SmecticModel) -> VectorField
     ``gamma1*(|grad w| - 1)*n - gamma2*|grad w|^{-1}(I - n(x)n) grad(div n)``,
     with the core-regularized inverse magnitude.
     """
+    return VectorField(state.grid, _layer_partials(state, model)[1])
+
+
+def _layer_bundle(state: SmecticState, model: SmecticModel) -> GinzburgLandauPartials:
+    """The m = 1 partials of the layer potential, the microstress standing in for the gradient partial."""
     grid = state.grid
-    gw = state.grad_w.values
-    mag = np.sqrt(np.sum(gw * gw, axis=-1))
-    n, _ = director(state, model)
-    g_div_n = grad_scalar(div_vector(n)).values
-    # (I - n(x)n) u = u - n (n.u)
-    proj = g_div_n - n.values * np.sum(n.values * g_div_n, axis=-1)[..., None]
-    inv_mag = 1.0 / np.maximum(mag, max(model.eps_reg, _TINY))
-    s = model.gamma1 * (mag - 1.0)[..., None] * n.values - model.gamma2 * inv_mag[..., None] * proj
-    return VectorField(grid, s)
+    energy, s = _layer_partials(state, model)
+    eta = state.eta.values
+    return GinzburgLandauPartials(
+        dphi_diota=np.zeros(grid.extents),
+        dphi_dnu=np.zeros(grid.extents + (1,)),
+        dphi_dgrad_nu=s[..., None, :],
+        theta=model.theta(eta),
+        phi=energy + model.entropic(eta),
+    )
 
 
 def smectic_crocco(state: SmecticState, model: SmecticModel) -> CroccoReport:
-    """Layered-phase relation: the general m = 1 assembly with nu = w.
+    """Layered-phase relation: the general m = 1 engine fed with nu = w.
 
-    Incompressible mode (iota == 1), no layer inertia.  Terms follow the
-    general componentwise schema with the effective microstress in place of
-    the gradient partial:
+    Incompressible mode (iota == 1), no layer inertia.  The state's cached
+    ``grad(w)`` is the order gradient, and the effective microstress stands
+    in for the gradient partial, so the terms read
 
         micro_grad    = -(grad S)^T grad(w)
         order_balance = -w * grad(iota * div S)
@@ -170,71 +180,29 @@ def smectic_crocco(state: SmecticState, model: SmecticModel) -> CroccoReport:
     and ``h_c = q^2/2 + phi - S.grad(w)`` with ``phi`` the mechanical energy
     plus the separable entropic part.
     """
-    grid = state.grid
     if state.iota is not None and np.max(np.abs(state.iota.values - 1.0)) > 1e-12:
         raise ValueError("the layered relation is evaluated in incompressible mode (iota == 1)")
-    iota = state.iota_values()
-    gw = state.grad_w.values
-
-    s = smectic_microstress(state, model)
-    div_s = div_vector(s).values
-    hess_w = hessian_scalar(state.w).values
-
-    lhs = lamb_vector(state.v)
-    theta = model.theta(state.eta.values)
-    thermo = VectorField(grid, theta[..., None] * grad_scalar(state.eta).values)
-
-    phi = smectic_energy(state, model).values + model.entropic(state.eta.values)
-    xi_c = phi - np.sum(s.values * gw, axis=-1)
-    h_c = ScalarField(grid, 0.5 * speed_squared(state.v).values + xi_c)
-    enthalpy = VectorField(grid, -grad_scalar(h_c).values)
-
-    grad_s = _grad(grid, s.values)
-    micro_grad = VectorField(grid, -np.einsum("...ji,...j->...i", grad_s, gw))
-
-    balance_content = ScalarField(grid, iota * div_s)
-    order_balance = VectorField(
-        grid, -state.w.values[..., None] * grad_scalar(balance_content).values
+    terms = _complex_terms(
+        state.v, state.iota_values(), state.eta.values, state.w.values[..., None], state.grad_w.values[..., None, :],
+        None, _layer_bundle(state, model), OrderCoEnergy.zero(1),  # the zero co-energy reads no rate of w
     )
-
-    micro_div = VectorField(grid, -(iota * div_s)[..., None] * gw)
-    micro_hess = VectorField(grid, -iota[..., None] * np.einsum("...j,...ji->...i", s.values, hess_w))
-
-    terms = {
-        "thermo": thermo,
-        "enthalpy": enthalpy,
-        "micro_grad": micro_grad,
-        "order_balance": order_balance,
-        "micro_div": micro_div,
-        "micro_hess": micro_hess,
-    }
-    return _build_report("smectic", COMPLEX_SCHEMA, lhs, terms)
+    return _build_report("smectic", COMPLEX_SCHEMA, *terms)
 
 
 def smectic_via_general(state: SmecticState, model: SmecticModel) -> CroccoReport:
-    """Oracle route: the layer function fed to the general m = 1 engine.
+    """Oracle route: the layer function fed to the engine as a typed m = 1 state.
 
-    The effective microstress stands in for the gradient partial of the
-    potential (incompressible, rho == 1); the chart partial and the iota
-    partial vanish.  Fixes the contraction reading of the specialized terms
-    by construction.
+    The order gradient, its rate and the density come from a
+    :class:`~croccolab.crocco.ComplexState` built on ``nu = w`` rather than
+    from the layered state, so the two routes differ only in how they feed
+    the one engine.
     """
     grid = state.grid
-    iota = ScalarField(grid, state.iota_values())
     cstate = ComplexState(
         v=state.v,
-        iota=iota,
+        iota=ScalarField(grid, state.iota_values()),
         eta=state.eta,
         nu=OrderField(grid, state.w.values[..., None]),
     )
-    s = smectic_microstress(state, model)
-    phi = smectic_energy(state, model).values + model.entropic(state.eta.values)
-    parts = GinzburgLandauPartials(
-        dphi_diota=np.zeros(grid.extents),
-        dphi_dnu=np.zeros(grid.extents + (1,)),
-        dphi_dgrad_nu=s.values[..., None, :],
-        theta=model.theta(state.eta.values),
-        phi=phi,
-    )
-    lhs, terms = _complex_terms(cstate, parts, OrderCoEnergy.zero(1))
-    return _build_report("smectic", COMPLEX_SCHEMA, lhs, terms)
+    parts = _layer_bundle(state, model)
+    return _build_report("smectic", COMPLEX_SCHEMA, *_state_terms(cstate, parts, OrderCoEnergy.zero(1)))

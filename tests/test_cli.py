@@ -44,7 +44,7 @@ def test_resolved_lines_are_sorted_and_complete(tmp_path):
         "# CROCCOFIELD-REPORT v1",
         "grid.boundary = periodic", "grid.dim = 2", "grid.length = 6.2831853071795862", "grid.n = 16",
         "model.a = 1", "model.c = 1", "model.c_v = 1", "model.catalog = complex", "model.e0 = 1",
-        "model.f_kind = quadratic", "model.gamma_kind = quadratic", "model.iota_ref = 1", "model.k = 1",
+        "model.f_kind = quadratic", "model.f_well_1 = 1", "model.f_well_2 = 2", "model.gamma_kind = quadratic", "model.iota_ref = 1", "model.k = 1",
         "model.m = 2", "model.nu_ref = 0, 0", "model.nu_ref_slope = 0, 0", "model.sphere_constrained = no",
         "model.well_1 = -1", "model.well_2 = 1",
         "transport.dt = 0.098174770424681035", "transport.mode = frozen", "transport.nu = uniform",
@@ -168,6 +168,26 @@ def test_unknown_flag_exits_one():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("validate-models", "--grid"),
+        ("validate-models", "--refine"),
+        ("transport2d", "--refine"),
+        ("eval-korteweg", "--refine"),
+        ("eval-complex", "--refine"),
+        ("eval-smectic", "--refine"),
+    ],
+)
+def test_flag_the_command_does_not_read_exits_one(tmp_path, capsys, command, flag):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "3", "--out", str(out)])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_command_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["fly"])
@@ -247,7 +267,8 @@ def test_mms_verify_rejects_any_catalog(tmp_path, capsys, catalog):
 def test_fixed_suites_reject_config_sections(tmp_path, capsys, command, text, section):
     config = write_config(tmp_path, text)
     out = tmp_path / "o"
-    assert main([command, "--config", config, "--grid", "8", "--out", str(out)]) == 2
+    grid = ["--grid", "8"] if command == "mms-verify" else []
+    assert main([command, "--config", config, *grid, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"croccolab: {command} reads no config section, got [{section}]\n"
     assert not out.exists()
 
@@ -490,6 +511,24 @@ def test_file_based_complex_chart_dimension_must_match_nu(tmp_path, capsys):
     assert_one_line_error(err, "[model] m = 3 does not match the chart dimension 2 of nu")
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would print lines of its own before the error
+def test_non_finite_term_exits_two_naming_the_term_and_cell(tmp_path, capsys):
+    grid = Grid.periodic(16)
+    state = manufactured.CATALOG["korteweg-basic"](grid)[0]
+    eta = state.eta.values.copy()
+    eta[2, 3] = 800.0  # the temperature overflows in that one cell
+    fields = {"v": state.v, "iota": state.iota, "eta": ScalarField(grid, eta)}
+    paths = {key: str(tmp_path / f"{key}.field") for key in fields}
+    for key, field in fields.items():
+        write_field(field, paths[key])
+    out = tmp_path / "o"
+    code, err = run_cli(["eval-korteweg", "--config", write_config(tmp_path, state_section(paths, fields)),
+                         "--out", str(out)], capsys)
+    assert code == 2
+    assert_one_line_error(err, "korteweg term thermo is non-finite at cell (2, 3)")
+    assert not out.exists()
+
+
 def test_mms_verify_on_a_grid_too_coarse_for_the_identity_exits_two(tmp_path, capsys):
     out = tmp_path / "o"
     code, err = run_cli(["mms-verify", "--grid", "4", "--out", str(out)], capsys)
@@ -530,6 +569,8 @@ def artifacts(out):
         ("eval-smectic", "files:v,eta,w\n[model]\ngamma1 = 1.2\neps_reg = 0.1\n", "16"),
         ("transport2d", "[transport]\nnu = generic\nsteps = 6\nreport_every = 2\n\n[model]\na = 0.8\n", "16"),
         ("transport2d", "[transport]\nmode = advected\nnu = generic\ndt = 0.05\nsteps = 6\n", "16"),
+        ("transport2d", "[transport]\nnu = generic\nsteps = 2\n\n[model]\nf_kind = two-well\nf_well_1 = 0.5\n", "16"),
+        ("eval-complex", "files:v,iota,eta,nu\n[model]\nf_kind = two-well\nf_well_1 = 0.5\n", None),
     ],
 )
 def test_resolved_config_reproduces_the_run(tmp_path, command, text, flag):
@@ -544,6 +585,8 @@ def test_resolved_config_reproduces_the_run(tmp_path, command, text, flag):
     assert main([command, "--config", resolved, "--out", str(second)]) == 0
     assert artifacts(second) == artifacts(first)
     assert (second / "resolved_config.txt").read_bytes() == (first / "resolved_config.txt").read_bytes()
+    if "f_well_1" in text:
+        assert "model.f_well_1 = 0.5\nmodel.f_well_2 = 2\n" in (first / "resolved_config.txt").read_text()
 
 
 @pytest.fixture(scope="module")
@@ -562,6 +605,7 @@ _TOKENS = [
     "korteweg-basic", "complex-gl-m2", "smectic-wavy", "korteweg", "complex", "smectic", "quadratic", "two-well",
 ]
 _COMMANDS = ["eval-korteweg", "eval-complex", "eval-smectic", "transport2d", "mms-verify", "validate-models"]
+_GRID_COMMANDS = set(_COMMANDS) - {"validate-models"}  # the commands that read --grid
 
 
 @settings(max_examples=40, deadline=None)
@@ -579,11 +623,13 @@ def test_random_configs_exit_zero_one_or_two_without_traceback(state_files, data
         with open(config, "w", encoding="utf-8") as fh:
             fh.write(text)
         for command in _COMMANDS:
-            argv = [command, "--config", config, "--refine", "3", "--out", os.path.join(tmp, command)]
+            argv = [command, "--config", config, "--out", os.path.join(tmp, command)]
+            argv += ["--refine", "3"] if command == "mms-verify" else []
+            argv += ["--grid", grid] if grid is not None and command in _GRID_COMMANDS else []
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 try:
-                    code = main(argv + ([] if grid is None else ["--grid", grid]))
+                    code = main(argv)
                 except SystemExit as exc:
                     code = exc.code
             assert code in (0, 1, 2), (command, text, grid)

@@ -1,5 +1,7 @@
 """Capillary-fluid relation: stresses, pressures, enthalpies, defect identity."""
 
+import re
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -20,6 +22,7 @@ from croccolab.crocco import (
     steady_momentum_residual,
 )
 from croccolab.fieldcalc import (
+    FieldValueError,
     Grid,
     ScalarField,
     VectorField,
@@ -399,3 +402,14 @@ def test_corollary_check_modes_on_classical_state():
         assert check.linf == 0.0
     with pytest.raises(ValueError):
         corollary_check(report, "banana")
+
+
+def test_report_names_the_non_finite_term_and_cell():
+    grid = Grid.periodic(16)
+    state, model, coenergy = korteweg_basic(grid)
+    eta = state.eta.values.copy()
+    eta[2, 3] = 800.0  # theta = e0/c_v*exp(eta/c_v) overflows in that one cell
+    hot = KortewegState(state.v, state.iota, ScalarField(grid, eta))
+    message = re.escape("korteweg term thermo is non-finite at cell (2, 3)")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FieldValueError, match=f"^{message}$"):
+        korteweg_crocco(hot, model, coenergy)

@@ -448,7 +448,7 @@ def test_pointwise_magnitude_bit_identical_to_component_sum(width):
     values.flat[2::13] *= 1e150
     flat = values.reshape(grid.extents + (-1,))
     reference = np.sqrt(np.sum(flat * flat, axis=-1))
-    assert np.array_equal(_bits(_pointwise_magnitude(OrderField(grid, values))), _bits(reference))
+    assert np.array_equal(_bits(_pointwise_magnitude(grid, values)), _bits(reference))
 
 
 # ---------------------------------------------------------------------------
