@@ -79,27 +79,20 @@ class SmecticModel(ThermalPart):
 
 @dataclass(frozen=True)
 class SmecticState:
-    """Flow state (v, eta, w); incompressible mode when iota is omitted."""
+    """Flow state (v, eta, w) of the incompressible (iota == 1) layered phase."""
 
     v: VectorField
     eta: ScalarField
     w: ScalarField
-    iota: ScalarField | None = None
     grad_w: VectorField = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        fields = [self.v, self.eta, self.w] + ([self.iota] if self.iota is not None else [])
-        require_same_grid(*fields)
+        require_same_grid(self.v, self.eta, self.w)
         object.__setattr__(self, "grad_w", grad_scalar(self.w))
 
     @property
     def grid(self) -> Grid:
         return self.v.grid
-
-    def iota_values(self) -> np.ndarray:
-        if self.iota is None:
-            return np.ones(self.grid.extents)
-        return self.iota.values
 
 
 def _director(state: SmecticState, model: SmecticModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -180,10 +173,8 @@ def smectic_crocco(state: SmecticState, model: SmecticModel) -> CroccoReport:
     and ``h_c = q^2/2 + phi - S.grad(w)`` with ``phi`` the mechanical energy
     plus the separable entropic part.
     """
-    if state.iota is not None and np.max(np.abs(state.iota.values - 1.0)) > 1e-12:
-        raise ValueError("the layered relation is evaluated in incompressible mode (iota == 1)")
     terms = _complex_terms(
-        state.v, state.iota_values(), state.eta.values, state.w.values[..., None], state.grad_w.values[..., None, :],
+        state.v, np.ones(state.grid.extents), state.eta.values, state.w.values[..., None], state.grad_w.values[..., None, :],
         None, _layer_bundle(state, model), OrderCoEnergy.zero(1),  # the zero co-energy reads no rate of w
     )
     return _build_report("smectic", COMPLEX_SCHEMA, *terms)
@@ -200,7 +191,7 @@ def smectic_via_general(state: SmecticState, model: SmecticModel) -> CroccoRepor
     grid = state.grid
     cstate = ComplexState(
         v=state.v,
-        iota=ScalarField(grid, state.iota_values()),
+        iota=ScalarField(grid, np.ones(grid.extents)),
         eta=state.eta,
         nu=OrderField(grid, state.w.values[..., None]),
     )

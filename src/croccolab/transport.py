@@ -19,9 +19,15 @@ drift purely time-integration (RK4) sized; a naive central product form
 would leak enstrophy at a rate set by the spatial resolution, drowning the
 time-step signal.  Time stepping is classical explicit RK4.  The Poisson
 solve is a real FFT (``rfft2``) against an inverse-eigenvalue table cached
-per grid, and its residual is checked at every solve; a non-finite residual
-fails the check too.  In frozen mode nu and the model never change, so
-``run`` builds the source once per run.
+per grid, and its residual ``max|lap(psi) + omega|`` is checked at every
+solve against ``POISSON_TOL * max(1, max|omega|)``, a bound relative to the
+vorticity's own scale; a non-finite residual fails the check too.  A step
+stops with ``CFLError`` when its CFL number exceeds ``CFL_LIMIT``.
+
+The source and ``div T`` of the last (immutable) ``OrderField`` and model
+are memoized: frozen steps and samples, and later runs from the same nu,
+read one build, and an advected sample's two diagnostics share one.  One
+entry is kept, so a replaced state's nu is not held past the next build.
 
 Validation sits at the state boundary.  ``TransportState`` and the
 ``ScalarField`` / ``OrderField`` it holds are checked (shape, finiteness,
@@ -31,16 +37,16 @@ on plain arrays and build no ``Field``: the stress contraction, the source
 ``-curl(div T)`` and the Jacobian of omega and of every nu component run on
 the arrays of the stage.  A non-finite stage vorticity fails its Poisson
 solve, and a non-finite result fails the new state's checks.  The public
-``substructural_stress``, ``transport_rhs`` and ``te_work_rate`` wrap the
-same arrays in checked fields.
+``substructural_stress`` and ``transport_rhs`` wrap the same arrays in
+checked fields.
 
-The integrator owns its state single-threaded per run; the per-cell right
-side is data-parallel and independent runs can execute concurrently.
+The integrator owns its state single-threaded per run and keeps no
+run-scoped state; the per-cell right side is data-parallel and independent
+runs can execute concurrently.
 """
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -69,7 +75,8 @@ from .fieldcalc import (
 )
 from .models import ComplexFluidModel, ModelError
 
-POISSON_TOL = 1e-10
+POISSON_TOL = 1e-10  # per unit of max(1, max|omega|)
+CFL_LIMIT = 0.5
 
 FROZEN = "frozen"
 ADVECTED = "advected"
@@ -129,15 +136,16 @@ def _inverse_symbol(grid: Grid) -> np.ndarray:
     return out
 
 
-def solve_streamfunction(grid: Grid, omega: np.ndarray, tol: float = POISSON_TOL) -> np.ndarray:
+def solve_streamfunction(grid: Grid, omega: np.ndarray) -> np.ndarray:
     """Zero-mean psi with lap(psi) = -omega on the compact 5-point stencil."""
     psi = np.fft.irfft2(np.fft.rfft2(omega) * _inverse_symbol(grid), s=grid.extents)
-    _require_poisson(grid, psi, omega, tol)
+    _require_poisson(grid, psi, omega)
     return psi
 
 
-def _require_poisson(grid: Grid, psi: np.ndarray, omega: np.ndarray, tol: float) -> None:
-    """Raise PoissonError unless lap(psi) = -omega within tol; a non-finite residual fails too."""
+def _require_poisson(grid: Grid, psi: np.ndarray, omega: np.ndarray) -> None:
+    """Raise PoissonError unless max|lap(psi) + omega| <= POISSON_TOL * max(1, max|omega|); NaN fails too."""
+    tol = POISSON_TOL * max(1.0, float(np.max(np.abs(omega))))
     residual = np.max(np.abs(_laplacian_compact(grid, psi) + omega))
     if not residual <= tol:
         raise PoissonError(f"streamfunction residual {residual:.3e} exceeds {tol:.1e}")
@@ -210,9 +218,7 @@ class TransportConfig:
     steps: int
     model: ComplexFluidModel
     mode: str = FROZEN
-    cfl_limit: float = 0.5
     report_every: int = 10
-    poisson_tol: float = POISSON_TOL
 
     def __post_init__(self) -> None:
         if not (0.0 < self.dt < math.inf) or self.steps < 0 or self.report_every < 1:
@@ -220,8 +226,6 @@ class TransportConfig:
                                  f"dt={self.dt}, steps={self.steps}, report_every={self.report_every}")
         if self.mode not in (FROZEN, ADVECTED):
             raise TransportError(f"mode must be '{FROZEN}' or '{ADVECTED}'")
-        if not (0.0 < self.cfl_limit <= 0.5):
-            raise TransportError("cfl_limit must lie in (0, 0.5]")
 
 
 def _stress(grid: Grid, nu: np.ndarray, model: ComplexFluidModel) -> np.ndarray:
@@ -252,21 +256,22 @@ def transport_rhs(state: TransportState, model: ComplexFluidModel) -> ScalarFiel
 
     Exactly zero for uniform nu; O(h^2)-small whenever div T is a gradient.
     """
-    return ScalarField(state.grid, _source(state.grid, state.nu.values, model)[0])
-
-
-# (nu values, model, source) of the frozen-mode `run` in progress, or None
-_RUN_SOURCE: contextvars.ContextVar = contextvars.ContextVar("_RUN_SOURCE", default=None)
+    return _field_source(state.nu, model)[0]
 
 
 def _source(grid: Grid, nu: np.ndarray, model: ComplexFluidModel) -> tuple[np.ndarray, np.ndarray]:
-    """(-curl(div T), div T) as arrays for the chart values nu; a frozen run's own is reused."""
-    held = _RUN_SOURCE.get()
-    if held is not None and held[0] is nu and held[1] is model:
-        return held[2]
+    """(-curl(div T), div T) as arrays for the chart values nu."""
     div_te = _div(grid, _stress(grid, nu, model))
     curl = _diff(grid, div_te[..., 1], 0) - _diff(grid, div_te[..., 0], 1)
     return np.negative(curl, out=curl), div_te
+
+
+@functools.lru_cache(maxsize=1)
+def _field_source(nu: OrderField, model: ComplexFluidModel) -> tuple[ScalarField, np.ndarray]:
+    """Checked source -curl(div T) and read-only div T of an (immutable) order field, memoized."""
+    src, div_te = _source(nu.grid, nu.values, model)
+    div_te.setflags(write=False)
+    return ScalarField(nu.grid, src), div_te
 
 
 def stress_divergence_expanded(grid: Grid, nu: OrderField, model: ComplexFluidModel) -> VectorField:
@@ -342,12 +347,12 @@ def step(state: TransportState, config: TransportConfig) -> TransportState:
     Advances ``omega`` (and ``nu`` in advected mode) and re-solves the
     streamfunction from the updated vorticity.  With an identically-zero
     source the stage right sides reduce bit-for-bit to pure advection.
-    In frozen mode the source comes from the `run` in progress, if any.
+    A frozen step reads the memoized source of its nu.
     """
     grid, model = state.grid, config.model
     cfl = cfl_number(state, config.dt)
-    if cfl > config.cfl_limit:
-        raise CFLError(f"CFL {cfl:.3f} exceeds limit {config.cfl_limit}")
+    if cfl > CFL_LIMIT:
+        raise CFLError(f"CFL {cfl:.3f} exceeds limit {CFL_LIMIT}")
 
     frozen = config.mode == FROZEN
     # a frozen step tests its source for zeros once; None stands for an identically zero one
@@ -363,7 +368,7 @@ def step(state: TransportState, config: TransportConfig) -> TransportState:
         src = _source(grid, nu, model)[0]
         return (adv + src if np.any(src) else adv), _arakawa(grid, psi, nu)
 
-    dt, tol = config.dt, config.poisson_tol
+    dt = config.dt
     om0, nu0, psi0 = state.omega.values, state.nu.values, state.psi.values
 
     def nu_at(c: float, k: np.ndarray | None) -> np.ndarray:
@@ -371,14 +376,14 @@ def step(state: TransportState, config: TransportConfig) -> TransportState:
 
     k1o, k1n = rate(om0, nu0, psi0)
     om = om0 + 0.5 * dt * k1o
-    k2o, k2n = rate(om, nu_at(0.5, k1n), solve_streamfunction(grid, om, tol))
+    k2o, k2n = rate(om, nu_at(0.5, k1n), solve_streamfunction(grid, om))
     om = om0 + 0.5 * dt * k2o
-    k3o, k3n = rate(om, nu_at(0.5, k2n), solve_streamfunction(grid, om, tol))
+    k3o, k3n = rate(om, nu_at(0.5, k2n), solve_streamfunction(grid, om))
     om = om0 + dt * k3o
-    k4o, k4n = rate(om, nu_at(1.0, k3n), solve_streamfunction(grid, om, tol))
+    k4o, k4n = rate(om, nu_at(1.0, k3n), solve_streamfunction(grid, om))
 
     om1 = om0 + (dt / 6.0) * (k1o + 2.0 * k2o + 2.0 * k3o + k4o)
-    psi_new = solve_streamfunction(grid, om1, tol)
+    psi_new = solve_streamfunction(grid, om1)
     nu1 = state.nu if frozen else OrderField(grid, nu0 + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n))
     return TransportState(ScalarField(grid, om1), ScalarField(grid, psi_new), nu1, state.t + dt)
 
@@ -390,12 +395,14 @@ def enstrophy(state: TransportState) -> float:
 def te_work_rate(state: TransportState, model: ComplexFluidModel) -> float:
     """Rate of work done on the coarse flow by the substructural stress.
 
-    ``integral of v . (-div T)``; a signed diagnostic of the energy transfer
-    between the flow and the substructure (no closed budget is claimed in
-    frozen mode).
+    ``integral of v . (-div T)``.  It is the exact semi-discrete rate of the
+    flow energy ``E = 0.5 * sum(psi * omega) * h^2`` in frozen and advected
+    mode: the Arakawa Jacobian gives ``sum(psi * J(psi, omega)) = 0`` and the
+    central differences sum by parts exactly, so over a run ``dE`` and the
+    time integral of this rate differ only by the quadrature error.
     """
-    div_te = VectorField(state.grid, _source(state.grid, state.nu.values, model)[1])
-    return float(np.sum(state.velocity().values * -div_te.values)) * state.grid.cell_volume
+    div_te = _field_source(state.nu, model)[1]
+    return float(np.sum(state.velocity().values * -div_te)) * state.grid.cell_volume
 
 
 def omega_sign_changes(state: TransportState) -> int:
@@ -425,15 +432,16 @@ class RunResult:
     samples: list[RunSample] = dc_field(default_factory=list)
     final_state: TransportState | None = None
     sign_changes: list[tuple[float, int]] = dc_field(default_factory=list)
-    # max over every step (not only the samples) of |Z(t) - Z(0)| / |Z(0)|
+    # max over every step (not only the samples) of |Z(t) - Z(0)| / |Z(0)|;
+    # inf when Z(0) = 0 and the enstrophy leaves zero
     enstrophy_drift: float = 0.0
 
 
 def run(config: TransportConfig, initial: TransportState) -> RunResult:
     """Advance `steps` steps, sampling diagnostics every `report_every`.
 
-    In frozen mode the source is built once and shared by every step and
-    sample.  The enstrophy drift is tracked at every step.
+    In frozen mode every step and sample reads the one memoized source of
+    the initial nu.  The enstrophy drift is tracked at every step.
     """
     result, model = RunResult(), config.model
 
@@ -450,21 +458,15 @@ def run(config: TransportConfig, initial: TransportState) -> RunResult:
         )
         result.sign_changes.append((state.t, omega_sign_changes(state)))
 
-    _require_poisson(initial.grid, initial.psi.values, initial.omega.values, config.poisson_tol)
-    nu = initial.nu.values
-    held = (nu, model, _source(initial.grid, nu, model)) if config.mode == FROZEN else None
-    token = _RUN_SOURCE.set(held)
-    try:
-        state, peak = initial, 0.0
-        sample(state)
-        z0 = result.samples[0].enstrophy
-        for k in range(config.steps):
-            state = step(state, config)
-            peak = max(peak, abs(enstrophy(state) - z0))
-            if (k + 1) % config.report_every == 0 or k + 1 == config.steps:
-                sample(state)
-    finally:
-        _RUN_SOURCE.reset(token)
+    _require_poisson(initial.grid, initial.psi.values, initial.omega.values)
+    state, peak = initial, 0.0
+    sample(state)
+    z0 = result.samples[0].enstrophy
+    for k in range(config.steps):
+        state = step(state, config)
+        peak = max(peak, abs(enstrophy(state) - z0))
+        if (k + 1) % config.report_every == 0 or k + 1 == config.steps:
+            sample(state)
     result.final_state = state
-    result.enstrophy_drift = peak / abs(z0) if z0 else 0.0
+    result.enstrophy_drift = peak / abs(z0) if z0 else (math.inf if peak > 0.0 else 0.0)
     return result

@@ -232,17 +232,6 @@ def test_crocco_uniform_compression_substructure_silent():
     assert linf_norm(report.lhs) <= 1e-13
 
 
-def test_crocco_requires_incompressible_mode():
-    grid = Grid.periodic(16)
-    state, model = smectic_wavy(grid)
-    stretched = SmecticState(
-        v=state.v, eta=state.eta, w=state.w,
-        iota=ScalarField(state.grid, np.full(state.grid.extents, 1.5)),
-    )
-    with pytest.raises(ValueError, match="incompressible"):
-        smectic_crocco(stretched, model)
-
-
 def test_special_matches_general_assembly():
     # the contraction reading of the specialized terms is fixed by the
     # general engine; on shared fields the two agree to rounding
