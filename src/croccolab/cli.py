@@ -53,7 +53,7 @@ from .crocco import (
     defect_identity, korteweg_crocco,
 )
 from .fieldcalc import ONE_SIDED, PERIODIC, TWO_PI, Grid, OrderField, ScalarField, VectorField
-from .fieldio import read_field, write_field
+from .fieldio import _fmt, read_field, write_field
 from .models import ComplexFluidModel, KortewegCoEnergy, KortewegModel, OrderCoEnergy, catalog_models, validate_partials
 from .smectic import SmecticModel, SmecticState, smectic_crocco
 from .transport import ADVECTED, FROZEN, CFLError, PoissonError, TransportConfig, TransportState, run as transport_run
@@ -72,10 +72,6 @@ class UsageParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _finite(raw: str) -> float:

@@ -72,7 +72,7 @@ from .fieldcalc import (
     VectorField,
     _advect,
     _div,
-    _first_nonfinite,
+    _first_index,
     _grad,
     _hess,
     _linf,
@@ -122,8 +122,7 @@ def _density(iota: ScalarField, *others: Field) -> ScalarField:
     """rho = 1/iota of a state whose fields share one grid and whose iota is positive."""
     grid = require_same_grid(iota, *others)
     if np.min(iota.values) <= 0.0:
-        bad = tuple(int(i) for i in np.argwhere(iota.values <= 0.0)[0])
-        raise StateError(f"specific volume must be positive, violated at cell {bad}")
+        raise StateError(f"specific volume must be positive, violated at cell {_first_index(iota.values <= 0.0)}")
     return ScalarField(grid, 1.0 / iota.values)
 
 
@@ -254,7 +253,7 @@ def _report_field(relation: str, name: str, grid: Grid, values: np.ndarray) -> V
     try:
         return VectorField(grid, values)
     except FieldValueError:
-        cell = _first_nonfinite(values)[: grid.dim]
+        cell = _first_index(~np.isfinite(values))[: grid.dim]
         raise FieldValueError(f"{relation} term {name} is non-finite at cell {cell}") from None
 
 

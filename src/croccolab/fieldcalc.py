@@ -8,14 +8,21 @@ Index conventions (normative for the whole package)
   extent ``n`` covers ``[0, n*h)`` with ``n*h`` identified with ``0``.
 * Component axes trail the cell axes and arrays are C-ordered, so the
   flattened memory layout is row-major over cells with components varying
-  fastest.
-* ``VectorField.values[..., i]`` is component ``i``.
-  ``TensorField.values[..., i, j]`` is row ``i``, column ``j``, and
-  ``div_tensor`` contracts the LAST index: ``(div T)_i = d T_ij / d x_j``.
+  fastest.  Each field class declares its name in field files, ``kind``,
+  and its trailing ``axes``, from which the constructor derives the shape
+  it checks (``dim`` is the grid's; ``m``, the chart dimension, is read
+  off the values, must be >= 1, and is 0 for a kind without a chart)::
+
+      ScalarField     scalar     ()
+      VectorField     vector     (dim,)         values[..., i]
+      TensorField     tensor     (dim, dim)     values[..., i, j]: row i, column j
+      OrderField      order      (m,)           values[..., a] = nu^a
+      OrderGradField  ordergrad  (m, dim)       values[..., a, i] = d nu^a / d x_i
+      OrderHessField  orderhess  (m, dim, dim)  values[..., a, i, j] = d^2 nu^a / (d x_i d x_j)
+
+* ``div_tensor`` contracts the LAST index: ``(div T)_i = d T_ij / d x_j``.
   This convention is what makes the product-rule expansion of the dyadic
   stress ``grad(f) (x) w`` come out as ``(div w) grad(f) + (grad^2 f) w``.
-* ``OrderGradField.values[..., a, i] = d nu^a / d x_i`` and
-  ``OrderHessField.values[..., a, i, j] = d^2 nu^a / (d x_i d x_j)``.
 
 All first derivatives are second-order central differences; a periodic axis
 wraps, a one-sided axis closes the boundary with the second-order one-sided
@@ -119,12 +126,8 @@ class Grid:
         return len(self.extents)
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.extents
-
-    @property
     def n_cells(self) -> int:
-        return int(np.prod(self.extents))
+        return math.prod(self.extents)  # exact: np.prod wraps at 2**63
 
     @property
     def cell_volume(self) -> float:
@@ -136,100 +139,82 @@ class Grid:
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         return tuple(np.meshgrid(*(self.axis_coords(a) for a in range(self.dim)), indexing="ij"))
 
-    def refined(self, factor: int = 2) -> "Grid":
-        """Same box and policies with `factor` times more cells per axis."""
-        return Grid(
-            tuple(n * factor for n in self.extents),
-            tuple(h / factor for h in self.spacing),
-            self.boundary,
-        )
+
+def _first_index(mask: np.ndarray) -> tuple[int, ...]:
+    """Index of the first true entry of `mask` in C order: the cell an error message names."""
+    return tuple(int(i) for i in np.argwhere(mask)[0])
 
 
-def _first_nonfinite(values: np.ndarray) -> tuple[int, ...]:
-    bad = np.argwhere(~np.isfinite(values))
-    return tuple(int(i) for i in bad[0])
+def _trailing_shape(axes: tuple[str, ...], dim: int, m: int) -> tuple[int, ...]:
+    # shared by Field.__init__ and Field.component_shape; the constructor skips
+    # the public method, which the benchmark tracer would count as a second
+    # span per field
+    return tuple(m if axis == "m" else dim for axis in axes)
 
 
 class Field:
-    """Immutable cell-valued samples on a grid.  Base class, do not instantiate."""
+    """Immutable cell-valued samples on a grid.  Base class, do not instantiate.
+
+    A subclass declares ``kind`` and ``axes``; see the module docstring.
+    """
+
+    kind: str
+    axes: tuple[str, ...]
 
     def __init__(self, grid: Grid, values: np.ndarray | Sequence) -> None:
         arr = np.array(values, dtype=float, order="C")
-        expected = self._expected_shape(grid, arr)
-        if arr.shape != expected:
-            raise FieldShapeError(
-                f"{type(self).__name__} on {grid.extents} expects shape {expected}, got {arr.shape}"
-            )
+        chart = "m" in self.axes
+        m = arr.shape[grid.dim] if chart and arr.ndim > grid.dim else 0
+        expected = grid.extents + _trailing_shape(self.axes, grid.dim, m)
+        if arr.shape != expected or (chart and m < 1):
+            want = f"extents + ({', '.join(self.axes)}) with dim = {grid.dim}, m >= 1" if chart else expected
+            raise FieldShapeError(f"{type(self).__name__} on {grid.extents} expects shape {want}, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise FieldValueError(
-                f"non-finite value at index {_first_nonfinite(arr)} of {type(self).__name__}"
+                f"non-finite value at index {_first_index(~np.isfinite(arr))} of {type(self).__name__}"
             )
         arr.setflags(write=False)
         self.grid = grid
         self.values = arr
+        self.m = m
 
-    def _expected_shape(self, grid: Grid, arr: np.ndarray) -> tuple[int, ...]:
-        raise NotImplementedError
+    @classmethod
+    def component_shape(cls, dim: int, m: int) -> tuple[int, ...]:
+        """Trailing shape of this kind on a dim-D grid with chart dimension m."""
+        return _trailing_shape(cls.axes, dim, m)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(extents={self.grid.extents})"
 
 
 class ScalarField(Field):
-    def _expected_shape(self, grid: Grid, arr: np.ndarray) -> tuple[int, ...]:
-        return grid.extents
+    """One value per cell."""
+    kind, axes = "scalar", ()
 
 
 class VectorField(Field):
-    def _expected_shape(self, grid: Grid, arr: np.ndarray) -> tuple[int, ...]:
-        return grid.extents + (grid.dim,)
-
-    def component(self, i: int) -> np.ndarray:
-        return self.values[..., i]
+    """A value per coordinate axis."""
+    kind, axes = "vector", ("dim",)
 
 
 class TensorField(Field):
-    def _expected_shape(self, grid: Grid, arr: np.ndarray) -> tuple[int, ...]:
-        return grid.extents + (grid.dim, grid.dim)
+    """A rank-2 tensor; ``div_tensor`` contracts its last index."""
+    kind, axes = "tensor", ("dim", "dim")
 
 
 class OrderField(Field):
     """Order-parameter samples in a flat m-dimensional chart."""
-
-    def _expected_shape(self, grid: Grid, arr: np.ndarray) -> tuple[int, ...]:
-        if arr.ndim != grid.dim + 1 or arr.shape[-1] < 1:
-            raise FieldShapeError(
-                f"OrderField expects shape extents + (m,) with m >= 1, got {arr.shape}"
-            )
-        return grid.extents + (arr.shape[-1],)
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[-1]
+    kind, axes = "order", ("m",)
 
 
 class OrderGradField(Field):
-    def _expected_shape(self, grid: Grid, arr: np.ndarray) -> tuple[int, ...]:
-        if arr.ndim != grid.dim + 2:
-            raise FieldShapeError(f"OrderGradField expects extents + (m, dim), got {arr.shape}")
-        return grid.extents + (arr.shape[-2], grid.dim)
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[-2]
+    """Chart-wise gradient of an order parameter."""
+    kind, axes = "ordergrad", ("m", "dim")
 
 
 class OrderHessField(Field):
-    def _expected_shape(self, grid: Grid, arr: np.ndarray) -> tuple[int, ...]:
-        if arr.ndim != grid.dim + 3:
-            raise FieldShapeError(
-                f"OrderHessField expects extents + (m, dim, dim), got {arr.shape}"
-            )
-        return grid.extents + (arr.shape[-3], grid.dim, grid.dim)
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[-3]
+    """Chart-wise second gradient of an order parameter."""
+    kind, axes = "orderhess", ("m", "dim", "dim")
 
 
 def require_same_grid(*fields: Field) -> Grid:

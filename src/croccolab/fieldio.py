@@ -18,8 +18,16 @@ Layout::
 The payload holds cells in row-major order with components fastest (the
 in-memory layout of the field arrays).  Binary payloads are raw IEEE-754
 doubles; CSV payloads print 17 significant digits, so both encodings
-round-trip bit-exactly.  ``m`` is the chart dimension for order-parameter
-kinds and 0 otherwise.
+round-trip bit-exactly.
+
+``kind`` names the field class and ``m`` is its chart dimension, >= 1
+for the order-parameter kinds and 0 for the others; ``components``, the
+values per cell, is the product of the class's ``component_shape(dim, m)``.
+A read checks the header before the payload: every key above appears
+once, each value parses and ``extents``, ``spacing`` and ``boundary``
+make a ``Grid``, and ``kind``, ``m`` and ``components`` agree (a byte that is
+not UTF-8 reads as U+FFFD and fails the check of its value).  Any
+violation raises ``FieldFileError`` naming the key.
 
 A binary payload is viewed in place with ``np.frombuffer``.  A CSV payload
 is decoded in one C-level pass by ``np.loadtxt`` (comma delimiter, no
@@ -36,9 +44,14 @@ from __future__ import annotations
 
 import numpy as np
 
+import math
+
+import numpy as np
+
 from .fieldcalc import (
     Field,
     Grid,
+    GridError,
     OrderField,
     OrderGradField,
     OrderHessField,
@@ -48,19 +61,13 @@ from .fieldcalc import (
 )
 
 MAGIC = "CROCCOFIELD v1"
-_PAYLOAD_MARK = b"payload\n"
+_PAYLOAD_LINE = b"\npayload\n"
 
-_KIND_BY_CLASS = {
-    ScalarField: "scalar",
-    VectorField: "vector",
-    TensorField: "tensor",
-    OrderField: "order",
-    OrderGradField: "ordergrad",
-    OrderHessField: "orderhess",
-}
-_CLASS_BY_KIND = {v: k for k, v in _KIND_BY_CLASS.items()}
+KINDS = {cls.kind: cls for cls in (ScalarField, VectorField, TensorField, OrderField, OrderGradField, OrderHessField)}
 
 LAYOUT = "row-major component-fastest"
+ENCODINGS = ("binary", "csv")
+_KEYS = ("kind", "dim", "extents", "spacing", "boundary", "m", "components", "layout", "encoding")
 
 
 class FieldFileError(ValueError):
@@ -71,34 +78,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _components(field: Field) -> int:
-    n = 1
-    for s in field.values.shape[field.grid.dim :]:
-        n *= s
-    return n
-
-
-def _chart_m(field: Field) -> int:
-    return getattr(field, "m", 0) if isinstance(field, (OrderField, OrderGradField, OrderHessField)) else 0
-
-
 def write_field(field: Field, path: str, encoding: str = "binary") -> None:
     """Write a field; `encoding` is "binary" or "csv"."""
-    if encoding not in ("binary", "csv"):
+    if encoding not in ENCODINGS:
         raise FieldFileError(f"encoding must be 'binary' or 'csv', got {encoding!r}")
-    kind = _KIND_BY_CLASS.get(type(field))
-    if kind is None:
+    if KINDS.get(getattr(field, "kind", None)) is not type(field):
         raise FieldFileError(f"cannot serialize {type(field).__name__}")
     grid = field.grid
     header = [
         MAGIC,
-        f"kind = {kind}",
+        f"kind = {field.kind}",
         f"dim = {grid.dim}",
         "extents = " + " ".join(str(n) for n in grid.extents),
         "spacing = " + " ".join(_fmt(h) for h in grid.spacing),
         "boundary = " + " ".join(grid.boundary),
-        f"m = {_chart_m(field)}",
-        f"components = {_components(field)}",
+        f"m = {field.m}",
+        f"components = {math.prod(field.values.shape[grid.dim :])}",
         f"layout = {LAYOUT}",
         f"encoding = {encoding}",
         "payload",
@@ -116,43 +111,72 @@ def write_field(field: Field, path: str, encoding: str = "binary") -> None:
 def _parse_header(lines: list[str]) -> dict[str, str]:
     header: dict[str, str] = {}
     for line in lines:
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        if not eq:
             raise FieldFileError(f"malformed header line {line!r}")
-        key, _, value = line.partition("=")
-        header[key.strip()] = value.strip()
+        if key in header:
+            raise FieldFileError(f"duplicate header key {key!r}")
+        header[key] = value.strip()
+    for key in _KEYS:
+        if key not in header:
+            raise FieldFileError(f"missing header key {key!r}")
     return header
+
+
+def _values(header: dict[str, str], key: str, parse, count: int) -> tuple:
+    """The `count` whitespace-separated values of header `key`, each read by `parse`."""
+    raw = header[key]
+    try:
+        values = tuple(parse(token) for token in raw.split())
+    except ValueError:
+        raise FieldFileError(f"header key {key!r} has a malformed value {raw!r}") from None
+    if len(values) != count:
+        raise FieldFileError(f"header key {key!r} = {raw!r} holds {len(values)} values, expected {count}")
+    return values
 
 
 def read_field(path: str) -> Field:
     """Read a field written by :func:`write_field` (bit-exact round trip)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    mark = blob.find(_PAYLOAD_MARK)
-    if mark < 0 or not blob.startswith((MAGIC + "\n").encode("utf-8")):
+    if not blob.startswith((MAGIC + "\n").encode("utf-8")):
         got = blob.split(b"\n", 1)[0][:40]
         raise FieldFileError(f"magic mismatch: expected {MAGIC!r}, got {got!r}")
-    head_text = blob[: mark].decode("utf-8").splitlines()
-    payload = blob[mark + len(_PAYLOAD_MARK) :]
-    header = _parse_header(head_text[1:])
+    mark = blob.find(_PAYLOAD_LINE)
+    if mark < 0:
+        raise FieldFileError("missing payload line")
+    header = _parse_header(blob[len(MAGIC) + 1 : mark + 1].decode("utf-8", "replace").splitlines())
+    payload = blob[mark + len(_PAYLOAD_LINE) :]
 
-    try:
-        kind = header["kind"]
-        dim = int(header["dim"])
-        extents = tuple(int(t) for t in header["extents"].split())
-        spacing = tuple(float(t) for t in header["spacing"].split())
-        boundary = tuple(header["boundary"].split())
-        m = int(header["m"])
-        components = int(header["components"])
-        encoding = header["encoding"]
-    except KeyError as exc:
-        raise FieldFileError(f"missing header key {exc}") from exc
-    if header.get("layout") != LAYOUT:
-        raise FieldFileError(f"unsupported layout {header.get('layout')!r}")
-    if kind not in _CLASS_BY_KIND:
+    kind = header["kind"]
+    cls = KINDS.get(kind)
+    if cls is None:
         raise FieldFileError(f"unknown kind {kind!r}")
-    if len(extents) != dim:
-        raise FieldFileError("extents length does not match dim")
-    grid = Grid(extents, spacing, boundary)
+    (dim,) = _values(header, "dim", int, 1)
+    extents = _values(header, "extents", int, dim)
+    spacing = _values(header, "spacing", float, dim)
+    boundary = _values(header, "boundary", str, dim)
+    (m,) = _values(header, "m", int, 1)
+    (components,) = _values(header, "components", int, 1)
+    if header["layout"] != LAYOUT:
+        raise FieldFileError(f"unsupported layout {header['layout']!r}")
+    encoding = header["encoding"]
+    if encoding not in ENCODINGS:
+        raise FieldFileError(f"unknown encoding {encoding!r}")
+    try:
+        grid = Grid(extents, spacing, boundary)
+    except GridError as exc:
+        raise FieldFileError(f"header grid rejected: {exc}") from None
+    chart = "m" in cls.axes
+    if (m < 1) if chart else (m != 0):
+        raise FieldFileError(f"m = {m} does not fit kind {kind!r}, which needs m {'>= 1' if chart else '= 0'}")
+    shape = cls.component_shape(dim, m)
+    if math.prod(shape) != components:
+        raise FieldFileError(
+            f"components = {components} does not match kind {kind!r} with m = {m} and dim = {dim},"
+            f" which has {math.prod(shape)}"
+        )
     n_cells = grid.n_cells
 
     if encoding == "binary":
@@ -161,9 +185,9 @@ def read_field(path: str) -> Field:
             raise FieldFileError(
                 f"payload length mismatch: expected {expected} bytes, got {len(payload)}"
             )
-        flat = np.frombuffer(payload, dtype="<f8").reshape(n_cells, components)
-    elif encoding == "csv":
-        lines = payload.decode("utf-8").splitlines()
+        flat = np.frombuffer(payload, dtype="<f8")
+    else:
+        lines = payload.decode("utf-8", "replace").splitlines()
         if "" in lines:  # np.loadtxt would skip it and shift every later row
             raise FieldFileError(f"CSV payload row {lines.index('') + 1} is blank")
         if len(lines) != n_cells:
@@ -179,13 +203,9 @@ def read_field(path: str) -> Field:
             raise FieldFileError(
                 f"payload width mismatch: expected {components} components, got {flat.shape[1]}"
             )
-    else:
-        raise FieldFileError(f"unknown encoding {encoding!r}")
 
-    shape = _component_shape(kind, dim, m)
-    values = flat.reshape(grid.extents + shape)
-    cls = _CLASS_BY_KIND[kind]
-    return cls(grid, values)  # the constructor re-checks finiteness with position
+    # the constructor re-checks finiteness with position
+    return cls(grid, flat.reshape(grid.extents + shape))
 
 
 def _csv_row_error(lines: list[str], components: int) -> str | None:
@@ -200,17 +220,3 @@ def _csv_row_error(lines: list[str], components: int) -> str | None:
             except ValueError:
                 return f"CSV payload row {row} holds non-numeric token {token.strip()!r}"
     return None
-
-
-def _component_shape(kind: str, dim: int, m: int) -> tuple[int, ...]:
-    if kind == "scalar":
-        return ()
-    if kind == "vector":
-        return (dim,)
-    if kind == "tensor":
-        return (dim, dim)
-    if kind == "order":
-        return (m,)
-    if kind == "ordergrad":
-        return (m, dim)
-    return (m, dim, dim)

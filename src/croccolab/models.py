@@ -36,7 +36,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fieldcalc import OrderField, OrderGradField, ScalarField, require_same_grid
+from .fieldcalc import OrderField, OrderGradField, ScalarField, _first_index, require_same_grid
 
 QUADRATIC = "quadratic"
 TWO_WELL = "two-well"
@@ -55,8 +55,7 @@ class EvaluationError(ValueError):
 
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
-        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
-        raise EvaluationError(f"{name} is non-finite at index {bad}")
+        raise EvaluationError(f"{name} is non-finite at index {_first_index(~np.isfinite(arr))}")
     return arr
 
 
@@ -285,8 +284,7 @@ def check_sphere_constraint(model: ComplexFluidModel, nu: OrderField) -> None:
     norms = np.sqrt(np.sum(nu.values**2, axis=-1))
     dev = np.abs(norms - 1.0)
     if np.max(dev) > SPHERE_TOL:
-        bad = tuple(int(i) for i in np.argwhere(dev > SPHERE_TOL)[0])
-        raise ModelError(f"order parameter leaves the unit sphere at cell {bad}")
+        raise ModelError(f"order parameter leaves the unit sphere at cell {_first_index(dev > SPHERE_TOL)}")
 
 
 @dataclass(frozen=True)

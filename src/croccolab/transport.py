@@ -27,7 +27,8 @@ stops with ``CFLError`` when its CFL number exceeds ``CFL_LIMIT``.
 The source and ``div T`` of the last (immutable) ``OrderField`` and model
 are memoized: frozen steps and samples, and later runs from the same nu,
 read one build, and an advected sample's two diagnostics share one.  One
-entry is kept, so a replaced state's nu is not held past the next build.
+entry is kept, weakly keyed by its nu, so it is dropped as soon as the
+caller drops that nu and every state and result holding it.
 
 Validation sits at the state boundary.  ``TransportState`` and the
 ``ScalarField`` / ``OrderField`` it holds are checked (shape, finiteness,
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -266,12 +268,21 @@ def _source(grid: Grid, nu: np.ndarray, model: ComplexFluidModel) -> tuple[np.nd
     return np.negative(curl, out=curl), div_te
 
 
-@functools.lru_cache(maxsize=1)
+# one entry, weakly keyed by its nu: it dies with its OrderField
+_SOURCE_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _field_source(nu: OrderField, model: ComplexFluidModel) -> tuple[ScalarField, np.ndarray]:
     """Checked source -curl(div T) and read-only div T of an (immutable) order field, memoized."""
+    held = _SOURCE_MEMO.get(nu)
+    if held is not None and held[0] == model:
+        return held[1]
     src, div_te = _source(nu.grid, nu.values, model)
     div_te.setflags(write=False)
-    return ScalarField(nu.grid, src), div_te
+    built = (ScalarField(nu.grid, src), div_te)
+    _SOURCE_MEMO.clear()
+    _SOURCE_MEMO[nu] = (model, built)
+    return built
 
 
 def stress_divergence_expanded(grid: Grid, nu: OrderField, model: ComplexFluidModel) -> VectorField:

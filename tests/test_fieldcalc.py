@@ -15,6 +15,8 @@ from croccolab.fieldcalc import (
     FieldShapeError,
     FieldValueError,
     OrderField,
+    OrderGradField,
+    OrderHessField,
     RefinementError,
     ScalarField,
     TensorField,
@@ -73,6 +75,33 @@ def test_field_shape_and_finiteness_validation():
     bad[3, 5] = np.nan
     with pytest.raises(FieldValueError, match=r"\(3, 5\)"):
         ScalarField(grid, bad)
+
+
+KIND_LAYOUTS = [
+    (ScalarField, (), 0),
+    (VectorField, (2,), 0),
+    (TensorField, (2, 2), 0),
+    (OrderField, (3,), 3),
+    (OrderGradField, (3, 2), 3),
+    (OrderHessField, (3, 2, 2), 3),
+]
+
+
+@pytest.mark.parametrize("cls, trailing, m", KIND_LAYOUTS)
+def test_each_kind_takes_the_trailing_shape_of_its_axes(cls, trailing, m):
+    grid = Grid.periodic(8)
+    assert cls.component_shape(2, 3) == trailing
+    field = cls(grid, np.zeros(grid.extents + trailing))
+    assert field.m == m
+    with pytest.raises(FieldShapeError, match=cls.__name__):
+        cls(grid, np.zeros(grid.extents + trailing + (2,)))
+
+
+@pytest.mark.parametrize("cls", [OrderField, OrderGradField, OrderHessField])
+def test_chart_kinds_reject_m_zero(cls):
+    grid = Grid.periodic(8)
+    with pytest.raises(FieldShapeError, match="m >= 1"):
+        cls(grid, np.zeros(grid.extents + cls.component_shape(2, 0)))
 
 
 def test_fields_are_immutable():

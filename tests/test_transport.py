@@ -555,6 +555,20 @@ def test_source_memo_lets_go_of_a_replaced_nu():
     assert replaced() is None
 
 
+@pytest.mark.parametrize("mode", ["frozen", "advected"])
+def test_source_memo_dies_with_its_nu(mode):
+    grid = Grid.periodic(16)
+    state = make_state(grid, two_mode_vorticity, generic_order_parameter)
+    nu = weakref.ref(state.nu)
+    result = run(TransportConfig(dt=0.2 * grid.spacing[0], steps=4, model=MODEL2, mode=mode, report_every=2), state)
+    assert transport._SOURCE_MEMO  # the run left its last source memoized
+    final = weakref.ref(result.final_state.nu)
+    del state, result
+    gc.collect()
+    assert nu() is None and final() is None
+    assert not transport._SOURCE_MEMO
+
+
 def test_enstrophy_drift_from_zero_enstrophy_is_infinite():
     grid = Grid.periodic(32)
     state = TransportState.from_vorticity(grid, np.zeros(grid.extents), generic_order_parameter(grid))
