@@ -12,9 +12,9 @@ every value used, defaults included, so a run is reproducible from them.  A
                  (complex) or v, eta, w (smectic) and [model] catalog plus the
                  relation's parameters, the grid being the files' (any [grid]
                  key given, and --grid, must match it)
-    transport2d  [grid] as above, [model] catalog plus the order-parameter
-                 parameters (m defaults to that of nu), [transport] dt (h/4),
-                 steps, mode, report_every, omega0, nu
+    transport2d  [grid] as above, [model] catalog, m (defaults to that of
+                 nu) and a, the only model fields its stress reads, and
+                 [transport] dt (h/4), steps, mode, report_every, omega0, nu
     mms-verify, validate-models: no section (fixed suites; mms-verify takes
                  its grid from --grid and rejects any [model] catalog)
 
@@ -125,6 +125,8 @@ _GRID = {
     "length": (_finite, TWO_PI),
     "boundary": (_choice((PERIODIC, ONE_SIDED)), PERIODIC),
 }
+# transport2d's substructural stress T = a (grad nu)^T grad nu reads no other model field
+_TRANSPORT_MODEL = {key: _MODEL_KEYS[ComplexFluidModel][key] for key in ("m", "a")}
 _FIELD_KINDS = {"v": VectorField, "iota": ScalarField, "eta": ScalarField, "nu": OrderField, "w": ScalarField}
 
 
@@ -157,7 +159,7 @@ _RELATIONS = {
 _SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
     "transport2d": {
         "grid": _GRID,
-        "model": {"catalog": (str, "complex"), **_MODEL_KEYS[ComplexFluidModel]},
+        "model": {"catalog": (str, "complex"), **_TRANSPORT_MODEL},
         "transport": {
             "dt": (_finite, None),
             "steps": (int, 100),
@@ -256,13 +258,14 @@ def _check_file_grid(grid: Grid, given: dict) -> None:
             raise ConfigError(f"[grid] {key} = {_echo(value)} does not match the field files' grid {grid}")
 
 
-def _build(cls, values: dict, nu: OrderField | None = None):
-    """`cls` from the [model] values it has keys for; `values` then holds every value it took.
-    With an order field `nu`, the chart dimension m defaults to, and must equal, that of nu."""
+def _build(cls, values: dict, keys, nu: OrderField | None = None):
+    """`cls` from the [model] `values` given for its fields `keys`, the others at their defaults;
+    `values` then holds the value the model took for each of `keys`.  With an order field `nu`,
+    the chart dimension m defaults to, and must equal, that of nu."""
     if nu is not None and values.setdefault("m", nu.m) != nu.m:
         raise ConfigError(f"[model] m = {values['m']} does not match the chart dimension {nu.m} of nu")
-    model = cls(**{key: values[key] for key in _MODEL_KEYS[cls] if key in values})
-    values.update((key, getattr(model, key)) for key in _MODEL_KEYS[cls])
+    model = cls(**{key: values[key] for key in keys if key in values})
+    values.update((key, getattr(model, key)) for key in keys)
     return model
 
 
@@ -305,7 +308,8 @@ def _cmd_eval(kind: str, config: RunConfig, grid_n: int | None, out_dir: str) ->
             raise ConfigError(f"eval-{kind} needs [state] {missing[0]} (or a state generator)")
         state = relation.state(**{key: _read(path, _FIELD_KINDS[key]) for key, path in values["state"].items()})
         _check_file_grid(state.v.grid, values["grid"])
-        inputs = (state, *(_build(cls, values["model"], getattr(state, "nu", None)) for cls in relation.models))
+        nu = getattr(state, "nu", None)
+        inputs = (state, *(_build(cls, values["model"], _MODEL_KEYS[cls], nu) for cls in relation.models))
     _write_report(relation.evaluate(*inputs), values, out_dir)
     return 0
 
@@ -315,7 +319,7 @@ def _cmd_transport(config: RunConfig, grid_n: int | None, out_dir: str) -> int:
     grid = _grid(**values["grid"])
     params = values["transport"]
     nu = manufactured.ORDER_CATALOG[params["nu"]](grid)
-    model = _build(ComplexFluidModel, values["model"], nu)
+    model = _build(ComplexFluidModel, values["model"], _TRANSPORT_MODEL, nu)
     params.setdefault("dt", 0.25 * grid.spacing[0])
     tconfig = TransportConfig(params["dt"], params["steps"], model, params["mode"], report_every=params["report_every"])
     state = TransportState.from_vorticity(grid, manufactured.VORTICITY_CATALOG[params["omega0"]](grid), nu)

@@ -42,8 +42,6 @@ field constructor then rejects them with their cell index.
 
 from __future__ import annotations
 
-import numpy as np
-
 import math
 
 import numpy as np

@@ -50,7 +50,7 @@ from .fieldcalc import (
     grad_scalar,
     require_same_grid,
 )
-from .models import GinzburgLandauPartials, OrderCoEnergy, ThermalPart
+from .models import GinzburgLandauPartials, ModelError, OrderCoEnergy, ThermalPart
 
 _TINY = 1e-300
 
@@ -71,9 +71,9 @@ class SmecticModel(ThermalPart):
 
     def __post_init__(self) -> None:
         if self.gamma1 <= 0.0 or self.gamma2 <= 0.0:
-            raise ValueError("moduli gamma1, gamma2 must be positive")
+            raise ModelError("moduli gamma1, gamma2 must be positive")
         if self.eps_reg < 0.0:
-            raise ValueError("eps_reg must be >= 0")
+            raise ModelError("eps_reg must be >= 0")
         self._check_thermal()
 
 

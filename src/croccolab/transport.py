@@ -105,6 +105,12 @@ def _require_periodic_square(grid: Grid) -> None:
         raise TransportError("transport needs a square grid with equal spacing")
 
 
+def _require_zero_mean(omega: np.ndarray) -> None:
+    mean = abs(float(np.mean(omega)))
+    if mean > 1e-10 * (1.0 + float(np.max(np.abs(omega)))):
+        raise TransportError(f"mean vorticity {mean:.3e} violates periodic solvability")
+
+
 def _wrap_pad(values: np.ndarray) -> np.ndarray:
     """Copy with one periodic ghost cell on each side of the LAST two axes.
 
@@ -189,16 +195,12 @@ class TransportState:
     def __post_init__(self) -> None:
         grid = require_same_grid(self.omega, self.psi, self.nu)
         _require_periodic_square(grid)
-        mean = abs(float(np.mean(self.omega.values)))
-        if mean > 1e-10 * (1.0 + float(np.max(np.abs(self.omega.values)))):
-            raise TransportError(f"mean vorticity {mean:.3e} violates periodic solvability")
+        _require_zero_mean(self.omega.values)
 
     @classmethod
     def from_vorticity(cls, grid: Grid, omega: np.ndarray, nu: OrderField, t: float = 0.0) -> "TransportState":
         omega = np.asarray(omega, dtype=float)
-        mean = abs(float(np.mean(omega)))
-        if mean > 1e-10 * (1.0 + float(np.max(np.abs(omega)))):
-            raise TransportError(f"mean vorticity {mean:.3e} violates periodic solvability")
+        _require_zero_mean(omega)  # before the solve, which needs it
         psi = solve_streamfunction(grid, omega)
         return cls(ScalarField(grid, omega), ScalarField(grid, psi), nu, t)
 

@@ -418,7 +418,7 @@ def test_criterion_10_model_validation():
     worst = 0.0
     all_pass = True
     for model in catalog_models():
-        report = validate_partials(model, n_points=100)
+        report = validate_partials(model)
         all_pass &= report.passed
         worst = max(worst, max(c.max_rel_error for c in report.checks))
 

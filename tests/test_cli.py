@@ -36,17 +36,15 @@ def test_unknown_section_and_key_rejected(tmp_path):
 
 
 def test_resolved_lines_are_sorted_and_complete(tmp_path):
-    # no config at all: every value the run used is echoed, defaults included
+    # no config at all: every value the run used is echoed, defaults included; of the
+    # model that is m and a, the only fields the substructural stress reads
     out = tmp_path / "o"
     assert main(["transport2d", "--grid", "16", "--out", str(out)]) == 0
     resolved = (out / "resolved_config.txt").read_text().splitlines()
     assert resolved == [
         "# CROCCOFIELD-REPORT v1",
         "grid.boundary = periodic", "grid.dim = 2", "grid.length = 6.2831853071795862", "grid.n = 16",
-        "model.a = 1", "model.c = 1", "model.c_v = 1", "model.catalog = complex", "model.e0 = 1",
-        "model.f_kind = quadratic", "model.f_well_1 = 1", "model.f_well_2 = 2", "model.gamma_kind = quadratic", "model.iota_ref = 1", "model.k = 1",
-        "model.m = 2", "model.nu_ref = 0, 0", "model.nu_ref_slope = 0, 0", "model.sphere_constrained = no",
-        "model.well_1 = -1", "model.well_2 = 1",
+        "model.a = 1", "model.catalog = complex", "model.m = 2",
         "transport.dt = 0.098174770424681035", "transport.mode = frozen", "transport.nu = uniform",
         "transport.omega0 = two-mode", "transport.report_every = 10", "transport.steps = 100",
     ]
@@ -397,6 +395,10 @@ def assert_one_line_error(err, *fragments):
         ("eval-complex", "[state]\nv = v.field\n\n[model]\nbeta = 3\n", "eval-complex does not read [model] beta"),
         ("eval-korteweg", "[state]\nw = w.field\n", "eval-korteweg does not read [state] w"),
         ("eval-smectic", "[transport]\nsteps = 2\n", "eval-smectic does not read [transport] steps"),
+        # the transport stress reads m and a alone, so every other model field is inert there
+        ("transport2d", "[model]\nf_kind = two-well\n", "transport2d does not read [model] f_kind"),
+        ("transport2d", "[model]\nsphere_constrained = yes\n", "transport2d does not read [model] sphere_constrained"),
+        ("transport2d", "[model]\nm = 2\nk = 7\n", "transport2d does not read [model] k"),
     ],
 )
 def test_keys_a_command_does_not_read_exit_two(tmp_path, capsys, command, text, fragment):
@@ -412,10 +414,10 @@ def test_keys_a_command_does_not_read_exit_two(tmp_path, capsys, command, text, 
     [
         ("transport2d", "[grid]\nn = abc\n", "[grid] n = abc"),
         ("eval-korteweg", "[grid]\nn = abc\n\n[state]\ngenerator = korteweg-basic\n", "[grid] n = abc"),
-        ("transport2d", "[model]\nsphere_constrained = ja\n", "[model] sphere_constrained = ja"),
+        ("eval-complex", "[model]\nsphere_constrained = ja\n", "[model] sphere_constrained = ja"),
         ("transport2d", "[transport]\ndt = nan\n", "[transport] dt = nan"),
         ("transport2d", "[grid]\nlength = inf\n", "[grid] length = inf"),
-        ("transport2d", "[model]\nnu_ref = 0.1, x\n", "[model] nu_ref = 0.1, x"),
+        ("eval-complex", "[model]\nnu_ref = 0.1, x\n", "[model] nu_ref = 0.1, x"),
         ("transport2d", "[transport]\nmode = sideways\n", "[transport] mode = sideways"),
         ("eval-smectic", "[state]\ngenerator = nonsense\n", "[state] generator = nonsense"),
         ("eval-smectic", "[grid]\nboundary = periodic\n\n[state]\ngenerator = smectic-wavy\n",
@@ -511,6 +513,24 @@ def test_file_based_complex_chart_dimension_must_match_nu(tmp_path, capsys):
     assert_one_line_error(err, "[model] m = 3 does not match the chart dimension 2 of nu")
 
 
+@pytest.mark.parametrize(
+    "command, generator, keys, model, fragment",
+    [
+        ("eval-complex", "complex-gl-m2", ("v", "iota", "eta", "nu"), "f_kind = banana",
+         "f_kind must be one of ('quadratic', 'two-well'), got 'banana'"),
+        ("eval-smectic", "smectic-wavy", ("v", "eta", "w"), "gamma1 = 0", "moduli gamma1, gamma2 must be positive"),
+        ("eval-smectic", "smectic-wavy", ("v", "eta", "w"), "eps_reg = -0.1", "eps_reg must be >= 0"),
+    ],
+)
+def test_file_based_invalid_model_exits_two(tmp_path, capsys, command, generator, keys, model, fragment):
+    text = state_section(write_states(tmp_path, generator), keys) + f"[model]\n{model}\n"
+    out = tmp_path / "o"
+    code, err = run_cli([command, "--config", write_config(tmp_path, text), "--out", str(out)], capsys)
+    assert code == 2
+    assert_one_line_error(err, fragment)
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")  # a numpy warning would print lines of its own before the error
 def test_non_finite_term_exits_two_naming_the_term_and_cell(tmp_path, capsys):
     grid = Grid.periodic(16)
@@ -569,7 +589,8 @@ def artifacts(out):
         ("eval-smectic", "files:v,eta,w\n[model]\ngamma1 = 1.2\neps_reg = 0.1\n", "16"),
         ("transport2d", "[transport]\nnu = generic\nsteps = 6\nreport_every = 2\n\n[model]\na = 0.8\n", "16"),
         ("transport2d", "[transport]\nmode = advected\nnu = generic\ndt = 0.05\nsteps = 6\n", "16"),
-        ("transport2d", "[transport]\nnu = generic\nsteps = 2\n\n[model]\nf_kind = two-well\nf_well_1 = 0.5\n", "16"),
+        ("eval-complex", "files:v,iota,eta,nu\n[model]\ngamma_kind = two-well\nwell_1 = -0.5\nf_kind = two-well\n"
+         "f_well_1 = 0.5\nsphere_constrained = no\n", None),
         ("eval-complex", "files:v,iota,eta,nu\n[model]\nf_kind = two-well\nf_well_1 = 0.5\n", None),
     ],
 )

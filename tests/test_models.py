@@ -1,5 +1,7 @@
 """Constitutive catalog: hand values, finite-difference checks, invariants."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,30 @@ def test_two_well_partial_hand_value():
     model = KortewegModel(f_kind="two-well", c=1.0, well_1=1.0, well_2=2.0)
     assert model.dphi_diota(np.array(1.5)) == pytest.approx(0.0, abs=1e-15)
     assert model.dphi_diota(np.array(1.2)) == pytest.approx(2 * 0.2 * (-0.8) * (-0.6))
+
+
+@pytest.mark.parametrize("cls, extra", [(KortewegModel, {}), (ComplexFluidModel, {"m": 2})])
+def test_unknown_f_kind_is_rejected(cls, extra):
+    with pytest.raises(ModelError, match="f_kind must be one of .*'banana'"):
+        cls(f_kind="banana", **extra)
+
+
+def test_both_models_share_one_mechanical_part():
+    # the order-parameter model's f is the capillary one, its wells being f_well_1, f_well_2
+    iota = np.linspace(0.5, 3.0, 11)
+    for f_kind in ("quadratic", "two-well"):
+        kmodel = KortewegModel(f_kind=f_kind, c=0.9, iota_ref=1.4, well_1=0.8, well_2=2.1)
+        cmodel = ComplexFluidModel(m=1, f_kind=f_kind, c=0.9, iota_ref=1.4, f_well_1=0.8, f_well_2=2.1)
+        assert np.array_equal(kmodel.f_mech(iota), cmodel.f_mech(iota))
+        assert np.array_equal(kmodel.df_mech(iota), cmodel.df_mech(iota))
+
+
+def test_two_well_gamma_hand_value():
+    # k*(nu0 - w1)^2*(nu0 - w2)^2 on chart component 0, plus f(iota) + e0*exp(eta/c_v)
+    model = ComplexFluidModel(m=2, gamma_kind="two-well", k=2.0, well_1=-1.0, well_2=1.0, c=0.0)
+    nu = np.array([0.5, 3.0])
+    assert model.phi(1.0, nu, np.zeros((2, 2)), 0.0) == pytest.approx(2.0 * 1.5**2 * 0.5**2 + 1.0)
+    assert model.dphi_dnu(1.0, nu) == pytest.approx([2.0 * 2.0 * 1.5 * (-0.5) * 1.0, 0.0])
 
 
 def test_theta_positive_everywhere():
@@ -249,23 +275,70 @@ def test_gl_potential_objectivity(theta):
 
 def test_validate_partials_all_catalog_models():
     for model in catalog_models():
-        report = validate_partials(model, n_points=100)
+        report = validate_partials(model)
         assert report.passed, [c.entry for c in report.failures]
 
 
-def test_validate_partials_detects_corruption():
-    class Corrupted(KortewegModel):
-        def dphi_diota(self, iota):
-            return 1.1 * super().dphi_diota(iota)
+def _corrupted(model, method, how):
+    """`model` with its partial `method` scaled by 1.1 or replaced by NaN everywhere."""
+    def corrupt(self, *args):
+        out = np.asarray(getattr(type(model), method)(self, *args), dtype=float)
+        return 1.1 * out if how == "scaled" else np.full_like(out, np.nan)
 
-    report = validate_partials(Corrupted(c=1.0, beta=0.5), n_points=50)
+    return type(f"Corrupted{type(model).__name__}", (type(model),), {method: corrupt})(
+        **{f.name: getattr(model, f.name) for f in fields(model)}
+    )
+
+
+@pytest.mark.parametrize("how", ["scaled", "nan"])
+@pytest.mark.parametrize(
+    "model, method, entries",
+    [
+        (KortewegModel(c=1.0, beta=0.5), "dphi_diota", ["dphi_diota"]),
+        (KortewegModel(c=1.0, beta=0.5), "dphi_dgrad_iota", [f"dphi_dgrad_iota[{j}]" for j in range(3)]),
+        (KortewegModel(f_kind="two-well", c=0.9, beta=0.4), "theta", ["theta"]),
+        (KortewegCoEnergy(kappa0=0.4, kappa1=0.6), "dchi_diota", ["dchi_diota"]),
+        (KortewegCoEnergy(kappa0=0.4, kappa1=0.6), "dchi_diota_dot", ["dchi_diota_dot"]),
+        (ComplexFluidModel(m=2, k=1.1, nu_ref=(0.2, -0.1), a=0.8), "dphi_dnu", ["dphi_dnu[0]", "dphi_dnu[1]"]),
+        (ComplexFluidModel(m=2, gamma_kind="two-well", f_kind="two-well", a=0.5), "dphi_diota", ["dphi_diota"]),
+        (ComplexFluidModel(m=1, a=0.8), "dphi_dgrad_nu", ["dphi_dgrad_nu[0,0]", "dphi_dgrad_nu[0,1]"]),
+        # the Legendre entry reads dchi_dnu_dot too, so it fails with it
+        (OrderCoEnergy(((1.2, 0.3), (0.3, 0.9)), (0.4, -0.2)), "dchi_dnu_dot",
+         ["dchi_dnu_dot[0]", "dchi_dnu_dot[1]", "legendre_kinetic_energy"]),
+        (OrderCoEnergy(((1.2, 0.3), (0.3, 0.9)), (0.4, -0.2)), "kinetic_energy", ["legendre_kinetic_energy"]),
+    ],
+)
+def test_validate_partials_detects_corruption(model, method, entries, how):
+    report = validate_partials(_corrupted(model, method, how))
     assert not report.passed
-    assert [c.entry for c in report.failures] == ["dphi_diota"]
+    assert [c.entry for c in report.failures] == entries
+    if how == "nan":
+        assert all(np.isnan(c.max_rel_error) for c in report.failures)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), f_kind=st.sampled_from(["quadratic", "two-well"]),
+       gamma_kind=st.sampled_from(["quadratic", "two-well"]), m=st.integers(1, 3))
+def test_random_admissible_models_pass_validation(data, f_kind, gamma_kind, m):
+    coefficient, position = st.floats(0.0, 2.0), st.floats(-2.0, 2.0)
+    entropic = {"e0": data.draw(st.floats(0.1, 2.0)), "c_v": data.draw(st.floats(0.5, 2.0))}
+    mechanical = {"f_kind": f_kind, "c": data.draw(coefficient), "iota_ref": data.draw(position)}
+    korteweg = KortewegModel(**mechanical, **entropic, well_1=data.draw(position), well_2=data.draw(position),
+                             beta=data.draw(coefficient))
+    complex_model = ComplexFluidModel(
+        m=m, gamma_kind=gamma_kind, k=data.draw(coefficient), a=data.draw(coefficient),
+        nu_ref=data.draw(st.tuples(*[position] * m)), nu_ref_slope=data.draw(st.tuples(*[position] * m)),
+        well_1=data.draw(position), well_2=data.draw(position), f_well_1=data.draw(position),
+        f_well_2=data.draw(position), sphere_constrained=data.draw(st.booleans()), **mechanical, **entropic,
+    )
+    for model in (korteweg, complex_model):
+        report = validate_partials(model)
+        assert report.passed, (model, [(c.entry, c.max_rel_error) for c in report.failures])
 
 
 def test_validate_partials_beta_zero_gradient_free():
     model = KortewegModel(beta=0.0)
-    report = validate_partials(model, n_points=30)
+    report = validate_partials(model)
     assert report.passed
     assert np.max(np.abs(model.dphi_dgrad_iota(np.array([1.0, 2.0, 3.0])))) == 0.0
 

@@ -11,6 +11,7 @@ from croccolab.fieldcalc import (
     refinement_study,
 )
 from croccolab.manufactured import smectic_compressed, smectic_flat, smectic_wavy
+from croccolab.models import ModelError
 from croccolab.smectic import (
     DefectCoreError,
     SmecticModel,
@@ -24,6 +25,20 @@ from croccolab.smectic import (
 
 TWO_PI = 2.0 * np.pi
 MODEL = SmecticModel(gamma1=1.2, gamma2=0.8, eps_reg=1e-8)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"gamma1": 0.0, "gamma2": 1.0}, "moduli gamma1, gamma2 must be positive"),
+        ({"gamma1": 1.0, "gamma2": -0.5}, "moduli gamma1, gamma2 must be positive"),
+        ({"gamma1": 1.0, "gamma2": 1.0, "eps_reg": -1e-9}, "eps_reg must be >= 0"),
+        ({"gamma1": 1.0, "gamma2": 1.0, "c_v": 0.0}, "entropic parameters e0, c_v must be > 0"),
+    ],
+)
+def test_invalid_parameters_raise_model_error(params, message):
+    with pytest.raises(ModelError, match=message):
+        SmecticModel(**params)
 
 
 def flat_state_3d(slope=1.0):

@@ -11,7 +11,8 @@ are relative and the same in every checkout.  The commands are:
 
 * ``eval-korteweg``, ``eval-complex`` and ``eval-smectic`` from every
   catalog generator (periodic, and one generator per relation on a
-  one-sided grid) and from field files;
+  one-sided grid) and from field files, ``eval-complex`` a second time
+  with the two-well mechanical part and the two-well gamma;
 * ``transport2d``, frozen and advected with a generic nu, advected with a
   uniform nu (zero source), and with no config at all, which must echo
   every default it ran with;
@@ -55,6 +56,10 @@ COMPLEX_MODEL = (
     "[model]\ncatalog = complex\nm = 2\nk = 1.1\nnu_ref = 0.2, -0.1\nnu_ref_slope = 0.3, -0.2\n"
     "a = 0.8\nc = 1.3\niota_ref = 1.8\n"
 )
+COMPLEX_TWO_WELL_MODEL = (
+    "[model]\ncatalog = complex\nm = 2\ngamma_kind = two-well\nk = 0.7\nwell_1 = -0.5\nwell_2 = 1.2\n"
+    "a = 0.8\nf_kind = two-well\nc = 0.9\nf_well_1 = 1.1\nf_well_2 = 2.3\n"
+)
 SMECTIC_MODEL = "[model]\ncatalog = smectic\ngamma1 = 1.2\ngamma2 = 0.6\n"
 
 
@@ -94,14 +99,15 @@ def _sessions(paths: dict[str, str]) -> list[tuple[str, list[str]]]:
         cfg = _config(f"{generator}-one-sided", f"[grid]\nboundary = one-sided\n\n[state]\ngenerator = {generator}\n")
         sessions.append((f"{command}-{generator}-one-sided", [command, "--config", cfg, "--grid", str(GRID)]))
     files = {
-        "eval-korteweg": (("v", "iota", "eta"), "k", KORTEWEG_MODEL),
-        "eval-complex": (("v", "iota", "eta", "nu"), "c", COMPLEX_MODEL),
-        "eval-smectic": (("v", "eta", "w"), "s", SMECTIC_MODEL),
+        "eval-korteweg-files": ("eval-korteweg", ("v", "iota", "eta"), "k", KORTEWEG_MODEL),
+        "eval-complex-files": ("eval-complex", ("v", "iota", "eta", "nu"), "c", COMPLEX_MODEL),
+        "eval-complex-files-two-well": ("eval-complex", ("v", "iota", "eta", "nu"), "c", COMPLEX_TWO_WELL_MODEL),
+        "eval-smectic-files": ("eval-smectic", ("v", "eta", "w"), "s", SMECTIC_MODEL),
     }
-    for command, (keys, prefix, model) in files.items():
+    for name, (command, keys, prefix, model) in files.items():
         state = "".join(f"{key} = {paths[f'{prefix}_{key}']}\n" for key in keys)
-        cfg = _config(f"{command}-files", f"[grid]\nn = {GRID}\n\n[state]\n{state}\n{model}")
-        sessions.append((f"{command}-files", [command, "--config", cfg]))
+        cfg = _config(name, f"[grid]\nn = {GRID}\n\n[state]\n{state}\n{model}")
+        sessions.append((name, [command, "--config", cfg]))
     # the advected uniform-nu run takes the zero-source branch of every stage
     for name, mode, nu in (("frozen", "frozen", "generic"), ("advected", "advected", "generic"),
                            ("advected-uniform", "advected", "uniform")):
