@@ -445,14 +445,20 @@ def _difference(potential, i: int):
 def _table(model, rng: np.random.Generator) -> tuple[str, np.ndarray, list]:
     """The catalog entry `model` belongs to, sample points of its arguments (one per row) and its
     rows (entry, closed form at a point, reference at a point).  The reference of a partial is
-    the central difference of the potential (or co-energy) along that partial's argument."""
+    the central difference of the potential (or co-energy) along that partial's argument.
+
+    A potential's partials other than theta do not read eta, so the potential is its entropic
+    part plus a part free of eta; their references difference it at eta = 0, where the entropic
+    part is e0.  At the sampled eta, ``e0*exp(eta/c_v)`` can exceed the differenced part by
+    orders of magnitude (e^20 at c_v = 0.05) and cancel its change in round-off."""
     n = _SAMPLES
     if isinstance(model, KortewegModel):  # arguments iota, grad iota (3), eta
         points = np.column_stack([rng.uniform(0.5, 3.0, n), rng.uniform(-2.0, 2.0, (n, 3)), rng.uniform(-1.0, 1.0, n)])
         phi = lambda p: model.phi(p[0], p[1:4], p[4])  # noqa: E731
+        phi0 = lambda p: model.phi(p[0], p[1:4], 0.0)  # noqa: E731
         return "KortewegModel", points, [
-            ("dphi_diota", lambda p: model.dphi_diota(p[0]), _difference(phi, 0)),
-            *((f"dphi_dgrad_iota[{j}]", lambda p, j=j: model.dphi_dgrad_iota(p[1:4])[j], _difference(phi, 1 + j))
+            ("dphi_diota", lambda p: model.dphi_diota(p[0]), _difference(phi0, 0)),
+            *((f"dphi_dgrad_iota[{j}]", lambda p, j=j: model.dphi_dgrad_iota(p[1:4])[j], _difference(phi0, 1 + j))
               for j in range(3)),
             ("theta", lambda p: model.theta(p[4]), _difference(phi, 4)),
         ]
@@ -472,12 +478,13 @@ def _table(model, rng: np.random.Generator) -> tuple[str, np.ndarray, list]:
             [rng.uniform(0.5, 3.0, n), nu, rng.uniform(-2.0, 2.0, (n, 2 * m)), rng.uniform(-1.0, 1.0, n)]
         )
         phi = lambda p: model.phi(p[0], p[1 : 1 + m], p[g].reshape(m, 2), p[-1])  # noqa: E731
+        phi0 = lambda p: model.phi(p[0], p[1 : 1 + m], p[g].reshape(m, 2), 0.0)  # noqa: E731
         return "ComplexFluidModel", points, [
-            ("dphi_diota", lambda p: model.dphi_diota(p[0], p[1 : 1 + m]), _difference(phi, 0)),
-            *((f"dphi_dnu[{a}]", lambda p, a=a: model.dphi_dnu(p[0], p[1 : 1 + m])[a], _difference(phi, 1 + a))
+            ("dphi_diota", lambda p: model.dphi_diota(p[0], p[1 : 1 + m]), _difference(phi0, 0)),
+            *((f"dphi_dnu[{a}]", lambda p, a=a: model.dphi_dnu(p[0], p[1 : 1 + m])[a], _difference(phi0, 1 + a))
               for a in range(m)),
             *((f"dphi_dgrad_nu[{i // 2},{i % 2}]", lambda p, i=i: model.dphi_dgrad_nu(p[g].reshape(m, 2))[divmod(i, 2)],
-               _difference(phi, 1 + m + i)) for i in range(2 * m)),
+               _difference(phi0, 1 + m + i)) for i in range(2 * m)),
             ("theta", lambda p: model.theta(p[-1]), _difference(phi, 1 + 3 * m)),
         ]
     if isinstance(model, OrderCoEnergy):  # arguments nu (m), nu_dot (m)

@@ -2,6 +2,8 @@
 
 import gc
 import math
+import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,6 +15,7 @@ from croccolab.fieldcalc import (
     FieldValueError,
     Grid,
     OrderField,
+    PERIODIC,
     ScalarField,
     TensorField,
     _grad,
@@ -105,6 +108,56 @@ def test_real_fft_solve_matches_complex_fft_solve(n, monkeypatch):
     assert abs(np.mean(psi)) <= 1e-14
     monkeypatch.setattr(transport, "POISSON_TOL", 1e-30)  # the residual is checked at every solve
     with pytest.raises(PoissonError, match="residual"):
+        solve_streamfunction(grid, omega)
+
+
+def _plain_poisson_verdict(grid, psi, omega):
+    """(accepted, residual) of the residual check as one plain expression (the reference route)."""
+    hx, hy = grid.spacing
+    lap = (np.roll(psi, -1, axis=0) - 2.0 * psi + np.roll(psi, 1, axis=0)) / (hx * hx) + (
+        np.roll(psi, -1, axis=1) - 2.0 * psi + np.roll(psi, 1, axis=1)
+    ) / (hy * hy)
+    residual = np.max(np.abs(lap + omega))
+    return bool(residual <= 1e-10 * max(1.0, float(np.max(np.abs(omega))))), residual
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.sampled_from([16, 32, 64, 128, 256]), aspect=st.sampled_from([1.0, 1.5]),
+       scale=st.floats(1e-6, 1e6), kick=st.floats(0.0, 3.0))
+def test_poisson_check_matches_the_plain_residual(data, n, aspect, scale, kick):
+    # random zero-mean trig vorticity on a square or rectangular spacing; psi solves for it
+    # and then takes a kick at one cell that moves its residual there by about `kick` bounds
+    h = TWO_PI / n
+    grid = Grid((n, n), (h, aspect * h), (PERIODIC, PERIODIC))
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    omega = np.zeros((n, n))
+    for _ in range(data.draw(st.integers(1, 4))):
+        kx, ky = data.draw(st.integers(0, n // 2)), data.draw(st.integers(1, n // 2))
+        amp, phase = data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(0.0, TWO_PI))
+        omega += amp * np.cos(TWO_PI * (kx * i + ky * j) / n + phase)
+    omega *= scale
+    psi = np.fft.irfft2(np.fft.rfft2(omega) * _inverse_symbol(grid), s=grid.extents)
+    bound = 1e-10 * max(1.0, float(np.max(np.abs(omega))))
+    psi[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] += kick * bound / (2 / h**2 + 2 / (aspect * h) ** 2)
+    accepted, residual = _plain_poisson_verdict(grid, psi, omega)
+    if accepted:
+        transport._require_poisson(grid, psi, omega)
+    else:
+        with pytest.raises(PoissonError, match=re.escape(f"residual {residual:.3e} exceeds")):
+            transport._require_poisson(grid, psi, omega)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("aspect", [1.0, 1.5])
+def test_poisson_check_fails_a_non_finite_vorticity(bad, aspect):
+    grid = Grid((32, 32), (TWO_PI / 32, aspect * TWO_PI / 32), (PERIODIC, PERIODIC))
+    omega = two_mode_vorticity(Grid.periodic(32))
+    psi = solve_streamfunction(grid, omega)
+    omega[3, 5] = bad
+    with pytest.raises(PoissonError, match="residual (nan|inf) exceeds"):
+        transport._require_poisson(grid, psi, omega)
+    with pytest.raises(PoissonError, match="residual nan exceeds"):
         solve_streamfunction(grid, omega)
 
 
@@ -217,15 +270,17 @@ def _arakawa_rolls(grid, psi, zeta):
     return (j1 + j2 + j3) / (12.0 * hx * hy)
 
 
-@pytest.mark.parametrize("n", [32, 64])
+# 32^2 and 64^2 are one row block; 96^2 ends in a partial block for every k, 128^2 and 256^2
+# split into several blocks (partial at k = 3)
+@pytest.mark.parametrize("n", [32, 64, 96, 128, 256])
 def test_arakawa_bit_identical_to_roll_formula(n):
     grid = Grid.periodic(n)
     rng = np.random.default_rng(n)
     psi, zeta = rng.standard_normal((2, n, n))
-    assert np.array_equal(_arakawa(grid, psi, zeta), _arakawa_rolls(grid, psi, zeta))
+    assert np.array_equal(_arakawa(grid, psi, zeta).view(np.int64), _arakawa_rolls(grid, psi, zeta).view(np.int64))
 
 
-@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("n", [32, 64, 96, 128, 256])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_arakawa_components_bit_identical_to_roll_formula(n, k):
     grid = Grid.periodic(n)
@@ -236,6 +291,40 @@ def test_arakawa_components_bit_identical_to_roll_formula(n, k):
     for a in range(k):
         reference = _arakawa_rolls(grid, psi, zeta[..., a])
         assert np.array_equal(out[..., a].view(np.int64), reference.view(np.int64))
+
+
+@pytest.mark.parametrize("cells", [1, 100, 48 * 7, 10**9])
+@pytest.mark.parametrize("k", [0, 2])
+def test_arakawa_bits_do_not_depend_on_the_row_block(cells, k, monkeypatch):
+    grid = Grid.periodic(48)
+    rng = np.random.default_rng(k)
+    psi = rng.standard_normal((48, 48))
+    zeta = rng.standard_normal((48, 48, k) if k else (48, 48))
+    reference = _arakawa(grid, psi, zeta)
+    monkeypatch.setattr(transport, "BLOCK_CELLS", cells)  # 1-row blocks, partial blocks, one block
+    assert np.array_equal(_arakawa(grid, psi, zeta).view(np.int64), reference.view(np.int64))
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stage_kernels_bound_the_allocation_peak():
+    # the Jacobian's padded operands and output are whole grids, every other temporary is one
+    # row block; the residual check holds the padded psi and two grid buffers
+    n = 256
+    grid, array = Grid.periodic(n), n * n * 8
+    rng = np.random.default_rng(5)
+    psi, omega, nu = rng.standard_normal((n, n)), rng.standard_normal((n, n)), rng.standard_normal((n, n, 2))
+    assert _traced_peak(_arakawa, grid, psi, omega) < 5 * array
+    assert _traced_peak(_arakawa, grid, psi, nu) < 7 * array
+    omega = two_mode_vorticity(grid)
+    assert _traced_peak(transport._require_poisson, grid, solve_streamfunction(grid, omega), omega) < 3.5 * array
 
 
 def test_compact_laplacian_matches_roll_formula():

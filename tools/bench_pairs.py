@@ -18,6 +18,10 @@ line says whether every run reported ``check: ok`` with no failed op; the
 exit status is 0 only then.  The tool only reads and runs the two
 checkouts; it writes nothing into them beyond what their own benchmark
 writes.
+
+``--json FILE`` also writes the summary, and every run's metrics, into FILE
+under the workload's name, keeping the other workloads already there; three
+calls (certify, transport, cli) with one FILE make one bench ledger.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--json", type=Path, help="also write the summary into this file, keyed by workload")
     return parser.parse_args(argv)
 
 
@@ -58,30 +63,48 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"ok": ok, "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
-def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
-    """Per-metric summary lines for pairs of {"parent": run, "change": run}."""
-    out = []
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per-metric summary of pairs of {"parent": run, "change": run}; None for a metric with too few runs."""
+    out = {}
     for entry in metrics:
         name, lower = entry["name"], entry["better"] == "lower"
         values = {side: [p[side]["metrics"][name] for p in pairs if name in p[side]["metrics"]] for side in SIDES}
         if min(len(v) for v in values.values()) < 2:
-            out.append(f"{name}: too few completed runs")
+            out[name] = None
             continue
-        (pq1, pmed, pq3), (cq1, cmed, cq3) = (
-            statistics.quantiles(values[side], n=4, method="inclusive") for side in SIDES
-        )
+        quartiles = {side: statistics.quantiles(values[side], n=4, method="inclusive") for side in SIDES}
         wins = 0
         for p in pairs:
             a, b = p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name)
             if a is not None and b is not None and a != b and (b < a) == lower:
                 wins += 1
-        beyond = abs(cmed - pmed) > (pq3 - pq1)
+        (pq1, pmed, pq3), cmed = quartiles["parent"], quartiles["change"][1]
+        out[name] = {
+            "unit": entry["unit"],
+            "better": entry["better"],
+            **{side: dict(zip(("q1", "median", "q3"), quartiles[side])) for side in SIDES},
+            "change_over_parent": cmed / pmed,
+            "change_wins": wins,
+            "pairs": len(pairs),
+            "beyond_parent_iqr": abs(cmed - pmed) > (pq3 - pq1),
+        }
+    return out
+
+
+def summary_lines(summary: dict) -> list[str]:
+    """One printed line per metric of a summary."""
+    out = []
+    for name, s in summary.items():
+        if s is None:
+            out.append(f"{name}: too few completed runs")
+            continue
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = ([s[side][k] for k in ("q1", "median", "q3")] for side in SIDES)
         out.append(
-            f"{name} ({entry['unit']}, {entry['better']} is better): "
+            f"{name} ({s['unit']}, {s['better']} is better): "
             f"parent median {pmed:.6g} [q1 {pq1:.6g}, q3 {pq3:.6g}]  "
             f"change median {cmed:.6g} [q1 {cq1:.6g}, q3 {cq3:.6g}]  "
-            f"change/parent {cmed / pmed:.3f}  change wins {wins}/{len(pairs)}  "
-            f"|median difference| > parent IQR: {'yes' if beyond else 'no'}"
+            f"change/parent {s['change_over_parent']:.3f}  change wins {s['change_wins']}/{s['pairs']}  "
+            f"|median difference| > parent IQR: {'yes' if s['beyond_parent_iqr'] else 'no'}"
         )
     return out
 
@@ -95,16 +118,24 @@ def main(argv=None) -> int:
     pairs = []
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {}
+        pair = {}  # in run order
         for side in order:
             pair[side] = run_once(dirs[side], args.workload, args.seed, seconds)
             shown = "  ".join(f"{k} {v:.6g}" for k, v in pair[side]["metrics"].items())
             print(f"pair {i} {side:<6} {'ok' if pair[side]['ok'] else 'FAILED'}  {shown}", flush=True)
         pairs.append(pair)
-    for line in summarize(pairs, spec["end_to_end"]):
+    summary = summarize(pairs, spec["end_to_end"])
+    for line in summary_lines(summary):
         print(line)
     all_ok = all(p[side]["ok"] for p in pairs for side in SIDES)
     print(f"every run check: ok with 0 failed ops: {'yes' if all_ok else 'NO'}")
+    if args.json is not None:
+        ledger = json.loads(args.json.read_text(encoding="utf-8")) if args.json.exists() else {}
+        ledger[args.workload] = {
+            "seed": args.seed, "run_seconds": seconds, "all_check_ok": all_ok, "metrics": summary,
+            "runs": pairs,
+        }
+        args.json.write_text(json.dumps(ledger, indent=1) + "\n", encoding="utf-8")
     return 0 if all_ok else 1
 
 
