@@ -72,10 +72,13 @@ from .fieldcalc import (
     VectorField,
     _advect,
     _div,
+    _dot,
+    _dyadic,
     _first_index,
     _grad,
     _hess,
     _linf,
+    _pointwise_magnitude,
     advect_steady,
     curl_vector,
     grad_scalar,
@@ -174,6 +177,7 @@ class ComplexState:
         object.__setattr__(self, "rho", _density(self.iota, self.v, self.eta, self.nu))
         gnu = order_grad(self.nu)
         object.__setattr__(self, "grad_nu", gnu)
+        # np.einsum, not _dyadic: on a 3-D grid it adds this contiguous axis in another order
         nu_dot = np.einsum("...ai,...i->...a", gnu.values, self.v.values)
         object.__setattr__(self, "nu_dot", OrderField(self.nu.grid, nu_dot))
 
@@ -194,7 +198,7 @@ def lamb_vector(v: VectorField) -> VectorField:
 
 
 def _speed2(v: VectorField) -> np.ndarray:
-    return np.sum(v.values**2, axis=-1)
+    return _dot(v.values, v.values)
 
 
 def _thermo(grid: Grid, theta: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -281,7 +285,7 @@ def _rho_p(state: KortewegState, model: KortewegModel) -> np.ndarray:
 def _p_grad_iota(state: KortewegState, model: KortewegModel) -> np.ndarray:
     """P.grad(iota) with P = dphi_dgrad_iota."""
     g_iota = state.grad_iota.values
-    return np.sum(model.dphi_dgrad_iota(g_iota) * g_iota, axis=-1)
+    return _dot(model.dphi_dgrad_iota(g_iota), g_iota)
 
 
 def _iota_rate(state: KortewegState, coenergy: KortewegCoEnergy) -> np.ndarray:
@@ -291,7 +295,7 @@ def _iota_rate(state: KortewegState, coenergy: KortewegCoEnergy) -> np.ndarray:
 
 
 def _dyad(state: KortewegState, model: KortewegModel) -> np.ndarray:
-    return np.einsum("...i,...j->...ij", state.grad_iota.values, _rho_p(state, model))
+    return _dyadic(state.grad_iota.values[..., None, :], _rho_p(state, model)[..., None, :])
 
 
 def korteweg_stress(state: KortewegState, model: KortewegModel) -> TensorField:
@@ -309,7 +313,8 @@ def korteweg_stress_expanded(state: KortewegState, model: KortewegModel) -> Vect
     grid = state.grid
     rp = _rho_p(state, model)
     hess = _hess(grid, state.iota.values)
-    out = _div(grid, rp)[..., None] * state.grad_iota.values + np.einsum("...ij,...j->...i", hess, rp)
+    hess_rp = _dyadic(np.swapaxes(hess, -1, -2), rp[..., None])[..., 0]  # sum_j hess[..., i, j] rp[..., j]
+    out = _div(grid, rp)[..., None] * state.grad_iota.values + hess_rp
     return VectorField(grid, out)
 
 
@@ -551,7 +556,7 @@ def complex_interactions(state: ComplexState, parts: GinzburgLandauPartials) -> 
     s = rho[..., None, None] * parts.dphi_dgrad_nu
     z = rho[..., None] * parts.dphi_dnu
     pressure_like = (rho * state.iota.values * parts.dphi_diota)[..., None, None] * np.eye(grid.dim)
-    dyad = np.einsum("...ai,...aj->...ij", state.grad_nu.values, s)
+    dyad = _dyadic(state.grad_nu.values, s)
     return ComplexInteractions(
         stress=TensorField(grid, pressure_like - dyad),
         microstress=OrderGradField(grid, s),
@@ -599,13 +604,14 @@ def _complex_terms(
     """
     grid = v.grid
     rho = 1.0 / iota
-    hess = np.ascontiguousarray(_hess(grid, nu))  # einsum sums a strided operand in another order
+    # the (a, j) axes of a chart gradient flattened into one, so that a sum over both is one chart sum
+    pairs = grid.extents + (grad_nu.shape[-2] * grid.dim,)
 
     xi_c = (
         parts.phi
         - iota * parts.dphi_diota
-        - np.sum(parts.dphi_dnu * nu, axis=-1)
-        - np.sum(parts.dphi_dgrad_nu * grad_nu, axis=(-2, -1))
+        - _dot(parts.dphi_dnu, nu)
+        - _dot(parts.dphi_dgrad_nu, grad_nu, axes=2)
     )
 
     s = rho[..., None, None] * parts.dphi_dgrad_nu
@@ -617,13 +623,15 @@ def _complex_terms(
     # -(grad(iota*(div S - d/dt dchi_dnudot + dchi_dnu)))^T nu
     grad_bal = _grad(grid, iota[..., None] * (div_s - chi_rate + dchi_dnu))
 
+    # each contraction below is a chart sum with a one-column second operand
+    hess = _hess(grid, nu)  # (..., m, dim_j, dim_i), C-contiguous
     terms = {
         "thermo": _thermo(grid, parts.theta, eta),
         "enthalpy": -_grad(grid, 0.5 * _speed2(v) + xi_c),
-        "micro_grad": -np.einsum("...aji,...aj->...i", grad_p, grad_nu),
-        "order_balance": -np.einsum("...ai,...a->...i", grad_bal, nu),
-        "micro_div": -iota[..., None] * np.einsum("...ai,...a->...i", grad_nu, div_s),
-        "micro_hess": -iota[..., None] * np.einsum("...aj,...aji->...i", s, hess),
+        "micro_grad": -_dyadic(grad_p.reshape(pairs + (grid.dim,)), grad_nu.reshape(pairs + (1,)))[..., 0],
+        "order_balance": -_dyadic(grad_bal, nu[..., None])[..., 0],
+        "micro_div": -iota[..., None] * _dyadic(grad_nu, div_s[..., None])[..., 0],
+        "micro_hess": -iota[..., None] * _dyadic(hess.reshape(pairs + (grid.dim,)), s.reshape(pairs + (1,)))[..., 0],
     }
     return lamb_vector(v), terms
 
@@ -656,7 +664,7 @@ def complex_momentum_residual(state: ComplexState, parts: GinzburgLandauPartials
     rho = state.rho.values
     iota = state.iota.values
     p_tilde = -(rho * iota) * parts.dphi_diota
-    dyad = np.einsum("...ai,...aj->...ij", state.grad_nu.values, rho[..., None, None] * parts.dphi_dgrad_nu)
+    dyad = _dyadic(state.grad_nu.values, rho[..., None, None] * parts.dphi_dgrad_nu)
     out = (
         lamb_vector(state.v).values
         + 0.5 * _grad(grid, _speed2(state.v))
@@ -677,7 +685,7 @@ def substructural_coupling(
     """
     rs = substructural_balance_residual(state, parts, coenergy)
     grad_c = _grad(state.grid, state.iota.values[..., None] * rs.values)
-    return VectorField(state.grid, np.einsum("...ai,...a->...i", grad_c, state.nu.values))
+    return VectorField(state.grid, _dyadic(grad_c, state.nu.values[..., None])[..., 0])
 
 
 def complex_defect_identity(
@@ -734,7 +742,7 @@ def corollary_check(report: CroccoReport, mode: str) -> CorollaryCheck:
         target = report.lhs.values - report.substructural_sum().values
     else:
         raise SchemaError(f"mode must be 'cancellation' or 'generation', got {mode!r}")
-    field = ScalarField(report.lhs.grid, np.sqrt(np.sum(target**2, axis=-1)))
+    field = ScalarField(report.lhs.grid, _pointwise_magnitude(report.lhs.grid, target))
     return CorollaryCheck(mode, field, l2_norm(field), linf_norm(field))
 
 

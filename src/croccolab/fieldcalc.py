@@ -24,19 +24,29 @@ Index conventions (normative for the whole package)
   This convention is what makes the product-rule expansion of the dyadic
   stress ``grad(f) (x) w`` come out as ``(div w) grad(f) + (grad^2 f) w``.
 
-All first derivatives are second-order central differences; a periodic axis
-wraps, a one-sided axis closes the boundary with the second-order one-sided
-stencil.  One generic path serves every rank, and this module is the only
-place that loops over coordinate axes.  ``_grad`` appends a trailing
-derivative axis to an array of any rank, ``_div`` contracts its last axis,
-``_hess`` is ``_grad`` applied twice with the last two axes swapped and
-``_advect`` is steady advection.  Second derivatives are therefore repeated
-first derivatives, which makes mixed partials symmetric to rounding.  The
-typed operators below (grad, div, Jacobian, Hessian, the ``order_*``
-operators, steady advection) are thin wrappers over these helpers.  The
-relation and transport modules call the helpers on plain intermediate
-arrays: a field, whose values are checked finite, is built only for a
-state, a report's terms and the result of a public function.
+All first derivatives are second-order central differences from one slice
+stencil, ``_diff``, for both boundary policies: a periodic axis wraps, and a
+one-sided axis closes its two end cells with the second-order one-sided
+formulas of ``np.gradient(..., edge_order=2)``, operation for operation.  One
+generic path serves every rank, and this module is the only place that
+loops over coordinate axes.  ``_grad`` appends a trailing derivative axis to
+an array of any rank, ``_diff`` writing each derivative into its slot,
+``_div`` contracts its last axis, ``_hess`` writes ``d_i (d_j a)`` into a
+C-contiguous array indexed ``[..., i, j]`` (``_grad`` applied twice, its last
+two axes swapped) and ``_advect`` is steady advection.  Second derivatives
+are therefore repeated first derivatives, which makes mixed partials
+symmetric to rounding.  The typed operators below (grad, div, Jacobian,
+Hessian, the ``order_*`` operators, steady advection) are thin wrappers over
+these helpers.  The relation and transport modules call the helpers on plain
+intermediate arrays: a field, whose values are checked finite, is built only
+for a state, a report's terms and the result of a public function.
+
+Sums over component axes go through two contraction helpers: ``_dot`` sums
+``a[..., k] * b[..., k]`` over trailing axes and ``_dyadic`` is the chart sum
+``sum_a g[..., a, i] * s[..., a, j]``.  Both add whole-grid component slices
+one by one from +0, the order in which np.sum adds a short axis and
+np.einsum a chart axis, so they give those functions' bits without their
+cost on axes two to four elements long.
 
 Every operator is a pure function: fields are immutable after construction
 (their arrays are marked read-only) and operators allocate fresh arrays, so
@@ -46,6 +56,7 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -230,31 +241,37 @@ def require_same_grid(*fields: Field) -> Grid:
 # ---------------------------------------------------------------------------
 
 
-def _diff(grid: Grid, values: np.ndarray, axis: int) -> np.ndarray:
-    """Second-order d/dx_axis of an array whose leading axes are the cell axes."""
+def _diff(grid: Grid, values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Second-order d/dx_axis of an array whose leading axes are the cell axes, into `out` if given."""
     h = grid.spacing[axis]
-    if grid.boundary[axis] != PERIODIC:
-        # one-sided second order at both ends, central in the interior
-        return np.gradient(values, h, axis=axis, edge_order=2)
-    # (a[i+1] - a[i-1]) / 2h with the neighbours read as slices and the two
-    # wrap cells set apart: the roll formula's arithmetic without its copies
     lead = (slice(None),) * axis
     ahead, behind, inner = (lead + (s,) for s in (slice(2, None), slice(None, -2), slice(1, -1)))
-    out = np.empty(values.shape)
-    np.subtract(values[ahead], values[behind], out=out[inner])
-    np.subtract(values[lead + (1,)], values[lead + (-1,)], out=out[lead + (0,)])
-    np.subtract(values[lead + (0,)], values[lead + (-2,)], out=out[lead + (-1,)])
-    out /= 2.0 * h
+    # the differences go to a contiguous buffer and the division by 2h writes `out`: into a
+    # strided slot of a gradient, one strided pass instead of two
+    diffs = np.empty(values.shape)
+    out = diffs if out is None else out
+    # (a[i+1] - a[i-1]) / 2h with the neighbours read as slices, for either policy
+    np.subtract(values[ahead], values[behind], out=diffs[inner])
+    if grid.boundary[axis] == PERIODIC:
+        # the two wrap cells: the roll formula's arithmetic without its copies
+        np.subtract(values[lead + (1,)], values[lead + (-1,)], out=diffs[lead + (0,)])
+        np.subtract(values[lead + (0,)], values[lead + (-2,)], out=diffs[lead + (-1,)])
+        return np.divide(diffs, 2.0 * h, out=out)
+    np.divide(diffs[inner], 2.0 * h, out=out[inner])
+    # the one-sided ends: np.gradient's edge_order=2 formulas, operation for operation
+    for end, cells, coefs in ((0, (0, 1, 2), (-1.5, 2.0, -0.5)), (-1, (-3, -2, -1), (0.5, -2.0, 1.5))):
+        edge = out[lead + (end,)]
+        np.multiply(coefs[0] / h, values[lead + (cells[0],)], out=edge)
+        edge += (coefs[1] / h) * values[lead + (cells[1],)]
+        edge += (coefs[2] / h) * values[lead + (cells[2],)]
     return out
 
 
 def _grad(grid: Grid, a: np.ndarray) -> np.ndarray:
     """Gradient of any rank: out[..., i] = d a[...] / d x_i, a trailing derivative axis."""
-    # one strided copy per component, as np.stack makes too, but about
-    # twice as fast as its concatenate on a 256x256 grid
     out = np.empty(a.shape + (grid.dim,))
     for i in range(grid.dim):
-        out[..., i] = _diff(grid, a, i)
+        _diff(grid, a, i, out=out[..., i])
     return out
 
 
@@ -262,13 +279,18 @@ def _div(grid: Grid, a: np.ndarray) -> np.ndarray:
     """Divergence of any rank over the LAST axis: out[...] = sum_j d a[..., j] / d x_j."""
     out = _diff(grid, a[..., 0], 0)
     for j in range(1, grid.dim):
-        out = out + _diff(grid, a[..., j], j)
+        out += _diff(grid, a[..., j], j)
     return out
 
 
 def _hess(grid: Grid, a: np.ndarray) -> np.ndarray:
-    """Second gradient of any rank: out[..., i, j] = d_i (d_j a[...])."""
-    return np.swapaxes(_grad(grid, _grad(grid, a)), -1, -2)
+    """Second gradient of any rank, C-contiguous: out[..., i, j] = d_i (d_j a[...])."""
+    out = np.empty(a.shape + (grid.dim, grid.dim))
+    for j in range(grid.dim):
+        first = _diff(grid, a, j)
+        for i in range(grid.dim):
+            _diff(grid, first, i, out=out[..., i, j])
+    return out
 
 
 def grad_scalar(f: ScalarField) -> VectorField:
@@ -336,11 +358,12 @@ def order_second_grad(nu: OrderField) -> OrderHessField:
 
 def _advect(grid: Grid, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(v . grad) a for an array of any rank and velocity values v."""
-    g = _grad(grid, a)
     vb = v.reshape(grid.extents + (1,) * (a.ndim - grid.dim) + (grid.dim,))
     out = np.zeros_like(a)
     for i in range(grid.dim):
-        out += vb[..., i] * g[..., i]
+        d = _diff(grid, a, i)
+        d *= vb[..., i]
+        out += d
     return out
 
 
@@ -348,6 +371,48 @@ def advect_steady(f: Field, v: VectorField) -> Field:
     """Steady material derivative (v . grad) f, componentwise, same rank as f."""
     grid = require_same_grid(f, v)
     return type(f)(grid, _advect(grid, f.values, v.values))
+
+
+# ---------------------------------------------------------------------------
+# component contractions
+# ---------------------------------------------------------------------------
+
+
+def _dot(a: np.ndarray, b: np.ndarray, axes: int = 1) -> np.ndarray:
+    """sum of a * b over the trailing `axes` axes of `a` (b broadcasts), as np.sum adds it.
+
+    Below 8 terms np.sum adds them one by one in C order of those axes,
+    from +0, and so does this loop over whole-grid component slices, which
+    skips np.sum's cost on a short innermost axis; the closing ``+ 0.0`` is
+    the +0 start, turning an all -0 sum into +0 and leaving every other sum
+    as it is.  From 8 terms on np.sum adds pairwise, and the sum is its own.
+    """
+    keys = [(Ellipsis,) + k for k in itertools.product(*map(range, a.shape[a.ndim - axes:]))]
+    if len(keys) >= 8:
+        return np.sum(a * b, axis=tuple(range(-axes, 0)))
+    acc = a[keys[0]] * b[keys[0]]
+    for k in keys[1:]:
+        acc += a[k] * b[k]
+    acc += 0.0
+    return acc
+
+
+def _dyadic(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Chart sum out[..., i, j] = sum_a g[..., a, i] * s[..., a, j], as np.einsum("...ai,...aj->...ij") adds it.
+
+    One accumulator per (i, j) over whole-grid component slices: the
+    broadcast product summed over the chart axis runs inner loops m long.
+    The terms are added in chart order for any m, and the write into `out`
+    adds the +0 that np.einsum starts from.
+    """
+    out = np.empty(g.shape[:-2] + (g.shape[-1], s.shape[-1]))
+    for i in range(g.shape[-1]):
+        for j in range(s.shape[-1]):
+            acc = g[..., 0, i] * s[..., 0, j]
+            for a in range(1, g.shape[-2]):
+                acc += g[..., a, i] * s[..., a, j]
+            np.add(acc, 0.0, out=out[..., i, j])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,15 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fieldcalc import OrderField, OrderGradField, ScalarField, _first_index, require_same_grid
+from .fieldcalc import (
+    OrderField,
+    OrderGradField,
+    ScalarField,
+    _dot,
+    _first_index,
+    _pointwise_magnitude,
+    require_same_grid,
+)
 
 QUADRATIC = "quadratic"
 TWO_WELL = "two-well"
@@ -153,8 +161,8 @@ class KortewegModel(MechanicalPart, ThermalPart):
         self._check_thermal()
 
     def phi(self, iota: np.ndarray, grad_iota: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        gsq = np.sum(np.asarray(grad_iota) ** 2, axis=-1)
-        return self.f_mech(iota) + self.entropic(eta) + 0.5 * self.beta * gsq
+        g = np.asarray(grad_iota)
+        return self.f_mech(iota) + self.entropic(eta) + 0.5 * self.beta * _dot(g, g)
 
     def dphi_diota(self, iota: np.ndarray) -> np.ndarray:
         return self.df_mech(iota)
@@ -264,21 +272,20 @@ class ComplexFluidModel(MechanicalPart, ThermalPart):
         eta: np.ndarray,
     ) -> np.ndarray:
         gn = np.asarray(grad_nu)
-        gnormsq = np.sum(gn * gn, axis=(-2, -1))
-        return self._gamma(iota, nu, eta) + 0.5 * self.a * gnormsq
+        return self._gamma(iota, nu, eta) + 0.5 * self.a * _dot(gn, gn, axes=2)
 
     def _gamma(self, iota: np.ndarray, nu: np.ndarray, eta: np.ndarray) -> np.ndarray:
         f = self.f_mech(iota) + self.entropic(eta)
         if self.gamma_kind == QUADRATIC:
             d = np.asarray(nu) - self.nu_anchor(iota)
-            return 0.5 * self.k * np.sum(d * d, axis=-1) + f
+            return 0.5 * self.k * _dot(d, d) + f
         return _mech_value(TWO_WELL, self.k, self.well_1, self.well_2, np.asarray(nu)[..., 0]) + f
 
     def dphi_diota(self, iota: np.ndarray, nu: np.ndarray) -> np.ndarray:
         out = self.df_mech(iota)
         if self.gamma_kind == QUADRATIC and any(s != 0.0 for s in self.nu_ref_slope):
             d = np.asarray(nu) - self.nu_anchor(iota)
-            out = out - self.k * np.sum(d * np.asarray(self.nu_ref_slope), axis=-1)
+            out = out - self.k * _dot(d, np.asarray(self.nu_ref_slope))
         return out
 
     def dphi_dnu(self, iota: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -297,8 +304,7 @@ def check_sphere_constraint(model: ComplexFluidModel, nu: OrderField) -> None:
     """Reject order-parameter input off the unit sphere when the model demands it."""
     if not model.sphere_constrained:
         return
-    norms = np.sqrt(np.sum(nu.values**2, axis=-1))
-    dev = np.abs(norms - 1.0)
+    dev = np.abs(_pointwise_magnitude(nu.grid, nu.values) - 1.0)
     if np.max(dev) > SPHERE_TOL:
         raise ModelError(f"order parameter leaves the unit sphere at cell {_first_index(dev > SPHERE_TOL)}")
 

@@ -46,7 +46,9 @@ from .fieldcalc import (
     ScalarField,
     VectorField,
     _div,
+    _dot,
     _grad,
+    _pointwise_magnitude,
     grad_scalar,
     require_same_grid,
 )
@@ -98,7 +100,7 @@ class SmecticState:
 def _director(state: SmecticState, model: SmecticModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``|grad w|``, its core-regularized value, the director array and the core flags."""
     gw = state.grad_w.values
-    mag = np.sqrt(np.sum(gw * gw, axis=-1))
+    mag = _pointwise_magnitude(state.grid, gw)
     flags = mag <= model.eps_reg
     if np.all(flags):
         raise DefectCoreError("`|grad w|` is below the core threshold on every cell")
@@ -114,7 +116,7 @@ def _layer_partials(state: SmecticState, model: SmecticModel) -> tuple[np.ndarra
     energy = 0.5 * model.gamma1 * (mag - 1.0) ** 2 + 0.5 * model.gamma2 * div_n**2
     g_div_n = _grad(grid, div_n)
     # (I - n(x)n) u = u - n (n.u)
-    proj = g_div_n - n * np.sum(n * g_div_n, axis=-1)[..., None]
+    proj = g_div_n - n * _dot(n, g_div_n)[..., None]
     s = model.gamma1 * (mag - 1.0)[..., None] * n - model.gamma2 * (1.0 / reg)[..., None] * proj
     return energy, s
 

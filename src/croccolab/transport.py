@@ -72,6 +72,7 @@ from .fieldcalc import (
     VectorField,
     _diff,
     _div,
+    _dyadic,
     _grad,
     curl_vector,
     div_tensor,
@@ -271,17 +272,7 @@ def _stress(grid: Grid, nu: np.ndarray, model: ComplexFluidModel) -> np.ndarray:
     if nu.shape[-1] != model.m:
         raise ModelError(f"chart dimension mismatch: model m={model.m}, field m={nu.shape[-1]}")
     gnu = _grad(grid, nu)
-    p = model.dphi_dgrad_nu(gnu)
-    # one accumulator per (i, j) over whole-grid component slices: a broadcast
-    # product summed over the chart axis would run inner loops two elements long
-    out = np.empty(gnu.shape[:-2] + (grid.dim, grid.dim))
-    for i in range(grid.dim):
-        for j in range(grid.dim):
-            acc = gnu[..., 0, i] * p[..., 0, j]
-            for a in range(1, model.m):
-                acc += gnu[..., a, i] * p[..., a, j]
-            out[..., i, j] = acc
-    return out
+    return _dyadic(gnu, model.dphi_dgrad_nu(gnu))
 
 
 def substructural_stress(grid: Grid, nu: OrderField, model: ComplexFluidModel) -> TensorField:

@@ -22,6 +22,10 @@ from croccolab.fieldcalc import (
     TensorField,
     VectorField,
     _diff,
+    _dot,
+    _dyadic,
+    _grad,
+    _hess,
     _pointwise_magnitude,
     advect_steady,
     curl_vector,
@@ -478,6 +482,98 @@ def test_pointwise_magnitude_bit_identical_to_component_sum(width):
     flat = values.reshape(grid.extents + (-1,))
     reference = np.sqrt(np.sum(flat * flat, axis=-1))
     assert np.array_equal(_bits(_pointwise_magnitude(grid, values)), _bits(reference))
+
+
+def _wild(rng, shape):
+    """Values over many decades, so that any change in the order of a sum shows in its bits."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    values.flat[::7] = -0.0
+    values.flat[3::11] = 0.0
+    return values
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid.one_sided((9, 11), (0.3, 0.7)), Grid.one_sided((5, 6, 4), (0.4, 0.3, 1.3))],
+    ids=["one-sided-2d", "one-sided-3d"],
+)
+@pytest.mark.parametrize("components", [(), (2,), (3, 2)], ids=["rank0", "rank1", "rank2"])
+def test_one_sided_diff_bit_identical_to_np_gradient(grid, components):
+    rng = np.random.default_rng(6)
+    values = _wild(rng, grid.extents + components)
+    inputs = {
+        "contiguous": values,
+        "strided": _wild(rng, grid.extents + components + (3,))[..., 1],
+        "fortran": np.asfortranarray(values),
+        "reversed": values[::-1],
+    }
+    for label, a in inputs.items():
+        for axis in range(grid.dim):
+            ref = np.gradient(a, grid.spacing[axis], axis=axis, edge_order=2)
+            got = _diff(grid, a, axis)
+            assert got.shape == ref.shape, (label, axis)
+            assert np.array_equal(_bits(got), _bits(ref)), (label, axis)
+            slot = np.full(a.shape + (2,), np.nan)[..., 1]  # a strided out= slot, as _grad passes
+            assert _diff(grid, a, axis, out=slot) is slot
+            assert np.array_equal(_bits(slot), _bits(ref)), (label, axis)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid.periodic(8),
+        Grid.one_sided((7, 9), (0.3, 0.2)),
+        Grid.periodic(5, dim=3),
+        Grid((5, 6, 4), (0.4, 0.3, 0.5), ("periodic", "one-sided", "one-sided")),
+    ],
+    ids=["periodic-2d", "one-sided-2d", "periodic-3d", "mixed-3d"],
+)
+@pytest.mark.parametrize("components", [(), (2,), (3, 2)], ids=["rank0", "rank1", "rank2"])
+def test_hessian_is_contiguous_and_bit_identical_to_swapped_repeated_gradient(grid, components):
+    rng = np.random.default_rng(8)
+    a = _wild(rng, grid.extents + components)
+    ref = np.swapaxes(_grad(grid, _grad(grid, a)), -1, -2)
+    got = _hess(grid, a)
+    assert got.flags.c_contiguous
+    assert np.array_equal(_bits(got), _bits(ref))
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_contraction_bit_identical_to_np_sum(width):
+    rng = np.random.default_rng(width)
+    a, b = _wild(rng, (9, 7, width)), _wild(rng, (9, 7, width))
+    a[0], b[0] = -1.0, 0.0  # all -0 products: np.sum gives +0
+    assert np.array_equal(_bits(_dot(a, b)), _bits(np.sum(a * b, axis=-1)))
+    assert not np.signbit(_dot(a, b)[0]).any()
+    # b broadcast over the cells, as a model's constant covector is
+    assert np.array_equal(_bits(_dot(a, b[0, 0])), _bits(np.sum(a * b[0, 0], axis=-1)))
+    # one cell, as validate_partials evaluates the potentials
+    assert np.array_equal(_bits(_dot(a[2, 3], b[2, 3])), _bits(np.sum(a[2, 3] * b[2, 3])))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_two_axis_contraction_bit_identical_to_np_sum(m, dim):
+    rng = np.random.default_rng(10 * m + dim)
+    a, b = _wild(rng, (6, 5, m, dim)), _wild(rng, (6, 5, m, dim))
+    a[0], b[0] = -1.0, 0.0  # all -0 products: np.sum gives +0
+    assert np.array_equal(_bits(_dot(a, b, axes=2)), _bits(np.sum(a * b, axis=(-2, -1))))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 1), (3, 1)])
+def test_dyadic_chart_sum_bit_identical_to_einsum(m, dims):
+    rng = np.random.default_rng(m)
+    g, s = _wild(rng, (7, 6, m, dims[0])), _wild(rng, (7, 6, m, dims[1]))
+    g[0], s[0] = -1.0, 0.0  # all -0 products: einsum gives +0
+    operands = {
+        "contiguous": (g, s),
+        "strided": (_wild(rng, (7, 6, m, 2 * dims[0]))[..., ::2], s),
+        "fortran": (np.asfortranarray(g), np.asfortranarray(s)),
+    }
+    for label, (x, y) in operands.items():
+        ref = np.einsum("...ai,...aj->...ij", x, y)
+        assert np.array_equal(_bits(_dyadic(x, y)), _bits(ref)), label
 
 
 # ---------------------------------------------------------------------------
