@@ -20,6 +20,14 @@ in-memory layout of the field arrays).  Binary payloads are raw IEEE-754
 doubles; CSV payloads print 17 significant digits, so both encodings
 round-trip bit-exactly.
 
+A binary payload is written straight from the field array's own buffer,
+with no copy.  A CSV payload is written in blocks of rows of about
+``CSV_BLOCK_VALUES`` values: one ``%.17g`` row format, repeated for the
+rows of the block, is applied to the block's values at once, and each
+block is encoded and written before the next is formatted.  ``%.17g`` and
+``format(x, ".17g")`` print a double through the same conversion, so the
+bytes are those of formatting every value by itself.
+
 ``kind`` names the field class and ``m`` is its chart dimension, >= 1
 for the order-parameter kinds and 0 for the others; ``components``, the
 values per cell, is the product of the class's ``component_shape(dim, m)``.
@@ -65,6 +73,9 @@ KINDS = {cls.kind: cls for cls in (ScalarField, VectorField, TensorField, OrderF
 
 LAYOUT = "row-major component-fastest"
 ENCODINGS = ("binary", "csv")
+# values per CSV block; a block's text (at most ~25 bytes a value) is all the payload text held
+# at once, whatever the field's size
+CSV_BLOCK_VALUES = 8192
 _KEYS = ("kind", "dim", "extents", "spacing", "boundary", "m", "components", "layout", "encoding")
 
 
@@ -100,10 +111,15 @@ def write_field(field: Field, path: str, encoding: str = "binary") -> None:
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("utf-8"))
         if encoding == "binary":
-            fh.write(flat.astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(flat, dtype="<f8"))
         else:
-            lines = "\n".join(",".join(_fmt(x) for x in row) for row in flat)
-            fh.write((lines + "\n").encode("utf-8"))
+            # "%.17g" % x and format(x, ".17g") print through one double-to-string conversion, so
+            # one format per block writes the bytes of one format call per value
+            row = ",".join(["%.17g"] * flat.shape[1]) + "\n"
+            rows = max(1, CSV_BLOCK_VALUES // flat.shape[1])
+            for i0 in range(0, grid.n_cells, rows):
+                block = flat[i0 : i0 + rows]
+                fh.write(((row * len(block)) % tuple(block.ravel().tolist())).encode("ascii"))
 
 
 def _parse_header(lines: list[str]) -> dict[str, str]:

@@ -17,13 +17,17 @@ The advection term is discretized with the Arakawa 9-point Jacobian, whose
 discrete conservation of energy and enstrophy keeps the conserving-case
 drift purely time-integration (RK4) sized; a naive central product form
 would leak enstrophy at a rate set by the spatial resolution, drowning the
-time-step signal.  The Jacobian pads psi and its operand once, then runs
-the stencil over blocks of rows of about ``BLOCK_CELLS`` cells (summed over
-components) into one output array, so its temporaries stay cache-sized;
-each cell sees the same operations in the same order for any block height,
-so the result does not depend on it.  Time stepping is classical explicit
-RK4.  The Poisson solve is a real FFT (``rfft2``) against an
-inverse-eigenvalue table cached per grid, and its residual
+time-step signal.  The Jacobian pads psi once and each operand component
+as its own 2-D plane, then runs the stencil over blocks of rows of about
+``BLOCK_CELLS`` cells of one plane, so its temporaries stay cache-sized.
+Per block it takes psi's differences once and runs the nine-point
+expression plane by plane into that component of one output array: every
+operation is plane against plane, never a 2-D psi term broadcast against a
+component axis, and a component's result is bit for bit that of a call on
+it alone.  Each cell sees the same operations in the same order for any
+block height, so the result does not depend on it.  Time stepping is
+classical explicit RK4.  The Poisson solve is a real FFT (``rfft2``)
+against an inverse-eigenvalue table cached per grid, and its residual
 ``max|lap(psi) + omega|`` is checked at every solve against
 ``POISSON_TOL * max(1, max|omega|)``, a bound relative to the vorticity's
 own scale; a non-finite residual or vorticity fails the check too.  The
@@ -86,9 +90,9 @@ from .fieldcalc import (
 from .models import ComplexFluidModel, ModelError
 
 POISSON_TOL = 1e-10  # per unit of max(1, max|omega|)
-# cells per row block of the Jacobian, summed over components, so its block temporaries stay in
-# cache.  On a 10-step frozen 256^2 run (2 vCPU) 4096 was ~10% slower and 16384 within noise of
-# 8192, which allocates less; 64^2 with one or two components is one block.
+# cells per row block of the Jacobian, counted in one plane (one component), so its block
+# temporaries stay in cache.  On a 10-step frozen 256^2 run (2 vCPU) 4096 was ~10% slower and
+# 16384 within noise of 8192, which allocates less; a 64^2 plane is one block.
 BLOCK_CELLS = 8192
 CFL_LIMIT = 0.5
 
@@ -194,28 +198,33 @@ def _arakawa(grid: Grid, psi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     with the same psi and the result has the shape of ``zeta``.
     """
     hx, hy = grid.spacing
-    # components lead inside, so each operation runs over whole rows of one component
-    z = np.moveaxis(zeta, -1, 0) if zeta.ndim == 3 else zeta
-    p, zp = _wrap_pad(psi), _wrap_pad(z)
-    out = np.empty(z.shape)
+    scale = 12.0 * hx * hy
+    # each component is its own padded plane, so every operation is plane against plane (a 2-D
+    # psi term broadcast against a component axis runs ~2.4x slower per element)
+    stack = zeta if zeta.ndim == 3 else zeta[..., None]
+    out = np.empty(stack.shape)
+    planes = [(_wrap_pad(stack[..., c]), out[..., c]) for c in range(stack.shape[-1])]
+    p = _wrap_pad(psi)
     nx, ny = psi.shape
-    rows = max(1, BLOCK_CELLS // (ny * (z.size // psi.size)))
+    rows = max(1, BLOCK_CELLS // ny)
     for i0 in range(0, nx, rows):
         i1 = min(i0 + rows, nx)
         # rows i0-1 .. i1 of the grid, as padded rows i0 .. i1+1; axis 0 runs west -> east, axis 1
         # south -> north.  Every neighbour difference of the stencil is a slice of one padded
         # difference per axis (e.g. pne - pnw = px[:, 2:]), so each subtraction is done once and
-        # is the same subtraction for every block size.
-        pb, zb = p[i0 : i1 + 2], zp[..., i0 : i1 + 2, :]
+        # is the same subtraction for every block size.  The psi terms serve every plane.
+        pb = p[i0 : i1 + 2]
         px, py = pb[2:, :] - pb[:-2, :], pb[:, 2:] - pb[:, :-2]
-        zx, zy = zb[..., 2:, :] - zb[..., :-2, :], zb[..., :, 2:] - zb[..., :, :-2]
         pe, pw, pn, ps = pb[2:, 1:-1], pb[:-2, 1:-1], pb[1:-1, 2:], pb[1:-1, :-2]
-        ze, zw, zn, zs = zb[..., 2:, 1:-1], zb[..., :-2, 1:-1], zb[..., 1:-1, 2:], zb[..., 1:-1, :-2]
-        j1 = px[:, 1:-1] * zy[..., 1:-1, :] - py[1:-1, :] * zx[..., :, 1:-1]
-        j2 = pe * zy[..., 2:, :] - pw * zy[..., :-2, :] - pn * zx[..., :, 2:] + ps * zx[..., :, :-2]
-        j3 = zn * px[:, 2:] - zs * px[:, :-2] - ze * py[2:, :] + zw * py[:-2, :]
-        np.divide(j1 + j2 + j3, 12.0 * hx * hy, out=out[..., i0:i1, :])
-    return np.moveaxis(out, 0, -1) if zeta.ndim == 3 else out
+        for zp, o in planes:
+            zb = zp[i0 : i1 + 2]
+            zx, zy = zb[2:, :] - zb[:-2, :], zb[:, 2:] - zb[:, :-2]
+            ze, zw, zn, zs = zb[2:, 1:-1], zb[:-2, 1:-1], zb[1:-1, 2:], zb[1:-1, :-2]
+            j1 = px[:, 1:-1] * zy[1:-1, :] - py[1:-1, :] * zx[:, 1:-1]
+            j2 = pe * zy[2:, :] - pw * zy[:-2, :] - pn * zx[:, 2:] + ps * zx[:, :-2]
+            j3 = zn * px[:, 2:] - zs * px[:, :-2] - ze * py[2:, :] + zw * py[:-2, :]
+            np.divide(j1 + j2 + j3, scale, out=o[i0:i1])
+    return out if zeta.ndim == 3 else out[..., 0]
 
 
 @dataclass(frozen=True)

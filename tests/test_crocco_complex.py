@@ -21,6 +21,7 @@ from croccolab.fieldcalc import (
     OrderField,
     ScalarField,
     VectorField,
+    l2_norm,
     linf_norm,
     refinement_study,
 )
@@ -162,6 +163,16 @@ def test_complex_schema():
     assert report.schema == (
         "thermo", "enthalpy", "micro_grad", "order_balance", "micro_div", "micro_hess",
     )
+
+
+def test_report_norms_have_the_bits_of_l2_and_linf_norm():
+    # the report takes each field's magnitude once; both norms must match the public ones
+    grid = Grid((24, 20), (TWO_PI / 24, 0.2), ("periodic", "one-sided"))
+    report = complex_crocco(*complex_gl_m2(grid))
+    named = {"lhs": report.lhs, **report.terms, "residual": report.residual}
+    assert list(report.norms) == list(named)
+    for name, field in named.items():
+        assert report.norms[name] == (l2_norm(field), linf_norm(field)), name
 
 
 def test_embedding_shared_terms_match_bitwise():

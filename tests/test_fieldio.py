@@ -1,4 +1,7 @@
-"""CROCCOFIELD files: round trips, malformed inputs, error positions."""
+"""CROCCOFIELD files: round trips, malformed inputs, error positions, encoder bytes."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from croccolab.fieldcalc import (
     TensorField,
     VectorField,
 )
+from croccolab import fieldio
 from croccolab.fieldio import KINDS, FieldFileError, read_field, write_field
 
 
@@ -351,3 +355,101 @@ def test_corrupting_one_header_line_is_a_file_error(tmp_path_factory, field, enc
     path.write_bytes(b"\n".join(lines) + b"\n" + payload)
     with pytest.raises(FieldFileError):
         read_field(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the payload encoders: the bytes of one format call per value, streamed
+# ---------------------------------------------------------------------------
+
+
+def _csv_oracle(field) -> bytes:
+    """The CSV payload written by formatting every value with its own call."""
+    flat = field.values.reshape(field.grid.n_cells, -1)
+    return ("\n".join(",".join(format(float(x), ".17g") for x in row) for row in flat) + "\n").encode()
+
+
+def _payload(path) -> bytes:
+    return path.read_bytes().split(b"\npayload\n", 1)[1]
+
+
+def _random_exponent_values(seed: int, size: int) -> np.ndarray:
+    """Signed values with mantissas in [1, 2) and binary exponents over the whole double range."""
+    rng = np.random.default_rng(seed)
+    mantissa = rng.uniform(1.0, 2.0, size) * rng.choice((-1.0, 1.0), size)
+    return np.ldexp(mantissa, rng.integers(-1074, 1024, size))
+
+
+ENCODER_EDGES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+ENCODER_KINDS = (ScalarField, VectorField, TensorField, OrderField)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ENCODER_KINDS),
+    st.sampled_from((2, 3)),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_encoders_write_the_per_value_format_bytes_and_round_trip(tmp_path_factory, cls, dim, m, data):
+    extents = tuple(data.draw(st.integers(4, 9 if dim == 2 else 5)) for _ in range(dim))
+    boundary = tuple(data.draw(st.sampled_from(("periodic", "one-sided"))) for _ in range(dim))
+    grid = Grid(extents, (0.5,) * dim, boundary)
+    shape = extents + cls.component_shape(dim, m if cls is OrderField else 0)
+    values = _random_exponent_values(data.draw(st.integers(0, 2**32 - 1)), math.prod(shape))
+    cells = st.integers(0, values.size - 1)
+    edges = len(ENCODER_EDGES)
+    values[data.draw(st.lists(cells, min_size=edges, max_size=edges, unique=True))] = ENCODER_EDGES
+    field = cls(grid, values.reshape(shape))
+    tmp = tmp_path_factory.mktemp("enc")
+    for encoding in ("csv", "binary"):
+        path = tmp / f"f.{encoding}"
+        write_field(field, str(path), encoding=encoding)
+        if encoding == "csv":
+            assert _payload(path) == _csv_oracle(field)
+        else:
+            assert _payload(path) == field.values.astype("<f8").tobytes()
+        back = read_field(str(path))
+        assert type(back) is type(field) and back.grid == field.grid
+        assert np.array_equal(back.values.view(np.int64), field.values.view(np.int64))
+
+
+# (field class, extents, m) of a CSV payload below one block, exactly one, several and a rest
+_BLOCK = fieldio.CSV_BLOCK_VALUES
+BLOCK_CASES = {
+    "below-one-block": (ScalarField, (6, 4), 0),
+    "one-scalar-block": (ScalarField, (_BLOCK // 64, 64), 0),
+    "one-vector-block": (VectorField, (_BLOCK // 128, 64), 0),
+    "blocks-and-rest": (TensorField, (_BLOCK // 32 + 3, 16), 0),  # 4 values a row: 2 blocks + 48 rows
+    "blocks-and-rest-12-wide": (OrderHessField, (50, 40), 3),  # 12 values a row: rows do not tile a block
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_csv_blocks_join_to_the_per_value_format_bytes(tmp_path, case):
+    cls, extents, m = BLOCK_CASES[case]
+    dim = len(extents)
+    grid = Grid(extents, (0.25,) * dim, ("periodic",) * dim)
+    shape = extents + cls.component_shape(dim, m)
+    field = cls(grid, _random_exponent_values(sum(extents), math.prod(shape)).reshape(shape))
+    path = tmp_path / "f.csv"
+    write_field(field, str(path), encoding="csv")
+    assert _payload(path) == _csv_oracle(field)
+    assert np.array_equal(read_field(str(path)).values.view(np.int64), field.values.view(np.int64))
+
+
+def _traced_write_peak(field, path, encoding) -> int:
+    tracemalloc.start()
+    try:
+        write_field(field, path, encoding=encoding)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writes_hold_no_whole_payload_in_memory(tmp_path):
+    grid = Grid.periodic(256)
+    field = TensorField(grid, np.random.default_rng(1).standard_normal(grid.extents + (2, 2)))
+    # the whole CSV text is ~12 MB; one block of it is ~0.2 MB
+    assert _traced_write_peak(field, str(tmp_path / "t.csv"), "csv") < 2_000_000
+    # the binary payload is written from the field's own buffer, with no copy of it
+    assert _traced_write_peak(field, str(tmp_path / "t.bin"), "binary") < field.values.nbytes

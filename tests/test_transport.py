@@ -293,6 +293,25 @@ def test_arakawa_components_bit_identical_to_roll_formula(n, k):
         assert np.array_equal(out[..., a].view(np.int64), reference.view(np.int64))
 
 
+# 64^2 is one row block, 256^2 several; a strided zeta is a component-leading array seen
+# component-last, as a caller may hand it over
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_arakawa_components_equal_stacked_single_component_calls(n, k, layout):
+    grid = Grid.periodic(n)
+    rng = np.random.default_rng(100 * n + k)
+    psi = rng.standard_normal((n, n))
+    if layout == "contiguous":
+        zeta = rng.standard_normal((n, n, k))
+    else:
+        zeta = np.moveaxis(rng.standard_normal((k, n, n)), 0, -1)
+    stacked = np.stack([_arakawa(grid, psi, zeta[..., c]) for c in range(k)], axis=-1)
+    out = _arakawa(grid, psi, zeta)
+    assert out.shape == zeta.shape
+    assert np.array_equal(out.view(np.int64), stacked.view(np.int64))
+
+
 @pytest.mark.parametrize("cells", [1, 100, 48 * 7, 10**9])
 @pytest.mark.parametrize("k", [0, 2])
 def test_arakawa_bits_do_not_depend_on_the_row_block(cells, k, monkeypatch):
