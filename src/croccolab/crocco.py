@@ -33,20 +33,17 @@ residual ``Rs``.  ``defect_identity`` certifies exactly that under grid
 refinement, which is what makes the relations testable on manufactured
 states that satisfy no balance at all.
 
-Constitutive fields are evaluated once per state.  ``KortewegState`` caches
-``grad(iota)`` and ``ComplexState`` caches ``grad(nu)``.  The order-parameter
-relation, its residuals and its interactions read one
-:class:`~croccolab.models.GinzburgLandauPartials` bundle from
-:func:`~croccolab.models.gl_partials`, so ``complex_defect_identity`` runs
-the constitutive pass and the sphere check once per grid level.
-``complex_crocco`` takes the model and builds the bundle itself.
-
-Terms are assembled as arrays.  ``_korteweg_terms`` and ``_complex_terms``,
-the one engine of the general relation, return the lhs and the term arrays;
-``complex_crocco`` and the layered relation of :mod:`croccolab.smectic`
-(nu = w, m = 1) feed that engine.  The defect identities difference the
-arrays through ``_residual_from``; ``_build_report`` alone builds a report's
-term fields, checks them finite and names a non-finite term and its cell.
+Each quantity is evaluated once per state.  ``KortewegState`` caches
+``grad(iota)`` and ``ComplexState`` ``grad(nu)``; a capillary bundle holds
+``rho*P``, ``div(rho*P)``, ``P.grad(iota)``, ``dphi_diota``, ``phi`` and the
+co-energy rates, and an order-parameter bundle ``S``, ``z``, ``div S`` and
+the co-energy rates, read next to the partials of ``models.gl_partials``.
+``_momentum_residual`` is the momentum residual of both fluids.  The engines
+``_korteweg_terms`` and ``_complex_terms`` (fed by the layered relation of
+:mod:`croccolab.smectic` with nu = w, m = 1) return term arrays; a defect
+probe level builds the Lamb vector and its bundles once and no intermediate
+field, and ``_build_report`` alone builds a report's term fields, checks them
+finite and names a non-finite term and its cell.
 
 Everything here is pure: states and reports are immutable value objects and
 evaluators allocate fresh fields, so independent states can be evaluated
@@ -57,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,13 +186,10 @@ class ComplexState:
 
 def lamb_vector(v: VectorField) -> VectorField:
     """omega x v.  In 2-D the planar convention gives omega*(-v_y, v_x)."""
-    grid = v.grid
-    w = curl_vector(v)
-    if grid.dim == 2:
-        wv = w.values
-        out = np.stack([-wv * v.values[..., 1], wv * v.values[..., 0]], axis=-1)
-        return VectorField(grid, out)
-    return VectorField(grid, np.cross(w.values, v.values))
+    w = curl_vector(v).values
+    if v.grid.dim == 2:
+        return VectorField(v.grid, np.stack([-w * v.values[..., 1], w * v.values[..., 0]], axis=-1))
+    return VectorField(v.grid, np.cross(w, v.values))
 
 
 def _speed2(v: VectorField) -> np.ndarray:
@@ -232,17 +226,15 @@ class CroccoReport:
 
     def substructural_sum(self) -> VectorField:
         """Sum of every term beyond thermo and enthalpy (zero field if none)."""
-        grid = self.lhs.grid
-        acc = np.zeros_like(self.lhs.values)
-        for name, term in self.terms.items():
-            if name not in ("thermo", "enthalpy"):
-                acc = acc + term.values
-        return VectorField(grid, acc)
+        return self._sum([name for name in self.terms if name not in ("thermo", "enthalpy")])
 
     def terms_sum(self) -> VectorField:
+        return self._sum(self.terms)
+
+    def _sum(self, names: Sequence[str]) -> VectorField:
         acc = np.zeros_like(self.lhs.values)
-        for term in self.terms.values():
-            acc = acc + term.values
+        for name in names:
+            acc = acc + self.terms[name].values
         return VectorField(self.lhs.grid, acc)
 
 
@@ -283,30 +275,35 @@ def _norms(field: Field) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _rho_p(state: KortewegState, model: KortewegModel) -> np.ndarray:
-    """rho*P with P = dphi_dgrad_iota."""
-    return state.rho.values[..., None] * model.dphi_dgrad_iota(state.grad_iota.values)
+class _Capillary(NamedTuple):
+    """The capillary quantities of one state, each evaluated once; ``P = dphi_dgrad_iota``."""
+
+    rho_p: np.ndarray
+    div_rho_p: np.ndarray
+    p_grad_iota: np.ndarray
+    dphi_diota: np.ndarray
+    phi: np.ndarray
+    rate: np.ndarray | None  # (v.grad)(dchi_diota_dot); it and dchi_diota are None with the zero co-energy
+    dchi_diota: np.ndarray | None
 
 
-def _p_grad_iota(state: KortewegState, model: KortewegModel) -> np.ndarray:
-    """P.grad(iota) with P = dphi_dgrad_iota."""
-    g_iota = state.grad_iota.values
-    return _dot(model.dphi_dgrad_iota(g_iota), g_iota)
-
-
-def _iota_rate(state: KortewegState, coenergy: KortewegCoEnergy) -> np.ndarray:
-    """(v.grad)(dchi_diota_dot), the steady rate of the co-energy's rate partial."""
-    a = coenergy.dchi_diota_dot(state.iota.values, state.iota_dot.values)
-    return _advect(state.grid, a, state.v.values)
-
-
-def _dyad(state: KortewegState, model: KortewegModel) -> np.ndarray:
-    return _dyadic(state.grad_iota.values[..., None, :], _rho_p(state, model)[..., None, :])
+def _capillary(state: KortewegState, model: KortewegModel, coenergy: KortewegCoEnergy) -> _Capillary:
+    grid = state.grid
+    iota, g_iota, iota_dot = state.iota.values, state.grad_iota.values, state.iota_dot.values
+    p = model.dphi_dgrad_iota(g_iota)
+    rho_p = state.rho.values[..., None] * p
+    rate = dchi_diota = None
+    if not coenergy.is_zero:
+        rate = _advect(grid, coenergy.dchi_diota_dot(iota, iota_dot), state.v.values)
+        dchi_diota = coenergy.dchi_diota(iota, iota_dot)
+    phi = model.phi(iota, g_iota, state.eta.values)
+    return _Capillary(rho_p, _div(grid, rho_p), _dot(p, g_iota), model.dphi_diota(iota), phi, rate, dchi_diota)
 
 
 def korteweg_stress(state: KortewegState, model: KortewegModel) -> TensorField:
     """Dyadic capillary stress grad(iota) (x) rho*dphi_dgrad_iota (rank one per cell)."""
-    return TensorField(state.grid, _dyad(state, model))
+    rho_p = _capillary(state, model, KortewegCoEnergy()).rho_p
+    return TensorField(state.grid, _dyadic(state.grad_iota.values[..., None, :], rho_p[..., None, :]))
 
 
 def korteweg_stress_expanded(state: KortewegState, model: KortewegModel) -> VectorField:
@@ -317,11 +314,10 @@ def korteweg_stress_expanded(state: KortewegState, model: KortewegModel) -> Vect
     to O(h^2) and is used as its cross-check.
     """
     grid = state.grid
-    rp = _rho_p(state, model)
+    cap = _capillary(state, model, KortewegCoEnergy())
     hess = _hess(grid, state.iota.values)
-    hess_rp = _dyadic(np.swapaxes(hess, -1, -2), rp[..., None])[..., 0]  # sum_j hess[..., i, j] rp[..., j]
-    out = _div(grid, rp)[..., None] * state.grad_iota.values + hess_rp
-    return VectorField(grid, out)
+    hess_rp = _dyadic(np.swapaxes(hess, -1, -2), cap.rho_p[..., None])[..., 0]  # sum_j hess[..., i, j] rp[..., j]
+    return VectorField(grid, cap.div_rho_p[..., None] * state.grad_iota.values + hess_rp)
 
 
 @dataclass(frozen=True)
@@ -331,16 +327,14 @@ class KortewegPressures:
     p_check: ScalarField
 
 
-def _pressures(state: KortewegState, model: KortewegModel, coenergy: KortewegCoEnergy) -> tuple[np.ndarray, ...]:
+def _pressures(state: KortewegState, cap: _Capillary) -> tuple[np.ndarray, ...]:
     """The arrays (p, p_bar, p_check) of :func:`korteweg_pressures`."""
-    grid = state.grid
     iota = state.iota.values
     rho_iota = state.rho.values * iota
-    p = -rho_iota * model.dphi_diota(iota)
-    p = p + iota * _div(grid, _rho_p(state, model))
-    if coenergy.is_zero:
-        return p, p, np.zeros(grid.extents)
-    p_check = rho_iota * _iota_rate(state, coenergy) - coenergy.dchi_diota(iota, state.iota_dot.values)
+    p = -rho_iota * cap.dphi_diota + iota * cap.div_rho_p
+    if cap.rate is None:
+        return p, p, np.zeros(state.grid.extents)
+    p_check = rho_iota * cap.rate - cap.dchi_diota
     return p, p - p_check, p_check
 
 
@@ -359,7 +353,7 @@ def korteweg_pressures(
     bit-exactly.
     """
     grid = state.grid
-    p, p_bar, p_check = _pressures(state, model, coenergy)
+    p, p_bar, p_check = _pressures(state, _capillary(state, model, coenergy))
     p_field = ScalarField(grid, p)
     return KortewegPressures(
         p=p_field,
@@ -374,11 +368,9 @@ class KortewegEnthalpy:
     h: ScalarField
 
 
-def _korteweg_xi(state: KortewegState, model: KortewegModel) -> np.ndarray:
+def _xi(state: KortewegState, cap: _Capillary) -> np.ndarray:
     """xi = phi - iota*dphi_diota - P.grad(iota)."""
-    iota = state.iota.values
-    phi = model.phi(iota, state.grad_iota.values, state.eta.values)
-    return phi - iota * model.dphi_diota(iota) - _p_grad_iota(state, model)
+    return cap.phi - state.iota.values * cap.dphi_diota - cap.p_grad_iota
 
 
 def korteweg_enthalpy(
@@ -388,8 +380,7 @@ def korteweg_enthalpy(
 ) -> KortewegEnthalpy:
     """Specific enthalpy xi (minus the partial Legendre transform of phi in
     its kinematic arguments) and total enthalpy h = q^2/2 + xi."""
-    del coenergy  # enters only the pressure route, kept for a uniform signature
-    xi = _korteweg_xi(state, model)
+    xi = _xi(state, _capillary(state, model, coenergy))
     return KortewegEnthalpy(xi=ScalarField(state.grid, xi), h=ScalarField(state.grid, 0.5 * _speed2(state.v) + xi))
 
 
@@ -403,17 +394,11 @@ def korteweg_enthalpy_alt(
     ``xi = phi + iota*p_bar - iota^2*div(rho*P) + iota*p_check - P.grad(iota)``.
     Agrees with the Legendre-transform route to O(h^2).
     """
-    grid = state.grid
     iota = state.iota.values
-    _, p_bar, p_check = _pressures(state, model, coenergy)
-    xi = (
-        model.phi(iota, state.grad_iota.values, state.eta.values)
-        + iota * p_bar
-        - iota**2 * _div(grid, _rho_p(state, model))
-        + iota * p_check
-        - _p_grad_iota(state, model)
-    )
-    return ScalarField(grid, xi)
+    cap = _capillary(state, model, coenergy)
+    _, p_bar, p_check = _pressures(state, cap)
+    xi = cap.phi + iota * p_bar - iota**2 * cap.div_rho_p + iota * p_check - cap.p_grad_iota
+    return ScalarField(state.grid, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -437,26 +422,20 @@ def classical_crocco(state: KortewegState, model: KortewegModel) -> CroccoReport
     return _build_report("classical", CLASSICAL_SCHEMA, lamb_vector(state.v), terms)
 
 
-def _korteweg_terms(
-    state: KortewegState, model: KortewegModel, coenergy: KortewegCoEnergy
-) -> tuple[VectorField, dict[str, np.ndarray]]:
-    """The lhs and the term arrays of the capillary relation."""
+def _korteweg_terms(state: KortewegState, model: KortewegModel, cap: _Capillary) -> dict[str, np.ndarray]:
+    """The term arrays of the capillary relation."""
     grid = state.grid
     iota, eta = state.iota.values, state.eta.values
-    h = 0.5 * _speed2(state.v) + _korteweg_xi(state, model)
-    wall = iota**2 * _div(grid, _rho_p(state, model)) + _p_grad_iota(state, model)
-    if coenergy.is_zero:
+    if cap.rate is None:
         inertia = np.zeros(grid.extents + (grid.dim,))
     else:
-        content = _iota_rate(state, coenergy) - coenergy.dchi_diota(iota, state.iota_dot.values)
-        inertia = iota[..., None] * _grad(grid, content)
-    terms = {
+        inertia = iota[..., None] * _grad(grid, cap.rate - cap.dchi_diota)
+    return {
         "thermo": _thermo(grid, model.theta(eta), eta),
-        "enthalpy": -_grad(grid, h),
-        "wall": -_grad(grid, wall),
+        "enthalpy": -_grad(grid, 0.5 * _speed2(state.v) + _xi(state, cap)),
+        "wall": -_grad(grid, iota**2 * cap.div_rho_p + cap.p_grad_iota),
         "inertia": inertia,
     }
-    return lamb_vector(state.v), terms
 
 
 def korteweg_crocco(
@@ -473,7 +452,27 @@ def korteweg_crocco(
     With beta = 0 and the zero co-energy both fields are identically zero
     and the report coincides with the classical one.
     """
-    return _build_report("korteweg", KORTEWEG_SCHEMA, *_korteweg_terms(state, model, coenergy))
+    terms = _korteweg_terms(state, model, _capillary(state, model, coenergy))
+    return _build_report("korteweg", KORTEWEG_SCHEMA, lamb_vector(state.v), terms)
+
+
+def _momentum_residual(
+    state: KortewegState | ComplexState, lamb: np.ndarray, p: np.ndarray, g: np.ndarray, s: np.ndarray
+) -> np.ndarray:
+    """The steady momentum residual of either fluid, ``lamb + grad(q^2)/2 + iota*grad(p) + iota*div(D)``.
+
+    ``D_ij = sum_a g[a, i] s[a, j]``: ``grad(iota) (x) rho*P`` with
+    ``p = p_bar`` for the capillary fluid, ``(grad nu)^T S`` with
+    ``p = p_tilde`` for the order-parameter fluid.
+    """
+    grid = state.grid
+    iota = state.iota.values[..., None]
+    return lamb + 0.5 * _grad(grid, _speed2(state.v)) + iota * _grad(grid, p) + iota * _div(grid, _dyadic(g, s))
+
+
+def _steady_residual(state: KortewegState, cap: _Capillary, lamb: np.ndarray) -> np.ndarray:
+    _, p_bar, _ = _pressures(state, cap)
+    return _momentum_residual(state, lamb, p_bar, state.grad_iota.values[..., None, :], cap.rho_p[..., None, :])
 
 
 def steady_momentum_residual(
@@ -487,16 +486,8 @@ def steady_momentum_residual(
     R vanishes exactly on steady solutions, and the relation's defect equals
     R identically (to discretization order) on arbitrary smooth states.
     """
-    grid = state.grid
-    iota = state.iota.values[..., None]
-    _, p_bar, _ = _pressures(state, model, coenergy)
-    out = (
-        lamb_vector(state.v).values
-        + 0.5 * _grad(grid, _speed2(state.v))
-        + iota * _grad(grid, p_bar)
-        + iota * _div(grid, _dyad(state, model))
-    )
-    return VectorField(grid, out)
+    cap = _capillary(state, model, coenergy)
+    return VectorField(state.grid, _steady_residual(state, cap, lamb_vector(state.v).values))
 
 
 def defect_identity(
@@ -509,13 +500,16 @@ def defect_identity(
     Evaluates ``|| (lhs - sum terms) - R ||_inf`` on each grid of a halving
     family and fits the refinement order; an order below ``min_order`` (and
     not exactly zero) raises, because it means the proof-chain identity was
-    assembled wrongly.
+    assembled wrongly.  Each level builds the Lamb vector and the capillary
+    bundle once, for the relation and the residual alike.
     """
 
     def probe_for(grid: Grid) -> float:
         state, model, coenergy = state_factory(grid)
-        defect = _residual_from(*_korteweg_terms(state, model, coenergy), KORTEWEG_SCHEMA)
-        return _linf(grid, defect - steady_momentum_residual(state, model, coenergy).values)
+        cap = _capillary(state, model, coenergy)
+        lamb = lamb_vector(state.v)
+        defect = _residual_from(lamb, _korteweg_terms(state, model, cap), KORTEWEG_SCHEMA)
+        return _linf(grid, defect - _steady_residual(state, cap, lamb.values))
 
     return _run_identity_probe(probe_for, grids, min_order, "capillary defect identity")
 
@@ -556,28 +550,47 @@ class ComplexInteractions:
     self_interaction: OrderField
 
 
+class _Order(NamedTuple):
+    """The order-parameter quantities of one state, each evaluated once."""
+
+    s: np.ndarray  # microstress rho*dphi_dgrad_nu
+    z: np.ndarray  # self-interaction rho*dphi_dnu
+    div_s: np.ndarray
+    rate: np.ndarray  # (v.grad)(dchi_dnudot); it and dchi_dnu are zero with the zero co-energy
+    dchi_dnu: np.ndarray
+
+
+def _order(
+    v: VectorField, rho: np.ndarray, nu: np.ndarray, nu_dot: np.ndarray | None,
+    parts: GinzburgLandauPartials, coenergy: OrderCoEnergy,
+) -> _Order:
+    """The bundle over the cells of ``v``'s grid; only a non-zero co-energy reads ``nu_dot``."""
+    grid = v.grid
+    s = rho[..., None, None] * parts.dphi_dgrad_nu
+    if coenergy.is_zero:
+        rate = dchi_dnu = np.zeros(nu.shape)
+    else:
+        rate, dchi_dnu = _advect(grid, coenergy.dchi_dnu_dot(nu, nu_dot), v.values), coenergy.dchi_dnu(nu, nu_dot)
+    return _Order(s, rho[..., None] * parts.dphi_dnu, _div(grid, s), rate, dchi_dnu)
+
+
+def _state_order(state: ComplexState, parts: GinzburgLandauPartials, coenergy: OrderCoEnergy) -> _Order:
+    return _order(state.v, state.rho.values, state.nu.values, state.nu_dot.values, parts, coenergy)
+
+
 def complex_interactions(state: ComplexState, parts: GinzburgLandauPartials) -> ComplexInteractions:
     grid = state.grid
-    rho = state.rho.values
-    s = rho[..., None, None] * parts.dphi_dgrad_nu
-    z = rho[..., None] * parts.dphi_dnu
-    pressure_like = (rho * state.iota.values * parts.dphi_diota)[..., None, None] * np.eye(grid.dim)
-    dyad = _dyadic(state.grad_nu.values, s)
+    order = _state_order(state, parts, OrderCoEnergy.zero(state.nu.m))
+    pressure_like = (state.rho.values * state.iota.values * parts.dphi_diota)[..., None, None] * np.eye(grid.dim)
     return ComplexInteractions(
-        stress=TensorField(grid, pressure_like - dyad),
-        microstress=OrderGradField(grid, s),
-        self_interaction=OrderField(grid, z),
+        stress=TensorField(grid, pressure_like - _dyadic(state.grad_nu.values, order.s)),
+        microstress=OrderGradField(grid, order.s),
+        self_interaction=OrderField(grid, order.z),
     )
 
 
-def _order_rates(
-    v: VectorField, nu: np.ndarray, nu_dot: np.ndarray | None, coenergy: OrderCoEnergy
-) -> tuple[np.ndarray, np.ndarray]:
-    """(v.grad)(dchi_dnudot), the steady rate of the co-energy's rate partial, and dchi_dnu (zero without inertia)."""
-    if coenergy.is_zero:
-        zero = np.zeros(nu.shape)
-        return zero, zero
-    return _advect(v.grid, coenergy.dchi_dnu_dot(nu, nu_dot), v.values), coenergy.dchi_dnu(nu, nu_dot)
+def _balance_residual(order: _Order) -> np.ndarray:
+    return order.div_s - order.z - (order.rate - order.dchi_dnu)
 
 
 def substructural_balance_residual(
@@ -590,26 +603,20 @@ def substructural_balance_residual(
     Steady reading: ``div S - z - (v.grad)(Omega nu_dot + lam)`` (the
     constant covector's advection vanishes).  Zero on hand-built equilibria.
     """
-    grid = state.grid
-    rho = state.rho.values
-    s = rho[..., None, None] * parts.dphi_dgrad_nu
-    z = rho[..., None] * parts.dphi_dnu
-    chi_rate, dchi_dnu = _order_rates(state.v, state.nu.values, state.nu_dot.values, coenergy)
-    return OrderField(grid, _div(grid, s) - z - (chi_rate - dchi_dnu))
+    return OrderField(state.grid, _balance_residual(_state_order(state, parts, coenergy)))
 
 
 def _complex_terms(
-    v: VectorField, iota: np.ndarray, eta: np.ndarray, nu: np.ndarray, grad_nu: np.ndarray, nu_dot: np.ndarray | None,
-    parts: GinzburgLandauPartials, coenergy: OrderCoEnergy,
-) -> tuple[VectorField, dict[str, np.ndarray]]:
-    """Shared engine: the lhs and the componentwise term arrays of the relation.
+    v: VectorField, iota: np.ndarray, eta: np.ndarray, nu: np.ndarray, grad_nu: np.ndarray,
+    parts: GinzburgLandauPartials, order: _Order,
+) -> dict[str, np.ndarray]:
+    """Shared engine: the componentwise term arrays of the relation.
 
-    Reads arrays over the cells of ``v``'s grid: ``nu`` with its chart axis,
-    ``grad_nu`` with the chart and spatial axes, and ``nu_dot``, which only a
-    non-zero co-energy reads.
+    Reads arrays over the cells of ``v``'s grid: ``nu`` with its chart axis
+    and ``grad_nu`` with the chart and spatial axes.
     """
     grid = v.grid
-    rho = 1.0 / iota
+    s, div_s = order.s, order.div_s
     # the (a, j) axes of a chart gradient flattened into one, so that a sum over both is one chart sum
     pairs = grid.extents + (grad_nu.shape[-2] * grid.dim,)
 
@@ -620,18 +627,14 @@ def _complex_terms(
         - _dot(parts.dphi_dgrad_nu, grad_nu, axes=2)
     )
 
-    s = rho[..., None, None] * parts.dphi_dgrad_nu
-    div_s = _div(grid, s)
-    chi_rate, dchi_dnu = _order_rates(v, nu, nu_dot, coenergy)
-
     # -(grad P)^T grad(nu): sum_aj D_i(P^a_j) (grad nu)^a_j
     grad_p = _grad(grid, parts.dphi_dgrad_nu)  # (..., m, dim_j, dim_i)
     # -(grad(iota*(div S - d/dt dchi_dnudot + dchi_dnu)))^T nu
-    grad_bal = _grad(grid, iota[..., None] * (div_s - chi_rate + dchi_dnu))
+    grad_bal = _grad(grid, iota[..., None] * (div_s - order.rate + order.dchi_dnu))
 
     # each contraction below is a chart sum with a one-column second operand
     hess = _hess(grid, nu)  # (..., m, dim_j, dim_i), C-contiguous
-    terms = {
+    return {
         "thermo": _thermo(grid, parts.theta, eta),
         "enthalpy": -_grad(grid, 0.5 * _speed2(v) + xi_c),
         "micro_grad": -_dyadic(grad_p.reshape(pairs + (grid.dim,)), grad_nu.reshape(pairs + (1,)))[..., 0],
@@ -639,15 +642,12 @@ def _complex_terms(
         "micro_div": -iota[..., None] * _dyadic(grad_nu, div_s[..., None])[..., 0],
         "micro_hess": -iota[..., None] * _dyadic(hess.reshape(pairs + (grid.dim,)), s.reshape(pairs + (1,)))[..., 0],
     }
-    return lamb_vector(v), terms
 
 
-def _state_terms(
-    state: ComplexState, parts: GinzburgLandauPartials, coenergy: OrderCoEnergy
-) -> tuple[VectorField, dict[str, np.ndarray]]:
+def _state_terms(state: ComplexState, parts: GinzburgLandauPartials, order: _Order) -> dict[str, np.ndarray]:
     """The engine fed from a typed order-parameter state."""
-    fields = (state.iota, state.eta, state.nu, state.grad_nu, state.nu_dot)
-    return _complex_terms(state.v, *(f.values for f in fields), parts, coenergy)
+    fields = (state.iota, state.eta, state.nu, state.grad_nu)
+    return _complex_terms(state.v, *(f.values for f in fields), parts, order)
 
 
 def complex_crocco(
@@ -657,7 +657,15 @@ def complex_crocco(
 ) -> CroccoReport:
     """Order-parameter relation assembled from the componentwise form."""
     parts = gl_partials(model, state.iota, state.nu, state.grad_nu, state.eta)
-    return _build_report("complex", COMPLEX_SCHEMA, *_state_terms(state, parts, coenergy))
+    terms = _state_terms(state, parts, _state_order(state, parts, coenergy))
+    return _build_report("complex", COMPLEX_SCHEMA, lamb_vector(state.v), terms)
+
+
+def _complex_residual(
+    state: ComplexState, parts: GinzburgLandauPartials, s: np.ndarray, lamb: np.ndarray
+) -> np.ndarray:
+    p_tilde = -(state.rho.values * state.iota.values) * parts.dphi_diota
+    return _momentum_residual(state, lamb, p_tilde, state.grad_nu.values, s)
 
 
 def complex_momentum_residual(state: ComplexState, parts: GinzburgLandauPartials) -> VectorField:
@@ -666,18 +674,13 @@ def complex_momentum_residual(state: ComplexState, parts: GinzburgLandauPartials
     ``R = omega x v + grad(q^2)/2 + iota*grad(p_tilde) + iota*div((grad nu)^T S)``
     with ``p_tilde = -rho*iota*dphi_diota``.
     """
-    grid = state.grid
-    rho = state.rho.values
-    iota = state.iota.values
-    p_tilde = -(rho * iota) * parts.dphi_diota
-    dyad = _dyadic(state.grad_nu.values, rho[..., None, None] * parts.dphi_dgrad_nu)
-    out = (
-        lamb_vector(state.v).values
-        + 0.5 * _grad(grid, _speed2(state.v))
-        + iota[..., None] * _grad(grid, p_tilde)
-        + iota[..., None] * _div(grid, dyad)
-    )
-    return VectorField(grid, out)
+    s = _state_order(state, parts, OrderCoEnergy.zero(state.nu.m)).s
+    return VectorField(state.grid, _complex_residual(state, parts, s, lamb_vector(state.v).values))
+
+
+def _coupling(state: ComplexState, order: _Order) -> np.ndarray:
+    grad_c = _grad(state.grid, state.iota.values[..., None] * _balance_residual(order))
+    return _dyadic(grad_c, state.nu.values[..., None])[..., 0]
 
 
 def substructural_coupling(
@@ -689,9 +692,7 @@ def substructural_coupling(
 
     Vanishes when the substructural balance holds, recovering defect == R.
     """
-    rs = substructural_balance_residual(state, parts, coenergy)
-    grad_c = _grad(state.grid, state.iota.values[..., None] * rs.values)
-    return VectorField(state.grid, _dyadic(grad_c, state.nu.values[..., None])[..., 0])
+    return VectorField(state.grid, _coupling(state, _state_order(state, parts, coenergy)))
 
 
 def complex_defect_identity(
@@ -701,18 +702,18 @@ def complex_defect_identity(
 ) -> RefinementReport:
     """Certify defect == momentum residual + substructural coupling.
 
-    The constitutive bundle is evaluated once per level and shared by the
-    relation, the momentum residual and the coupling.
+    The Lamb vector, the constitutive bundle and the order-parameter bundle
+    are evaluated once per level and shared by the relation, the momentum
+    residual and the coupling.
     """
 
     def probe_for(grid: Grid) -> float:
         state, model, coenergy = state_factory(grid)
         parts = gl_partials(model, state.iota, state.nu, state.grad_nu, state.eta)
-        defect = _residual_from(*_state_terms(state, parts, coenergy), COMPLEX_SCHEMA)
-        target = (
-            complex_momentum_residual(state, parts).values
-            + substructural_coupling(state, parts, coenergy).values
-        )
+        order = _state_order(state, parts, coenergy)
+        lamb = lamb_vector(state.v)
+        defect = _residual_from(lamb, _state_terms(state, parts, order), COMPLEX_SCHEMA)
+        target = _complex_residual(state, parts, order.s, lamb.values) + _coupling(state, order)
         return _linf(grid, defect - target)
 
     return _run_identity_probe(probe_for, grids, min_order, "order-parameter defect identity")

@@ -89,10 +89,6 @@ class FieldValueError(ValueError):
     """Field values contain non-finite entries."""
 
 
-class DimensionError(ValueError):
-    """Operation not defined for the grid dimension."""
-
-
 class RefinementError(ValueError):
     """Refinement study input is malformed."""
 
@@ -303,24 +299,18 @@ def div_vector(u: VectorField) -> ScalarField:
     return ScalarField(u.grid, _div(u.grid, u.values))
 
 
-def curl_vector(u: VectorField) -> VectorField | ScalarField:
-    """Curl of a vector field.
+def _curl(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Curl of vector values: ``d v_y/d x - d v_x/d y`` per cell in 2-D, the vector curl in 3-D."""
+    d = lambda comp, axis: _diff(grid, values[..., comp], axis)  # noqa: E731
+    if grid.dim == 2:
+        return d(1, 0) - d(0, 1)
+    return np.stack([d(2, 1) - d(1, 2), d(0, 2) - d(2, 0), d(1, 0) - d(0, 1)], axis=-1)
 
-    In 3-D returns the usual vector curl.  In 2-D the planar convention is
-    used: the single out-of-plane component ``d u_y/d x - d u_x/d y`` is
-    returned as a ScalarField.
-    """
-    g = u.grid
-    if g.dim == 2:
-        w = _diff(g, u.values[..., 1], 0) - _diff(g, u.values[..., 0], 1)
-        return ScalarField(g, w)
-    if g.dim == 3:
-        d = lambda comp, axis: _diff(g, u.values[..., comp], axis)  # noqa: E731
-        cx = d(2, 1) - d(1, 2)
-        cy = d(0, 2) - d(2, 0)
-        cz = d(1, 0) - d(0, 1)
-        return VectorField(g, np.stack([cx, cy, cz], axis=-1))
-    raise DimensionError(f"curl needs dim 2 or 3, got {g.dim}")
+
+def curl_vector(u: VectorField) -> VectorField | ScalarField:
+    """Curl of a vector field: the vector curl in 3-D, and in 2-D the planar
+    convention's single out-of-plane component ``d u_y/d x - d u_x/d y`` as a ScalarField."""
+    return (ScalarField if u.grid.dim == 2 else VectorField)(u.grid, _curl(u.grid, u.values))
 
 
 def grad_vector(u: VectorField) -> TensorField:

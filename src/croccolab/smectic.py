@@ -38,7 +38,10 @@ from .crocco import (
     CroccoReport,
     _build_report,
     _complex_terms,
+    _order,
+    _state_order,
     _state_terms,
+    lamb_vector,
 )
 from .fieldcalc import (
     Grid,
@@ -175,11 +178,12 @@ def smectic_crocco(state: SmecticState, model: SmecticModel) -> CroccoReport:
     and ``h_c = q^2/2 + phi - S.grad(w)`` with ``phi`` the mechanical energy
     plus the separable entropic part.
     """
-    terms = _complex_terms(
-        state.v, np.ones(state.grid.extents), state.eta.values, state.w.values[..., None], state.grad_w.values[..., None, :],
-        None, _layer_bundle(state, model), OrderCoEnergy.zero(1),  # the zero co-energy reads no rate of w
-    )
-    return _build_report("smectic", COMPLEX_SCHEMA, *terms)
+    ones = np.ones(state.grid.extents)  # iota and rho
+    w = state.w.values[..., None]
+    parts = _layer_bundle(state, model)
+    order = _order(state.v, ones, w, None, parts, OrderCoEnergy.zero(1))  # the zero co-energy reads no rate of w
+    terms = _complex_terms(state.v, ones, state.eta.values, w, state.grad_w.values[..., None, :], parts, order)
+    return _build_report("smectic", COMPLEX_SCHEMA, lamb_vector(state.v), terms)
 
 
 def smectic_via_general(state: SmecticState, model: SmecticModel) -> CroccoReport:
@@ -198,4 +202,5 @@ def smectic_via_general(state: SmecticState, model: SmecticModel) -> CroccoRepor
         nu=OrderField(grid, state.w.values[..., None]),
     )
     parts = _layer_bundle(state, model)
-    return _build_report("smectic", COMPLEX_SCHEMA, *_state_terms(cstate, parts, OrderCoEnergy.zero(1)))
+    terms = _state_terms(cstate, parts, _state_order(cstate, parts, OrderCoEnergy.zero(1)))
+    return _build_report("smectic", COMPLEX_SCHEMA, lamb_vector(state.v), terms)

@@ -220,6 +220,20 @@ def test_curl_2d_taylor_green():
     assert np.max(np.abs(w.values - exact)) <= 4.0 * grid.spacing[0] ** 2
 
 
+def test_curl_3d_beltrami_flow_is_its_own_curl():
+    # the ABC flow with A = B = C = 1 satisfies curl u = u
+    def probe(h):
+        grid = Grid.periodic(round(TWO_PI / h), dim=3)
+        x, y, z = grid.meshgrid()
+        u = np.stack([np.sin(z) + np.cos(y), np.sin(x) + np.cos(z), np.sin(y) + np.cos(x)], axis=-1)
+        w = curl_vector(VectorField(grid, u))
+        assert isinstance(w, VectorField)
+        return linf_norm(VectorField(grid, w.values - u))
+
+    report = refinement_study(probe, [TWO_PI / n for n in (8, 16, 32)])
+    assert report.observed_order >= 1.9, report.levels
+
+
 def test_jacobian_constant_linear_and_trig():
     grid = Grid.one_sided((8, 10), (0.5, 0.25))
     x, y = grid.meshgrid()

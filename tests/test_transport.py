@@ -204,10 +204,18 @@ def test_velocity_is_divergence_free():
     assert linf_norm(div_vector(v)) <= 1e-10
 
 
-def test_state_rejects_nonzero_mean_vorticity():
-    grid = Grid.periodic(16)
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_state_rejects_nonzero_mean_vorticity(scale):
+    # the zero-mean check is relative to max|omega|: a tiny vorticity that is mostly mean
+    # (82% of max|omega| here) is rejected like a large one, and a zero-mean one is accepted
+    grid = Grid.periodic(32)
+    two_mode = two_mode_vorticity(grid)
     with pytest.raises(TransportError, match="mean vorticity"):
-        TransportState.from_vorticity(grid, np.ones(grid.extents), uniform_order_parameter(grid))
+        TransportState.from_vorticity(grid, scale * two_mode + scale * 10.0, uniform_order_parameter(grid))
+    with pytest.raises(TransportError, match="mean vorticity"):
+        TransportState.from_vorticity(grid, scale * np.ones(grid.extents), uniform_order_parameter(grid))
+    state = TransportState.from_vorticity(grid, scale * two_mode, uniform_order_parameter(grid))
+    assert np.array_equal(state.omega.values, scale * two_mode)
 
 
 def test_state_rejects_non_square_grid():

@@ -38,16 +38,11 @@ from croccolab.fieldcalc import Grid  # noqa: E402
 from croccolab.fieldio import write_field  # noqa: E402
 
 GRID = 16
+# every generator of each catalog, in catalog order: a new catalog state gets a golden
 GENERATORS = {
-    "eval-korteweg": (
-        "korteweg-basic",
-        "korteweg-inertia",
-        "korteweg-classical",
-        "korteweg-two-well",
-        "cancellation-profile",
-    ),
-    "eval-complex": ("complex-gl-m2", "complex-gl-m2-inertialess", "generation-sphere"),
-    "eval-smectic": ("smectic-flat", "smectic-compressed", "smectic-wavy"),
+    "eval-korteweg": tuple(manufactured.KORTEWEG_CATALOG),
+    "eval-complex": tuple(manufactured.COMPLEX_CATALOG),
+    "eval-smectic": tuple(manufactured.SMECTIC_CATALOG),
 }
 ONE_SIDED = {"eval-korteweg": "korteweg-inertia", "eval-complex": "complex-gl-m2", "eval-smectic": "smectic-wavy"}
 
