@@ -33,11 +33,13 @@ residual ``Rs``.  ``defect_identity`` certifies exactly that under grid
 refinement, which is what makes the relations testable on manufactured
 states that satisfy no balance at all.
 
-Each quantity is evaluated once per state.  ``KortewegState`` caches
-``grad(iota)`` and ``ComplexState`` ``grad(nu)``; a capillary bundle holds
-``rho*P``, ``div(rho*P)``, ``P.grad(iota)``, ``dphi_diota``, ``phi`` and the
-co-energy rates, and an order-parameter bundle ``S``, ``z``, ``div S`` and
-the co-energy rates, read next to the partials of ``models.gl_partials``.
+Each quantity is evaluated once per state.  ``KortewegState``'s
+``grad(iota)`` and ``iota_dot`` and ``ComplexState``'s ``grad(nu)`` and
+``nu_dot`` are built on first read, and the rates are read only under a
+non-zero co-energy; a capillary bundle holds ``rho*P``, ``div(rho*P)``,
+``P.grad(iota)``, ``dphi_diota``, ``phi`` and the co-energy rates, and an
+order-parameter bundle ``S``, ``z``, ``div S`` and the co-energy rates,
+read next to the partials of ``models.gl_partials``.
 ``_momentum_residual`` is the momentum residual of both fluids.  The engines
 ``_korteweg_terms`` and ``_complex_terms`` (fed by the layered relation of
 :mod:`croccolab.smectic` with nu = w, m = 1) return term arrays; a defect
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -132,22 +135,27 @@ class KortewegState:
     """Steady flow state (v, iota, eta) with iota > 0 and rho = 1/iota.
 
     The referential density is 1, so the current mass density is the inverse
-    specific volume exactly; ``iota_dot`` is the steady material derivative
-    ``(v.grad) iota``, and ``grad_iota`` is cached because every capillary
-    assembly needs it.
+    specific volume exactly.  ``rho`` is built (and checked) with the state;
+    ``grad_iota`` and the steady material derivative ``iota_dot = (v.grad)
+    iota`` are built on first read and kept, so a state whose co-energy is
+    zero never builds ``iota_dot``.
     """
 
     v: VectorField
     iota: ScalarField
     eta: ScalarField
     rho: ScalarField = dc_field(init=False, repr=False, compare=False)
-    grad_iota: VectorField = dc_field(init=False, repr=False, compare=False)
-    iota_dot: ScalarField = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", _density(self.iota, self.v, self.eta))
-        object.__setattr__(self, "grad_iota", grad_scalar(self.iota))
-        object.__setattr__(self, "iota_dot", advect_steady(self.iota, self.v))
+
+    @cached_property
+    def grad_iota(self) -> VectorField:
+        return grad_scalar(self.iota)
+
+    @cached_property
+    def iota_dot(self) -> ScalarField:
+        return advect_steady(self.iota, self.v)
 
     @property
     def grid(self) -> Grid:
@@ -158,9 +166,10 @@ class KortewegState:
 class ComplexState:
     """Steady flow state (v, iota, eta, nu) of an order-parameter fluid.
 
-    ``nu_dot`` is assembled as ``(grad nu) v`` (the steady material
-    derivative in the chart), and ``grad_nu`` is cached because every
-    evaluator needs it.
+    ``rho`` is built (and checked) with the state; ``grad_nu`` and ``nu_dot
+    = (grad nu) v`` (the steady material derivative in the chart) are built
+    on first read and kept, so a state whose co-energy is zero never builds
+    ``nu_dot``.
     """
 
     v: VectorField
@@ -168,16 +177,18 @@ class ComplexState:
     eta: ScalarField
     nu: OrderField
     rho: ScalarField = dc_field(init=False, repr=False, compare=False)
-    grad_nu: OrderGradField = dc_field(init=False, repr=False, compare=False)
-    nu_dot: OrderField = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", _density(self.iota, self.v, self.eta, self.nu))
-        gnu = order_grad(self.nu)
-        object.__setattr__(self, "grad_nu", gnu)
+
+    @cached_property
+    def grad_nu(self) -> OrderGradField:
+        return order_grad(self.nu)
+
+    @cached_property
+    def nu_dot(self) -> OrderField:
         # np.einsum, not _dyadic: on a 3-D grid it adds this contiguous axis in another order
-        nu_dot = np.einsum("...ai,...i->...a", gnu.values, self.v.values)
-        object.__setattr__(self, "nu_dot", OrderField(self.nu.grid, nu_dot))
+        return OrderField(self.nu.grid, np.einsum("...ai,...i->...a", self.grad_nu.values, self.v.values))
 
     @property
     def grid(self) -> Grid:
@@ -289,11 +300,12 @@ class _Capillary(NamedTuple):
 
 def _capillary(state: KortewegState, model: KortewegModel, coenergy: KortewegCoEnergy) -> _Capillary:
     grid = state.grid
-    iota, g_iota, iota_dot = state.iota.values, state.grad_iota.values, state.iota_dot.values
+    iota, g_iota = state.iota.values, state.grad_iota.values
     p = model.dphi_dgrad_iota(g_iota)
     rho_p = state.rho.values[..., None] * p
     rate = dchi_diota = None
     if not coenergy.is_zero:
+        iota_dot = state.iota_dot.values
         rate = _advect(grid, coenergy.dchi_diota_dot(iota, iota_dot), state.v.values)
         dchi_diota = coenergy.dchi_diota(iota, iota_dot)
     phi = model.phi(iota, g_iota, state.eta.values)
@@ -575,7 +587,8 @@ def _order(
 
 
 def _state_order(state: ComplexState, parts: GinzburgLandauPartials, coenergy: OrderCoEnergy) -> _Order:
-    return _order(state.v, state.rho.values, state.nu.values, state.nu_dot.values, parts, coenergy)
+    nu_dot = None if coenergy.is_zero else state.nu_dot.values
+    return _order(state.v, state.rho.values, state.nu.values, nu_dot, parts, coenergy)
 
 
 def complex_interactions(state: ComplexState, parts: GinzburgLandauPartials) -> ComplexInteractions:

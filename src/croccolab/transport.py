@@ -29,8 +29,9 @@ block height, so the result does not depend on it.  Time stepping is
 classical explicit RK4.  The Poisson solve is a real FFT (``rfft2``)
 against an inverse-eigenvalue table cached per grid, and its residual
 ``max|lap(psi) + omega|`` is checked at every solve against
-``POISSON_TOL * max(1, max|omega|)``, a bound relative to the vorticity's
-own scale; a non-finite residual or vorticity fails the check too.  The
+``POISSON_TOL * max|omega|``, a bound relative to the vorticity's own
+scale at every scale (omega == 0 solves to psi == 0 with residual exactly
+0); a non-finite residual or vorticity fails the check too.  The
 residual is built in place in two grid buffers with the operations of the
 plain expression in its order, so it rounds like that expression.  A step
 stops with ``CFLError`` when its CFL number exceeds ``CFL_LIMIT``.
@@ -90,7 +91,7 @@ from .fieldcalc import (
 )
 from .models import ComplexFluidModel, ModelError
 
-POISSON_TOL = 1e-10  # per unit of max(1, max|omega|)
+POISSON_TOL = 1e-10  # per unit of max|omega|
 # cells per row block of the Jacobian, counted in one plane (one component), so its block
 # temporaries stay in cache.  On a 10-step frozen 256^2 run (2 vCPU) 4096 was ~10% slower and
 # 16384 within noise of 8192, which allocates less; a 64^2 plane is one block.
@@ -180,11 +181,13 @@ def solve_streamfunction(grid: Grid, omega: np.ndarray) -> np.ndarray:
 
 
 def _require_poisson(grid: Grid, psi: np.ndarray, omega: np.ndarray) -> None:
-    """Raise PoissonError unless max|lap(psi) + omega| <= POISSON_TOL * max(1, max|omega|) < inf.
+    """Raise PoissonError unless max|lap(psi) + omega| <= POISSON_TOL * max|omega| < inf.
 
-    A NaN residual, or an infinite omega (which makes the bound infinite), fails.
+    The bound scales with omega, so the verdict does not depend on omega's units; omega == 0
+    passes only with a residual of exactly 0.  A NaN residual, or an infinite omega (which
+    makes the bound infinite), fails.
     """
-    tol = POISSON_TOL * max(1.0, float(np.max(np.abs(omega))))
+    tol = POISSON_TOL * float(np.max(np.abs(omega)))
     r = _laplacian_compact(grid, psi)
     r += omega
     residual = np.max(np.abs(r, out=r))

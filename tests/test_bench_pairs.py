@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,19 @@ def test_json_ledger_keeps_every_workload(tmp_path, monkeypatch):
     assert [list(run) for run in data["transport"]["runs"]] == [["parent", "change"], ["change", "parent"],
                                                                 ["parent", "change"]]
     assert data["transport"]["runs"][0]["change"]["metrics"]["op_ms_p50"] == pytest.approx(200.0)
+
+
+def test_run_once_reads_the_child_resources(tmp_path):
+    # a stand-in benchmark that touches ~8 MB, so its run takes at least a thousand minor faults
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "run.py").write_text(textwrap.dedent("""\
+        import json
+        block = b"x" * (8 << 20)
+        print("check: ok")
+        print(json.dumps({"correct": True, "failed": 0, "metrics": {"op_ms_p50": {"value": 1.5}}}))
+    """))
+    run = bench_pairs.run_once(tmp_path, "certify", 0, 1.0)
+    assert run["ok"] and run["metrics"] == {"op_ms_p50": 1.5}
+    assert sorted(run["resources"]) == ["minflt", "sys_s", "user_s"]
+    assert run["resources"]["minflt"] >= 1000 and run["resources"]["user_s"] >= 0.0
+    assert "minflt" in bench_pairs.resource_text(run) and bench_pairs.resource_text(_run(1.0)) == ""

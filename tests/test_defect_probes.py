@@ -1,6 +1,7 @@
 """Defect probes: each level equals the public residuals bit for bit, evaluates every
 quantity once, and refines on random smooth states."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from croccolab import crocco, fieldcalc
+from croccolab import crocco, fieldcalc, transport
 from croccolab.crocco import (
     ComplexState,
     KortewegState,
@@ -117,8 +118,9 @@ def test_capillary_probe_evaluates_each_quantity_once(monkeypatch, name):
     fields = counted(monkeypatch, fieldcalc.Field, "__init__")
     defect_identity(paused_in(KORTEWEG_CATALOG[name], [curl, partial, rate, fields]), grids, min_order=0.0)
     assert (curl.calls, partial.calls, rate.calls) == (3, 3, 3 if inertia else 0)
-    # the Lamb vector and its curl are the only fields a level builds beyond its state
-    assert fields.calls == 2 * len(grids)
+    # beyond the Lamb vector and its curl, a level builds only the state's grad_iota and, with
+    # inertia, its iota_dot, each on first read
+    assert fields.calls == (4 if inertia else 3) * len(grids)
 
 
 @pytest.mark.parametrize("name", sorted(COMPLEX_CATALOG))
@@ -131,7 +133,42 @@ def test_order_parameter_probe_evaluates_each_quantity_once(monkeypatch, name):
     fields = counted(monkeypatch, fieldcalc.Field, "__init__")
     complex_defect_identity(paused_in(COMPLEX_CATALOG[name], [curl, partials, rate, fields]), grids, min_order=0.0)
     assert (curl.calls, partials.calls, rate.calls) == (3, 3, 3 if inertia else 0)
-    assert fields.calls == 2 * len(grids)
+    # the Lamb vector, its curl, the state's grad_nu and, with inertia, its nu_dot
+    assert fields.calls == (4 if inertia else 3) * len(grids)
+
+
+# ---------------------------------------------------------------------------
+# derived state fields are built on first read
+# ---------------------------------------------------------------------------
+
+DERIVED = {KortewegState: ("grad_iota", "iota_dot"), ComplexState: ("grad_nu", "nu_dot")}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_building_a_state_takes_no_derivative(monkeypatch, name):
+    state = CATALOG[name](Grid.periodic(16))[0]
+    flow = [getattr(state, f.name) for f in dataclasses.fields(state) if f.init]
+    diff = counted(monkeypatch, fieldcalc, "_diff")
+    monkeypatch.setattr(transport, "_diff", fieldcalc._diff)  # the one other module that imports it
+    rebuilt = type(state)(*flow)
+    assert diff.calls == 0 and not set(DERIVED[type(state)]) & set(vars(rebuilt))
+    first = [getattr(rebuilt, attr) for attr in DERIVED[type(state)]]
+    assert diff.calls > 0 and all(a is getattr(rebuilt, attr) for a, attr in zip(first, DERIVED[type(state)]))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_a_probe_builds_a_rate_only_under_a_co_energy(name):
+    builder, built = CATALOG[name], []
+
+    def recorded(grid):
+        built.append(builder(grid))
+        return built[-1]
+
+    identity = defect_identity if name in KORTEWEG_CATALOG else complex_defect_identity
+    identity(recorded, FAMILIES["periodic"], min_order=0.0)
+    for state, _, coenergy in built:
+        gradient, rate = DERIVED[type(state)]
+        assert gradient in vars(state) and (rate in vars(state)) == (not coenergy.is_zero)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,20 @@ def _plain_poisson_verdict(grid, psi, omega):
         np.roll(psi, -1, axis=1) - 2.0 * psi + np.roll(psi, 1, axis=1)
     ) / (hy * hy)
     residual = np.max(np.abs(lap + omega))
-    return bool(residual <= 1e-10 * max(1.0, float(np.max(np.abs(omega))))), residual
+    return bool(residual <= 1e-10 * float(np.max(np.abs(omega)))), residual
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_poisson_check_is_scale_free(scale):
+    # the solve passes and psi = 0 fails at every scale of omega; under a bound of
+    # 1e-10 * max(1, max|omega|) psi = 0 passed for omega ~ 1e-12
+    grid = Grid.periodic(32)
+    omega = scale * two_mode_vorticity(grid)
+    transport._require_poisson(grid, solve_streamfunction(grid, omega), omega)
+    with pytest.raises(PoissonError, match="residual"):
+        transport._require_poisson(grid, np.zeros_like(omega), omega)
+    zero = np.zeros_like(omega)
+    transport._require_poisson(grid, solve_streamfunction(grid, zero), zero)
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,7 +150,7 @@ def test_poisson_check_matches_the_plain_residual(data, n, aspect, scale, kick):
         omega += amp * np.cos(TWO_PI * (kx * i + ky * j) / n + phase)
     omega *= scale
     psi = np.fft.irfft2(np.fft.rfft2(omega) * _inverse_symbol(grid), s=grid.extents)
-    bound = 1e-10 * max(1.0, float(np.max(np.abs(omega))))
+    bound = 1e-10 * float(np.max(np.abs(omega)))
     psi[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] += kick * bound / (2 / h**2 + 2 / (aspect * h) ** 2)
     accepted, residual = _plain_poisson_verdict(grid, psi, omega)
     if accepted:

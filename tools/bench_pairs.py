@@ -19,15 +19,23 @@ exit status is 0 only then.  The tool only reads and runs the two
 checkouts; it writes nothing into them beyond what their own benchmark
 writes.
 
-``--json FILE`` also writes the summary, and every run's metrics, into FILE
-under the workload's name, keeping the other workloads already there; three
-calls (certify, transport, cli) with one FILE make one bench ledger.
+Each run's line also gives the resources of its child process, from
+``resource.getrusage(RUSAGE_CHILDREN)`` read before and after it: user and
+system CPU seconds and minor page faults.  They cover the whole run, import,
+set-up and warm-up included, so they are not end-to-end metrics; they show
+where a run's time went (kernel time spent faulting memory in, say).
+
+``--json FILE`` also writes the summary, and every run's metrics and
+resources, into FILE under the workload's name, keeping the other workloads
+already there; three calls (certify, transport, cli) with one FILE make one
+bench ledger.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -47,20 +55,35 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
+def _child_usage() -> dict:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return {"user_s": usage.ru_utime, "sys_s": usage.ru_stime, "minflt": usage.ru_minflt}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run: its metric values, and whether it reported check: ok with no failed op."""
+    """One benchmark run: its metric values, its child resources, and whether it reported check: ok
+    with no failed op."""
     argv = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    before = _child_usage()
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    after = _child_usage()
+    resources = {k: after[k] - before[k] for k in after}
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(proc.stdout + proc.stderr)
-        return {"ok": False, "metrics": {}}
+        return {"ok": False, "metrics": {}, "resources": resources}
     check_ok = any(line.startswith("check: ok") for line in lines)
     ok = proc.returncode == 0 and check_ok and result["correct"] and result["failed"] == 0
-    return {"ok": ok, "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+    return {"ok": ok, "metrics": {k: v["value"] for k, v in result["metrics"].items()}, "resources": resources}
+
+
+def resource_text(run: dict) -> str:
+    """The printed resources of a run, or "" for a run without them."""
+    r = run.get("resources")
+    return f"  [child user {r['user_s']:.2f} s  sys {r['sys_s']:.2f} s  minflt {r['minflt']}]" if r else ""
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
@@ -122,7 +145,8 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = run_once(dirs[side], args.workload, args.seed, seconds)
             shown = "  ".join(f"{k} {v:.6g}" for k, v in pair[side]["metrics"].items())
-            print(f"pair {i} {side:<6} {'ok' if pair[side]['ok'] else 'FAILED'}  {shown}", flush=True)
+            print(f"pair {i} {side:<6} {'ok' if pair[side]['ok'] else 'FAILED'}  {shown}{resource_text(pair[side])}",
+                  flush=True)
         pairs.append(pair)
     summary = summarize(pairs, spec["end_to_end"])
     for line in summary_lines(summary):
