@@ -18,7 +18,7 @@ every value used, defaults included, so a run is reproducible from them.  A
     mms-verify, validate-models: no section (fixed suites; mms-verify takes
                  its grid from --grid and rejects any [model] catalog)
 
-Commands (exit 0 on success, 2 on validation or solver failure, 1 on usage error):
+Commands (exit 0 on success, 2 on validation, solver or allocation failure, 1 on usage error):
 
     eval-korteweg   evaluate the capillary relation, write term fields + norms
     eval-complex    evaluate the order-parameter relation
@@ -384,7 +384,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.command == "transport2d":
                 return _cmd_transport(config, args.grid, args.out)
             return _cmd_eval(args.command.removeprefix("eval-"), config, args.grid, args.out)
-    except (ConfigError, ValueError, OSError, CFLError, PoissonError, IdentityViolationError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError, CFLError, PoissonError, IdentityViolationError) as exc:
         print(f"croccolab: {exc}", file=sys.stderr)
         return 2
 

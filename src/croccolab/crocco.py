@@ -318,20 +318,6 @@ def korteweg_stress(state: KortewegState, model: KortewegModel) -> TensorField:
     return TensorField(state.grid, _dyadic(state.grad_iota.values[..., None, :], rho_p[..., None, :]))
 
 
-def korteweg_stress_expanded(state: KortewegState, model: KortewegModel) -> VectorField:
-    """Product-rule route for div of the dyadic stress.
-
-    ``(div rho*P) grad(iota) + (grad^2 iota) rho*P`` with
-    ``P = dphi_dgrad_iota``; agrees with ``div_tensor(korteweg_stress(...))``
-    to O(h^2) and is used as its cross-check.
-    """
-    grid = state.grid
-    cap = _capillary(state, model, KortewegCoEnergy())
-    hess = _hess(grid, state.iota.values)
-    hess_rp = _dyadic(np.swapaxes(hess, -1, -2), cap.rho_p[..., None])[..., 0]  # sum_j hess[..., i, j] rp[..., j]
-    return VectorField(grid, cap.div_rho_p[..., None] * state.grad_iota.values + hess_rp)
-
-
 @dataclass(frozen=True)
 class KortewegPressures:
     p: ScalarField
@@ -360,7 +346,7 @@ def korteweg_pressures(
     ``p = -rho*iota*dphi_diota + iota*div(rho*P)``;
     ``p_check = rho*iota*(v.grad)(dchi_diota_dot) - dchi_diota``;
     ``p_bar = p - p_check`` (the rate co-energy lowers the effective
-    pressure; the enthalpy cross-route fixes the sign).  With the zero
+    pressure; the enthalpy's pressure route fixes the sign).  With the zero
     co-energy the kinetic pressure short-circuits and ``p_bar`` is ``p``
     bit-exactly.
     """
@@ -394,23 +380,6 @@ def korteweg_enthalpy(
     its kinematic arguments) and total enthalpy h = q^2/2 + xi."""
     xi = _xi(state, _capillary(state, model, coenergy))
     return KortewegEnthalpy(xi=ScalarField(state.grid, xi), h=ScalarField(state.grid, 0.5 * _speed2(state.v) + xi))
-
-
-def korteweg_enthalpy_alt(
-    state: KortewegState,
-    model: KortewegModel,
-    coenergy: KortewegCoEnergy,
-) -> ScalarField:
-    """Pressure-route evaluation of xi, the cross-check of the direct form.
-
-    ``xi = phi + iota*p_bar - iota^2*div(rho*P) + iota*p_check - P.grad(iota)``.
-    Agrees with the Legendre-transform route to O(h^2).
-    """
-    iota = state.iota.values
-    cap = _capillary(state, model, coenergy)
-    _, p_bar, p_check = _pressures(state, cap)
-    xi = cap.phi + iota * p_bar - iota**2 * cap.div_rho_p + iota * p_check - cap.p_grad_iota
-    return ScalarField(state.grid, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -547,21 +516,6 @@ def _run_identity_probe(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplexInteractions:
-    """Momentum stress, microstress and self-interaction of the order-parameter fluid.
-
-    ``T = rho*iota*dphi_diota I - (grad nu)^T S`` with microstress
-    ``S = rho*dphi_dgrad_nu`` and self-interaction ``z = rho*dphi_dnu``
-    (component form ``T_i^j = rho*iota*dphi_diota delta_ij -
-    (grad nu)^a_i S^a_j``).
-    """
-
-    stress: TensorField
-    microstress: OrderGradField
-    self_interaction: OrderField
-
-
 class _Order(NamedTuple):
     """The order-parameter quantities of one state, each evaluated once."""
 
@@ -589,17 +543,6 @@ def _order(
 def _state_order(state: ComplexState, parts: GinzburgLandauPartials, coenergy: OrderCoEnergy) -> _Order:
     nu_dot = None if coenergy.is_zero else state.nu_dot.values
     return _order(state.v, state.rho.values, state.nu.values, nu_dot, parts, coenergy)
-
-
-def complex_interactions(state: ComplexState, parts: GinzburgLandauPartials) -> ComplexInteractions:
-    grid = state.grid
-    order = _state_order(state, parts, OrderCoEnergy.zero(state.nu.m))
-    pressure_like = (state.rho.values * state.iota.values * parts.dphi_diota)[..., None, None] * np.eye(grid.dim)
-    return ComplexInteractions(
-        stress=TensorField(grid, pressure_like - _dyadic(state.grad_nu.values, order.s)),
-        microstress=OrderGradField(grid, order.s),
-        self_interaction=OrderField(grid, order.z),
-    )
 
 
 def _balance_residual(order: _Order) -> np.ndarray:

@@ -84,8 +84,6 @@ from .fieldcalc import (
     div_tensor,
     l2_norm,
     linf_norm,
-    order_grad,
-    order_second_grad,
     refinement_study,
     require_same_grid,
 )
@@ -325,20 +323,6 @@ def _field_source(nu: OrderField, model: ComplexFluidModel) -> tuple[ScalarField
     return built
 
 
-def stress_divergence_expanded(grid: Grid, nu: OrderField, model: ComplexFluidModel) -> VectorField:
-    """Product-rule route for div of the dyadic stress (cross-check).
-
-    ``(grad nu)^T div(P) + P^T gradgrad(nu)`` with ``P = dphi/dgrad nu``;
-    agrees with ``div_tensor(substructural_stress(...))`` to O(h^2).
-    """
-    gnu = order_grad(nu).values
-    p = model.dphi_dgrad_nu(gnu)
-    div_p = _div(grid, p)
-    hess = order_second_grad(nu).values
-    out = np.einsum("...ai,...a->...i", gnu, div_p) + np.einsum("...aj,...aji->...i", p, hess)
-    return VectorField(grid, out)
-
-
 def curl_div_norms(te: TensorField) -> tuple[float, float]:
     """(L2, Linf) of curl(div T), the vorticity-alteration magnitude."""
     w = curl_vector(div_tensor(te))
@@ -456,18 +440,6 @@ def te_work_rate(state: TransportState, model: ComplexFluidModel) -> float:
     return float(np.sum(state.velocity().values * -div_te)) * state.grid.cell_volume
 
 
-def omega_sign_changes(state: TransportState) -> int:
-    """Count of sign changes of omega along grid lines (wrap included).
-
-    A coarse proxy for vorticity-topology changes; reported as such, with no
-    claim beyond counting zero crossings.
-    """
-    w = state.omega.values
-    changes_x = np.signbit(w) ^ np.signbit(np.roll(w, -1, axis=0))
-    changes_y = np.signbit(w) ^ np.signbit(np.roll(w, -1, axis=1))
-    return int(np.sum(changes_x) + np.sum(changes_y))
-
-
 @dataclass(frozen=True)
 class RunSample:
     t: float
@@ -482,7 +454,6 @@ class RunSample:
 class RunResult:
     samples: list[RunSample] = dc_field(default_factory=list)
     final_state: TransportState | None = None
-    sign_changes: list[tuple[float, int]] = dc_field(default_factory=list)
     # max over every step (not only the samples) of |Z(t) - Z(0)| / |Z(0)|;
     # inf when Z(0) = 0 and the enstrophy leaves zero
     enstrophy_drift: float = 0.0
@@ -507,7 +478,6 @@ def run(config: TransportConfig, initial: TransportState) -> RunResult:
                 te_work_rate=te_work_rate(state, model),
             )
         )
-        result.sign_changes.append((state.t, omega_sign_changes(state)))
 
     _require_poisson(initial.grid, initial.psi.values, initial.omega.values)
     state, peak = initial, 0.0

@@ -473,6 +473,22 @@ def test_grid_size_zero_exits_two(tmp_path, capsys, command, text):
 
 
 @pytest.mark.parametrize(
+    "command, text",
+    [
+        ("eval-korteweg", "[state]\ngenerator = korteweg-basic\n"),
+        ("transport2d", None),
+        ("mms-verify", None),
+    ],
+)
+def test_grid_too_large_to_allocate_exits_two(tmp_path, capsys, command, text):
+    # 5e6 cells per axis: the first grid array alone would take ~182 TiB, which numpy refuses
+    config = [] if text is None else ["--config", write_config(tmp_path, text)]
+    code, err = run_cli([command, *config, "--grid", "5000000", "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert_one_line_error(err, "Unable to allocate")
+
+
+@pytest.mark.parametrize(
     "grid_text, flag",
     [
         ("n = 32\n", []),

@@ -1,4 +1,4 @@
-"""Order-parameter relation: interactions, balances, reductions, corollaries."""
+"""Order-parameter relation: balances, reductions, corollaries."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from croccolab.crocco import (
     ComplexState,
     complex_crocco,
     complex_defect_identity,
-    complex_interactions,
     complex_momentum_residual,
     corollary_check,
     korteweg_crocco,
@@ -50,49 +49,6 @@ def uniform_complex_state(grid, m=2, nu=(0.2, -0.1), v=(0.5, 0.1), iota=1.5, eta
 
 
 # ---------------------------------------------------------------------------
-# interactions
-# ---------------------------------------------------------------------------
-
-
-def test_interactions_uniform_nu_pure_pressure():
-    grid = Grid.periodic(16)
-    model = ComplexFluidModel(m=2, k=1.2, nu_ref=(0.2, -0.1), a=0.8, c=1.1, iota_ref=1.0)
-    state = uniform_complex_state(grid, nu=(0.2, -0.1))
-    inter = complex_interactions(state, partials(state, model))
-    assert linf_norm(inter.microstress) == 0.0
-    # stress reduces to rho*iota*dphi_diota * I
-    expected = model.dphi_diota(state.iota.values, state.nu.values)
-    assert np.allclose(inter.stress.values[..., 0, 0], expected)
-    assert np.allclose(inter.stress.values[..., 0, 1], 0.0)
-
-
-def test_interactions_self_interaction_hand_value():
-    # quadratic gamma, k=2, nu - nu0 = (1, 0), rho = 1: z = (2, 0)
-    grid = Grid.periodic(8)
-    model = ComplexFluidModel(m=2, k=2.0, nu_ref=(0.0, 0.0), a=1.0)
-    state = uniform_complex_state(grid, nu=(1.0, 0.0), iota=1.0)
-    inter = complex_interactions(state, partials(state, model))
-    assert np.allclose(inter.self_interaction.values[..., 0], 2.0)
-    assert np.allclose(inter.self_interaction.values[..., 1], 0.0)
-
-
-def test_interactions_match_capillary_stress_structure():
-    # m=1 embedding with a=beta: the dyadic part of the stress matches the
-    # capillary dyad exactly and the pressure parts share -rho*iota*f'.
-    grid = Grid.periodic(32)
-    state, kmodel, _ = korteweg_basic(grid)
-    cstate, cmodel, _ = korteweg_embedding(state, kmodel)
-    inter = complex_interactions(cstate, partials(cstate, cmodel))
-    from croccolab.crocco import korteweg_stress
-
-    te = korteweg_stress(state, kmodel)
-    # rebuild the dyadic part: stress = p_like*I - dyad
-    p_like = kmodel.dphi_diota(state.iota.values)  # rho*iota = 1
-    rebuilt_dyad = p_like[..., None, None] * np.eye(2) - inter.stress.values
-    assert np.max(np.abs(rebuilt_dyad - te.values)) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
 # substructural balance
 # ---------------------------------------------------------------------------
 
@@ -103,6 +59,27 @@ def test_balance_zero_for_uniform_equilibrium():
     state = uniform_complex_state(grid, nu=(0.2, -0.1))
     res = substructural_balance_residual(state, partials(state, model), OrderCoEnergy.zero(2))
     assert linf_norm(res) == 0.0
+
+
+def test_balance_uniform_nu_is_minus_self_interaction():
+    # uniform nu: the microstress and its divergence vanish, so Rs = -z = -rho*dphi_dnu
+    grid = Grid.periodic(16)
+    model = ComplexFluidModel(m=2, k=1.2, nu_ref=(0.2, -0.1), a=0.8, c=1.1, iota_ref=1.0)
+    state = uniform_complex_state(grid, nu=(0.5, 0.3))
+    parts = partials(state, model)
+    res = substructural_balance_residual(state, parts, OrderCoEnergy.zero(2))
+    assert np.array_equal(res.values, -(state.rho.values[..., None] * parts.dphi_dnu))
+    assert linf_norm(res) > 0.0
+
+
+def test_balance_self_interaction_hand_value():
+    # quadratic gamma, k=2, nu - nu_ref = (1, 0), rho = 1: z = (2, 0), so Rs = (-2, 0)
+    grid = Grid.periodic(8)
+    model = ComplexFluidModel(m=2, k=2.0, nu_ref=(0.0, 0.0), a=1.0)
+    state = uniform_complex_state(grid, nu=(1.0, 0.0), iota=1.0)
+    res = substructural_balance_residual(state, partials(state, model), OrderCoEnergy.zero(2))
+    assert np.allclose(res.values[..., 0], -2.0)
+    assert np.allclose(res.values[..., 1], 0.0)
 
 
 def test_balance_harmonic_equilibrium_refines():
