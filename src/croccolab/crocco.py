@@ -37,15 +37,24 @@ Each quantity is evaluated once per state.  ``KortewegState``'s
 ``grad(iota)`` and ``iota_dot`` and ``ComplexState``'s ``grad(nu)`` and
 ``nu_dot`` are built on first read, and the rates are read only under a
 non-zero co-energy; a capillary bundle holds ``rho*P``, ``div(rho*P)``,
-``P.grad(iota)``, ``dphi_diota``, ``phi`` and the co-energy rates, and an
-order-parameter bundle ``S``, ``z``, ``div S`` and the co-energy rates,
-read next to the partials of ``models.gl_partials``.
+``P.grad(iota)``, ``dphi_diota``, ``phi``, ``theta`` and the co-energy
+rates, and an order-parameter bundle ``S``, ``z``, ``div S`` and the
+co-energy rates (the scalar 0.0 under the zero co-energy), read next to the
+partials of ``models.gl_partials``.
 ``_momentum_residual`` is the momentum residual of both fluids.  The engines
 ``_korteweg_terms`` and ``_complex_terms`` (fed by the layered relation of
 :mod:`croccolab.smectic` with nu = w, m = 1) return term arrays; a defect
 probe level builds the Lamb vector and its bundles once and no intermediate
 field, and ``_build_report`` alone builds a report's term fields, checks them
-finite and names a non-finite term and its cell.
+finite and names a non-finite term and its cell before it builds the
+residual.
+
+The order-parameter engine keeps a bounded working set: it builds its terms
+one by one, freeing each intermediate before the next term, and contracts
+``D_i(P^a_j)`` with ``(grad nu)^a_j`` and ``D_j`` of the state's own
+``grad(nu)`` with ``S^a_j`` as each derivative is taken, so no second-gradient
+tensor (``m*dim*dim`` grid planes) is built; the sums run in the order, and
+give the bits, of ``_dyadic`` over the materialized tensors.
 
 Everything here is pure: states and reports are immutable value objects and
 evaluators allocate fresh fields, so independent states can be evaluated
@@ -77,7 +86,8 @@ from .fieldcalc import (
     _dyadic,
     _first_index,
     _grad,
-    _hess,
+    _grad_dot,
+    _hess_dot,
     _linf,
     _pointwise_magnitude,
     advect_steady,
@@ -266,11 +276,18 @@ def _report_field(relation: str, name: str, grid: Grid, values: np.ndarray) -> V
 
 
 def _build_report(relation: str, schema: Sequence[str], lhs: VectorField, terms: dict[str, np.ndarray]) -> CroccoReport:
-    """The report of term arrays: the one place their fields are built and checked finite."""
+    """The report of term arrays: the one place their fields are built and checked finite.
+
+    Consumes ``terms``: each array leaves the dict once its field holds a
+    copy.  Every term field is built, and a non-finite term named, before the
+    residual field; the residual subtracts the fields' values, which are the
+    arrays' bits, in schema order.
+    """
     if tuple(terms.keys()) != tuple(schema):
         raise SchemaError(f"{relation} schema must be {tuple(schema)}, got {tuple(terms.keys())}")
-    fields = {name: _report_field(relation, name, lhs.grid, terms[name]) for name in schema}
-    residual = _report_field(relation, "residual", lhs.grid, _residual_from(lhs, terms, schema))
+    fields = {name: _report_field(relation, name, lhs.grid, terms.pop(name)) for name in schema}
+    values = {name: field.values for name, field in fields.items()}
+    residual = _report_field(relation, "residual", lhs.grid, _residual_from(lhs, values, schema))
     named = {"lhs": lhs, **fields, "residual": residual}
     return CroccoReport(relation, lhs, fields, residual, {name: _norms(field) for name, field in named.items()})
 
@@ -294,6 +311,7 @@ class _Capillary(NamedTuple):
     p_grad_iota: np.ndarray
     dphi_diota: np.ndarray
     phi: np.ndarray
+    theta: np.ndarray  # from the exp(eta/c_v) that phi's entropic part reads
     rate: np.ndarray | None  # (v.grad)(dchi_diota_dot); it and dchi_diota are None with the zero co-energy
     dchi_diota: np.ndarray | None
 
@@ -308,8 +326,9 @@ def _capillary(state: KortewegState, model: KortewegModel, coenergy: KortewegCoE
         iota_dot = state.iota_dot.values
         rate = _advect(grid, coenergy.dchi_diota_dot(iota, iota_dot), state.v.values)
         dchi_diota = coenergy.dchi_diota(iota, iota_dot)
-    phi = model.phi(iota, g_iota, state.eta.values)
-    return _Capillary(rho_p, _div(grid, rho_p), _dot(p, g_iota), model.dphi_diota(iota), phi, rate, dchi_diota)
+    entropic, theta = model._thermal(state.eta.values)
+    phi = model._phi(iota, g_iota, entropic)
+    return _Capillary(rho_p, _div(grid, rho_p), _dot(p, g_iota), model.dphi_diota(iota), phi, theta, rate, dchi_diota)
 
 
 def korteweg_stress(state: KortewegState, model: KortewegModel) -> TensorField:
@@ -398,12 +417,13 @@ def classical_crocco(state: KortewegState, model: KortewegModel) -> CroccoReport
         raise SchemaError("classical relation needs a gradient-free model (beta = 0)")
     grid = state.grid
     iota, eta = state.iota.values, state.eta.values
-    big_h = 0.5 * _speed2(state.v) + model.phi(iota, state.grad_iota.values, eta) - iota * model.dphi_diota(iota)
-    terms = {"thermo": _thermo(grid, model.theta(eta), eta), "enthalpy": -_grad(grid, big_h)}
+    entropic, theta = model._thermal(eta)
+    big_h = 0.5 * _speed2(state.v) + model._phi(iota, state.grad_iota.values, entropic) - iota * model.dphi_diota(iota)
+    terms = {"thermo": _thermo(grid, theta, eta), "enthalpy": -_grad(grid, big_h)}
     return _build_report("classical", CLASSICAL_SCHEMA, lamb_vector(state.v), terms)
 
 
-def _korteweg_terms(state: KortewegState, model: KortewegModel, cap: _Capillary) -> dict[str, np.ndarray]:
+def _korteweg_terms(state: KortewegState, cap: _Capillary) -> dict[str, np.ndarray]:
     """The term arrays of the capillary relation."""
     grid = state.grid
     iota, eta = state.iota.values, state.eta.values
@@ -412,7 +432,7 @@ def _korteweg_terms(state: KortewegState, model: KortewegModel, cap: _Capillary)
     else:
         inertia = iota[..., None] * _grad(grid, cap.rate - cap.dchi_diota)
     return {
-        "thermo": _thermo(grid, model.theta(eta), eta),
+        "thermo": _thermo(grid, cap.theta, eta),
         "enthalpy": -_grad(grid, 0.5 * _speed2(state.v) + _xi(state, cap)),
         "wall": -_grad(grid, iota**2 * cap.div_rho_p + cap.p_grad_iota),
         "inertia": inertia,
@@ -433,7 +453,7 @@ def korteweg_crocco(
     With beta = 0 and the zero co-energy both fields are identically zero
     and the report coincides with the classical one.
     """
-    terms = _korteweg_terms(state, model, _capillary(state, model, coenergy))
+    terms = _korteweg_terms(state, _capillary(state, model, coenergy))
     return _build_report("korteweg", KORTEWEG_SCHEMA, lamb_vector(state.v), terms)
 
 
@@ -489,7 +509,7 @@ def defect_identity(
         state, model, coenergy = state_factory(grid)
         cap = _capillary(state, model, coenergy)
         lamb = lamb_vector(state.v)
-        defect = _residual_from(lamb, _korteweg_terms(state, model, cap), KORTEWEG_SCHEMA)
+        defect = _residual_from(lamb, _korteweg_terms(state, cap), KORTEWEG_SCHEMA)
         return _linf(grid, defect - _steady_residual(state, cap, lamb.values))
 
     return _run_identity_probe(probe_for, grids, min_order, "capillary defect identity")
@@ -522,8 +542,8 @@ class _Order(NamedTuple):
     s: np.ndarray  # microstress rho*dphi_dgrad_nu
     z: np.ndarray  # self-interaction rho*dphi_dnu
     div_s: np.ndarray
-    rate: np.ndarray  # (v.grad)(dchi_dnudot); it and dchi_dnu are zero with the zero co-energy
-    dchi_dnu: np.ndarray
+    rate: np.ndarray | float  # (v.grad)(dchi_dnudot); it and dchi_dnu are the scalar 0.0 with the zero co-energy
+    dchi_dnu: np.ndarray | float
 
 
 def _order(
@@ -534,7 +554,7 @@ def _order(
     grid = v.grid
     s = rho[..., None, None] * parts.dphi_dgrad_nu
     if coenergy.is_zero:
-        rate = dchi_dnu = np.zeros(nu.shape)
+        rate = dchi_dnu = 0.0  # adds and subtracts as a zero array does, bit for bit
     else:
         rate, dchi_dnu = _advect(grid, coenergy.dchi_dnu_dot(nu, nu_dot), v.values), coenergy.dchi_dnu(nu, nu_dot)
     return _Order(s, rho[..., None] * parts.dphi_dnu, _div(grid, s), rate, dchi_dnu)
@@ -569,35 +589,32 @@ def _complex_terms(
     """Shared engine: the componentwise term arrays of the relation.
 
     Reads arrays over the cells of ``v``'s grid: ``nu`` with its chart axis
-    and ``grad_nu`` with the chart and spatial axes.
+    and ``grad_nu``, the first derivatives of ``nu``, with the chart and
+    spatial axes.  The terms are built one by one in schema order, each
+    intermediate freed before the next term: the two second-gradient terms
+    contract each derivative as it is taken (``_grad_dot``, ``_hess_dot``),
+    so no ``m*dim*dim`` tensor is built.
     """
     grid = v.grid
     s, div_s = order.s, order.div_s
-    # the (a, j) axes of a chart gradient flattened into one, so that a sum over both is one chart sum
-    pairs = grid.extents + (grad_nu.shape[-2] * grid.dim,)
-
-    xi_c = (
+    terms = {"thermo": _thermo(grid, parts.theta, eta)}
+    # h_c = q^2/2 + phi - iota*dphi_diota - dphi_dnu.nu - P:grad(nu)
+    terms["enthalpy"] = -_grad(grid, 0.5 * _speed2(v) + (
         parts.phi
         - iota * parts.dphi_diota
         - _dot(parts.dphi_dnu, nu)
         - _dot(parts.dphi_dgrad_nu, grad_nu, axes=2)
-    )
-
+    ))
     # -(grad P)^T grad(nu): sum_aj D_i(P^a_j) (grad nu)^a_j
-    grad_p = _grad(grid, parts.dphi_dgrad_nu)  # (..., m, dim_j, dim_i)
-    # -(grad(iota*(div S - d/dt dchi_dnudot + dchi_dnu)))^T nu
+    terms["micro_grad"] = -_grad_dot(grid, parts.dphi_dgrad_nu, grad_nu)
+    # -(grad(iota*(div S - d/dt dchi_dnudot + dchi_dnu)))^T nu, a chart sum with a one-column second operand
     grad_bal = _grad(grid, iota[..., None] * (div_s - order.rate + order.dchi_dnu))
-
-    # each contraction below is a chart sum with a one-column second operand
-    hess = _hess(grid, nu)  # (..., m, dim_j, dim_i), C-contiguous
-    return {
-        "thermo": _thermo(grid, parts.theta, eta),
-        "enthalpy": -_grad(grid, 0.5 * _speed2(v) + xi_c),
-        "micro_grad": -_dyadic(grad_p.reshape(pairs + (grid.dim,)), grad_nu.reshape(pairs + (1,)))[..., 0],
-        "order_balance": -_dyadic(grad_bal, nu[..., None])[..., 0],
-        "micro_div": -iota[..., None] * _dyadic(grad_nu, div_s[..., None])[..., 0],
-        "micro_hess": -iota[..., None] * _dyadic(hess.reshape(pairs + (grid.dim,)), s.reshape(pairs + (1,)))[..., 0],
-    }
+    terms["order_balance"] = -_dyadic(grad_bal, nu[..., None])[..., 0]
+    del grad_bal
+    terms["micro_div"] = -iota[..., None] * _dyadic(grad_nu, div_s[..., None])[..., 0]
+    # -iota S:gradgrad(nu): sum_aj D_j((grad nu)^a_i) S^a_j
+    terms["micro_hess"] = -iota[..., None] * _hess_dot(grid, grad_nu, s)
+    return terms
 
 
 def _state_terms(state: ComplexState, parts: GinzburgLandauPartials, order: _Order) -> dict[str, np.ndarray]:

@@ -46,7 +46,10 @@ Sums over component axes go through two contraction helpers: ``_dot`` sums
 ``sum_a g[..., a, i] * s[..., a, j]``.  Both add whole-grid component slices
 one by one from +0, the order in which np.sum adds a short axis and
 np.einsum a chart axis, so they give those functions' bits without their
-cost on axes two to four elements long.
+cost on axes two to four elements long.  ``_grad_dot`` and ``_hess_dot``
+contract a first or second gradient with a component array as each
+derivative is taken, with the bits of ``_dyadic`` over the materialized
+``_grad`` or ``_hess`` tensor and one derivative slice alive at a time.
 
 Every operator is a pure function: fields are immutable after construction
 (their arrays are marked read-only) and operators allocate fresh arrays, so
@@ -59,7 +62,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -402,6 +405,55 @@ def _dyadic(g: np.ndarray, s: np.ndarray) -> np.ndarray:
             for a in range(1, g.shape[-2]):
                 acc += g[..., a, i] * s[..., a, j]
             np.add(acc, 0.0, out=out[..., i, j])
+    return out
+
+
+def _diff_dot(grid: Grid, terms: Iterable[tuple[np.ndarray, int, np.ndarray]], out: np.ndarray) -> np.ndarray:
+    """out = sum of ``_diff(grid, x, axis) * y`` over the (x, axis, y) of `terms`, as _dyadic adds it.
+
+    Each derivative is multiplied into its own buffer and added as soon as
+    it is taken, one whole-grid slice at a time, and the write into `out`
+    adds the closing +0: the bits of _dyadic's chart sum over the slots of a
+    materialized derivative tensor, with one derivative alive at a time.
+    """
+    acc = None
+    for x, axis, y in terms:
+        d = _diff(grid, x, axis)
+        d *= y
+        if acc is None:
+            acc = d
+        else:
+            acc += d
+    return np.add(acc, 0.0, out=out)
+
+
+def _grad_dot(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[..., i] = sum_k d_i(a[..., k]) * b[..., k], k running over a's component axes in C order.
+
+    The bits of ``_dyadic`` over ``_grad(grid, a)`` with its component axes
+    flattened into the chart axis, against ``b`` as a one-column operand,
+    without building that gradient.
+    """
+    out = np.empty(grid.extents + (grid.dim,))
+    keys = [(Ellipsis,) + k for k in itertools.product(*map(range, a.shape[grid.dim:]))]
+    for i in range(grid.dim):
+        _diff_dot(grid, ((a[k], i, b[k]) for k in keys), out[..., i])
+    return out
+
+
+def _hess_dot(grid: Grid, g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """out[..., i] = sum_{a, j} d_j(g[..., a, i]) * s[..., a, j], (a, j) in C order.
+
+    With ``g = _grad(grid, nu)`` this is the second gradient of ``nu``
+    contracted with ``s``, the bits of ``_dyadic`` over ``_hess(grid, nu)``
+    with its (a, j) axes flattened into the chart axis, against ``s`` as a
+    one-column operand, without building that second gradient: ``_hess``
+    takes d_j of the same first derivatives ``g`` holds.
+    """
+    out = np.empty(grid.extents + (grid.dim,))
+    pairs = list(itertools.product(range(g.shape[-2]), range(grid.dim)))
+    for i in range(grid.dim):
+        _diff_dot(grid, ((g[..., a, i], j, s[..., a, j]) for a, j in pairs), out[..., i])
     return out
 
 

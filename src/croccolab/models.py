@@ -124,10 +124,15 @@ class ThermalPart:
             raise ModelError("entropic parameters e0, c_v must be > 0")
 
     def entropic(self, eta: np.ndarray) -> np.ndarray:
-        return self.e0 * np.exp(np.asarray(eta) / self.c_v)
+        return self._thermal(eta)[0]
 
     def theta(self, eta: np.ndarray) -> np.ndarray:
-        return (self.e0 / self.c_v) * np.exp(np.asarray(eta) / self.c_v)
+        return self._thermal(eta)[1]
+
+    def _thermal(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entropic part and the temperature, from one ``exp(eta/c_v)``."""
+        growth = np.exp(np.asarray(eta) / self.c_v)
+        return self.e0 * growth, (self.e0 / self.c_v) * growth
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +166,12 @@ class KortewegModel(MechanicalPart, ThermalPart):
         self._check_thermal()
 
     def phi(self, iota: np.ndarray, grad_iota: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        return self._phi(iota, grad_iota, self.entropic(eta))
+
+    def _phi(self, iota: np.ndarray, grad_iota: np.ndarray, entropic: np.ndarray) -> np.ndarray:
+        """phi with its entropic part already evaluated."""
         g = np.asarray(grad_iota)
-        return self.f_mech(iota) + self.entropic(eta) + 0.5 * self.beta * _dot(g, g)
+        return self.f_mech(iota) + entropic + 0.5 * self.beta * _dot(g, g)
 
     def dphi_diota(self, iota: np.ndarray) -> np.ndarray:
         return self.df_mech(iota)
@@ -271,26 +280,41 @@ class ComplexFluidModel(MechanicalPart, ThermalPart):
         grad_nu: np.ndarray,
         eta: np.ndarray,
     ) -> np.ndarray:
-        gn = np.asarray(grad_nu)
-        return self._gamma(iota, nu, eta) + 0.5 * self.a * _dot(gn, gn, axes=2)
-
-    def _gamma(self, iota: np.ndarray, nu: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        f = self.f_mech(iota) + self.entropic(eta)
-        if self.gamma_kind == QUADRATIC:
-            d = np.asarray(nu) - self.nu_anchor(iota)
-            return 0.5 * self.k * _dot(d, d) + f
-        return _mech_value(TWO_WELL, self.k, self.well_1, self.well_2, np.asarray(nu)[..., 0]) + f
+        return self._phi(iota, nu, grad_nu, self.entropic(eta), self._offset(iota, nu))
 
     def dphi_diota(self, iota: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        return self._dphi_diota(iota, self._offset(iota, nu))
+
+    def dphi_dnu(self, iota: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        return self._dphi_dnu(nu, self._offset(iota, nu))
+
+    # The private forms below take the pieces that phi and its partials share, each
+    # evaluated once by gl_partials: the entropic part and the offset ``d``.
+
+    def _offset(self, iota: np.ndarray, nu: np.ndarray) -> np.ndarray | None:
+        """``d = nu - nu_ref(iota)`` of the quadratic gamma; None for the two-well gamma, which reads no anchor."""
+        return np.asarray(nu) - self.nu_anchor(iota) if self.gamma_kind == QUADRATIC else None
+
+    def _phi(
+        self, iota: np.ndarray, nu: np.ndarray, grad_nu: np.ndarray, entropic: np.ndarray, d: np.ndarray | None
+    ) -> np.ndarray:
+        f = self.f_mech(iota) + entropic
+        if d is not None:
+            gamma = 0.5 * self.k * _dot(d, d) + f
+        else:
+            gamma = _mech_value(TWO_WELL, self.k, self.well_1, self.well_2, np.asarray(nu)[..., 0]) + f
+        gn = np.asarray(grad_nu)
+        return gamma + 0.5 * self.a * _dot(gn, gn, axes=2)
+
+    def _dphi_diota(self, iota: np.ndarray, d: np.ndarray | None) -> np.ndarray:
         out = self.df_mech(iota)
-        if self.gamma_kind == QUADRATIC and any(s != 0.0 for s in self.nu_ref_slope):
-            d = np.asarray(nu) - self.nu_anchor(iota)
+        if d is not None and any(s != 0.0 for s in self.nu_ref_slope):
             out = out - self.k * _dot(d, np.asarray(self.nu_ref_slope))
         return out
 
-    def dphi_dnu(self, iota: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        if self.gamma_kind == QUADRATIC:
-            return self.k * (np.asarray(nu) - self.nu_anchor(iota))
+    def _dphi_dnu(self, nu: np.ndarray, d: np.ndarray | None) -> np.ndarray:
+        if d is not None:
+            return self.k * d
         comp = np.asarray(nu)[..., 0]
         out = np.zeros_like(np.asarray(nu))
         out[..., 0] = _mech_prime(TWO_WELL, self.k, self.well_1, self.well_2, comp)
@@ -333,17 +357,24 @@ def gl_partials(
     grad_nu: OrderGradField,
     eta: ScalarField,
 ) -> GinzburgLandauPartials:
-    """Potential and pointwise partials of the Ginzburg-Landau model, each checked finite."""
+    """Potential and pointwise partials of the Ginzburg-Landau model, each checked finite.
+
+    The anchor offset ``nu - nu_ref(iota)`` and ``exp(eta/c_v)`` are each
+    evaluated once and shared by the potential and the partials that read
+    them, with the bits of the model's public methods.
+    """
     require_same_grid(iota, nu, grad_nu, eta)
     if nu.m != model.m or grad_nu.m != model.m:
         raise ModelError(f"chart dimension mismatch: model m={model.m}, fields m={nu.m}")
     check_sphere_constraint(model, nu)
+    d = model._offset(iota.values, nu.values)
+    entropic, theta = model._thermal(eta.values)
     return GinzburgLandauPartials(
-        dphi_diota=_check_finite("dphi_diota", model.dphi_diota(iota.values, nu.values)),
-        dphi_dnu=_check_finite("dphi_dnu", model.dphi_dnu(iota.values, nu.values)),
+        dphi_diota=_check_finite("dphi_diota", model._dphi_diota(iota.values, d)),
+        dphi_dnu=_check_finite("dphi_dnu", model._dphi_dnu(nu.values, d)),
         dphi_dgrad_nu=_check_finite("dphi_dgrad_nu", model.dphi_dgrad_nu(grad_nu.values)),
-        theta=_check_finite("theta", model.theta(eta.values)),
-        phi=_check_finite("phi", model.phi(iota.values, nu.values, grad_nu.values, eta.values)),
+        theta=_check_finite("theta", theta),
+        phi=_check_finite("phi", model._phi(iota.values, nu.values, grad_nu.values, entropic, d)),
     )
 
 

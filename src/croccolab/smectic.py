@@ -153,13 +153,13 @@ def _layer_bundle(state: SmecticState, model: SmecticModel) -> GinzburgLandauPar
     """The m = 1 partials of the layer potential, the microstress standing in for the gradient partial."""
     grid = state.grid
     energy, s = _layer_partials(state, model)
-    eta = state.eta.values
+    entropic, theta = model._thermal(state.eta.values)
     return GinzburgLandauPartials(
         dphi_diota=np.zeros(grid.extents),
         dphi_dnu=np.zeros(grid.extents + (1,)),
         dphi_dgrad_nu=s[..., None, :],
-        theta=model.theta(eta),
-        phi=energy + model.entropic(eta),
+        theta=theta,
+        phi=energy + entropic,
     )
 
 
@@ -176,7 +176,9 @@ def smectic_crocco(state: SmecticState, model: SmecticModel) -> CroccoReport:
         micro_hess    = -iota * S . gradgrad(w)
 
     and ``h_c = q^2/2 + phi - S.grad(w)`` with ``phi`` the mechanical energy
-    plus the separable entropic part.
+    plus the separable entropic part.  The engine contracts ``grad S`` and
+    ``gradgrad(w)`` (the derivatives of the cached ``grad(w)``) as it takes
+    them, so neither second-gradient tensor is built.
     """
     ones = np.ones(state.grid.extents)  # iota and rho
     w = state.w.values[..., None]

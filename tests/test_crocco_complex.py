@@ -1,5 +1,7 @@
 """Order-parameter relation: balances, reductions, corollaries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,29 @@ def test_complex_defect_identity_evaluates_the_bundle_once_per_level(monkeypatch
     report = complex_defect_identity(CATALOG["complex-gl-m2"], grids)
     assert report.meets_order(1.8), report.levels
     assert calls == {"gl_partials": 3, "check_sphere_constraint": 3}
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_relation_engine_builds_no_second_gradient_tensor():
+    # At 128^2 one grid plane is 128 KiB.  The complex-gl-m2 relation (m = 2, non-zero
+    # co-energy) peaked at ~64 planes and its defect-probe level at ~73 while the engine
+    # built grad(P) and gradgrad(nu), 8 planes each; contracting each derivative as it
+    # is taken, freeing each intermediate and dropping each term once its field holds
+    # it leaves ~45 and ~54.
+    grid = Grid.periodic(128)
+    plane = grid.n_cells * 8
+    state, model, coenergy = CATALOG["complex-gl-m2"](grid)
+    assert _traced_peak(complex_crocco, state, model, coenergy) < 52 * plane
+    grids = [Grid.periodic(n) for n in (32, 64, 128)]
+    assert _traced_peak(complex_defect_identity, CATALOG["complex-gl-m2"], grids) < 62 * plane
 
 
 def test_defect_needs_the_substructural_coupling():

@@ -25,7 +25,9 @@ from croccolab.fieldcalc import (
     _dot,
     _dyadic,
     _grad,
+    _grad_dot,
     _hess,
+    _hess_dot,
     _pointwise_magnitude,
     advect_steady,
     curl_vector,
@@ -588,6 +590,42 @@ def test_dyadic_chart_sum_bit_identical_to_einsum(m, dims):
     for label, (x, y) in operands.items():
         ref = np.einsum("...ai,...aj->...ij", x, y)
         assert np.array_equal(_bits(_dyadic(x, y)), _bits(ref)), label
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid.periodic(8),
+        Grid.one_sided((7, 9), (0.3, 0.2)),
+        Grid.periodic(5, dim=3),
+        Grid((5, 6, 4), (0.4, 0.3, 0.5), ("periodic", "one-sided", "one-sided")),
+    ],
+    ids=["periodic-2d", "one-sided-2d", "periodic-3d", "mixed-3d"],
+)
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fused_contractions_bit_identical_to_dyadic_over_the_built_tensors(grid, m):
+    # the relation engine's two second-gradient terms, as the chart sums over the
+    # materialized _grad / _hess tensors with their (a, j) axes flattened into one
+    rng = np.random.default_rng(30 + m)
+    dim, pairs = grid.dim, grid.extents + (m * grid.dim,)
+    nu, p, s = (_wild(rng, grid.extents + shape) for shape in ((m,), (m, dim), (m, dim)))
+    g = _grad(grid, nu)
+    grad_ref = _dyadic(_grad(grid, p).reshape(pairs + (dim,)), g.reshape(pairs + (1,)))[..., 0]
+    hess_ref = _dyadic(_hess(grid, nu).reshape(pairs + (dim,)), s.reshape(pairs + (1,)))[..., 0]
+
+    def strided(a):  # every other slot of a wider buffer
+        wide = np.full(a.shape[:-1] + (2 * a.shape[-1],), np.nan)
+        wide[..., ::2] = a
+        return wide[..., ::2]
+
+    layouts = {"contiguous": lambda a: a, "strided": strided, "fortran": np.asfortranarray}
+    for label, layout in layouts.items():
+        got = _grad_dot(grid, layout(p), layout(g))
+        assert got.shape == grid.extents + (dim,) and got.flags.c_contiguous
+        assert np.array_equal(_bits(got), _bits(grad_ref)), label
+        got = _hess_dot(grid, layout(g), layout(s))
+        assert got.shape == grid.extents + (dim,) and got.flags.c_contiguous
+        assert np.array_equal(_bits(got), _bits(hess_ref)), label
 
 
 # ---------------------------------------------------------------------------

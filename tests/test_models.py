@@ -174,6 +174,38 @@ def test_gl_chart_dimension_mismatch():
         gl_partials(model, iota, nu, gnu, eta)
 
 
+@pytest.mark.parametrize("gamma_kind, anchors", [("quadratic", 1), ("two-well", 0)])
+def test_gl_partials_take_the_anchor_offset_and_the_exponential_once(monkeypatch, gamma_kind, anchors):
+    grid = Grid.periodic(8)
+    model = ComplexFluidModel(m=2, gamma_kind=gamma_kind, k=1.1, nu_ref=(0.2, -0.1), nu_ref_slope=(0.3, -0.2), a=0.8)
+    rng = np.random.default_rng(4)
+    iota = ScalarField(grid, 1.0 + 0.5 * rng.random(grid.extents))
+    eta = ScalarField(grid, rng.standard_normal(grid.extents))
+    nu = OrderField(grid, rng.standard_normal(grid.extents + (2,)))
+    gnu = OrderGradField(grid, rng.standard_normal(grid.extents + (2, 2)))
+    # the public methods each take their own offset and exponential
+    expected = {
+        "dphi_diota": model.dphi_diota(iota.values, nu.values),
+        "dphi_dnu": model.dphi_dnu(iota.values, nu.values),
+        "dphi_dgrad_nu": model.dphi_dgrad_nu(gnu.values),
+        "theta": model.theta(eta.values),
+        "phi": model.phi(iota.values, nu.values, gnu.values, eta.values),
+    }
+    calls = {"nu_anchor": 0, "_thermal": 0}
+    for name in calls:
+        original = getattr(ComplexFluidModel, name)
+
+        def wrapper(self, *args, name=name, original=original):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(ComplexFluidModel, name, wrapper)
+    parts = gl_partials(model, iota, nu, gnu, eta)
+    assert calls == {"nu_anchor": anchors, "_thermal": 1}
+    for name, values in expected.items():
+        assert np.array_equal(getattr(parts, name).view(np.int64), values.view(np.int64)), name
+
+
 def test_sphere_constraint_validation():
     grid = Grid.periodic(8)
     model = ComplexFluidModel(m=2, sphere_constrained=True)

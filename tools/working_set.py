@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Print the traced allocation peak of each benchmark study and CLI session.
+
+    python3 tools/working_set.py [--seed 0]
+
+Imports croccolab from the ``src/`` directory, and the benchmark's seeded
+workloads from the ``benchmarks/`` directory, of the checkout this file sits
+in, so a copy of this file placed in another checkout measures that
+checkout on the same inputs.  It builds the ``certify`` and ``cli``
+workloads at the benchmark's sizes, runs one warm-up op of each, and then
+runs each study or session once under ``tracemalloc``:
+
+* ``certify``: the three capillary defect identities, the order-parameter
+  defect identity and the smectic oracle, each over the 64/128/256 levels;
+* ``cli``: ``eval-complex`` at 256^2, ``transport2d`` and ``mms-verify``.
+
+Each line gives, in MiB and in bytes, the peak of the bytes allocated while
+the study or session ran, numpy arrays included, over what was allocated
+when it started.  The count depends only on the code and the inputs, not
+on the host's load, so two commits can be compared by one run each; the
+process's resident size, which the benchmark reports, adds the
+interpreter, the libraries and whatever the allocator keeps.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+import crocbench  # noqa: E402  (imports neither numpy nor croccolab)
+
+
+def traced_peak(fn) -> int:
+    """Bytes allocated at the peak of ``fn()`` over those allocated when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    crocbench.clamp_thread_env()
+    crocbench.use_checkout_source()
+    from crocbench import workloads
+    from croccolab import cli, crocco, fieldcalc, manufactured
+
+    certify = workloads.Certify(Path("."))
+    certify.setup(args.seed)
+    certify.op()  # warm-up: first-call imports and caches are not part of a study
+    grids = certify.grids
+    studies = {
+        case: lambda b=manufactured.CATALOG[case]: crocco.defect_identity(
+            lambda g: certify.capillary_state(b, g), grids, min_order=0.0)
+        for case in certify.CAPILLARY
+    }
+    studies[certify.COMPLEX] = lambda: crocco.complex_defect_identity(certify.complex_state, grids, min_order=0.0)
+    studies["smectic-oracle"] = lambda: fieldcalc.refinement_study(
+        certify.smectic_oracle_error, [g.spacing[0] for g in grids])
+    sizes = "/".join(str(g.extents[0]) for g in grids)
+    rows = [(f"certify {name} ({sizes})", traced_peak(study)) for name, study in studies.items()]
+
+    with tempfile.TemporaryDirectory(prefix="working-set-") as tmp:
+        session = workloads.Cli(Path(tmp))
+        session.setup(args.seed)
+        if any(session.op()):
+            print("working_set: a cli session exited non-zero", file=sys.stderr)
+            return 1
+        for argv_ in session.sessions:
+            rows.append((f"cli {argv_[0]}", traced_peak(lambda a=argv_: cli.main(a))))
+
+    width = max(len(label) for label, _ in rows)
+    print(f"traced allocation peaks, seed {args.seed}")
+    for label, peak in rows:
+        print(f"{label:<{width}}  {peak / 2**20:8.1f} MiB  {peak:>12,d} B")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
