@@ -41,13 +41,14 @@ non-zero co-energy; a capillary bundle holds ``rho*P``, ``div(rho*P)``,
 rates, and an order-parameter bundle ``S``, ``z``, ``div S`` and the
 co-energy rates (the scalar 0.0 under the zero co-energy), read next to the
 partials of ``models.gl_partials``.
-``_momentum_residual`` is the momentum residual of both fluids.  The engines
-``_korteweg_terms`` and ``_complex_terms`` (fed by the layered relation of
-:mod:`croccolab.smectic` with nu = w, m = 1) return term arrays; a defect
-probe level builds the Lamb vector and its bundles once and no intermediate
-field, and ``_build_report`` alone builds a report's term fields, checks them
-finite and names a non-finite term and its cell before it builds the
-residual.
+``_momentum_residual`` is the momentum residual of both fluids.  The engine
+``_korteweg_terms`` returns its term arrays and ``_complex_terms`` (fed by
+the layered relation of :mod:`croccolab.smectic` with nu = w, m = 1) yields
+them one by one in schema order; a defect probe level builds the Lamb vector
+and its bundles once and no intermediate field, and subtracts each
+order-parameter term as it is built, so it holds one term at a time.
+``_build_report`` alone builds a report's term fields, checks them finite
+and names a non-finite term and its cell before it builds the residual.
 
 The order-parameter engine keeps a bounded working set: it builds its terms
 one by one, freeing each intermediate before the next term, and contracts
@@ -66,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -259,11 +260,16 @@ class CroccoReport:
         return VectorField(self.lhs.grid, acc)
 
 
-def _residual_from(lhs: VectorField, terms: Mapping[str, np.ndarray], schema: Sequence[str]) -> np.ndarray:
-    """lhs minus the term arrays, subtracted one by one in schema order."""
+def _residual_from(lhs: VectorField, terms: Iterable[np.ndarray]) -> np.ndarray:
+    """lhs minus the term arrays, subtracted one by one in the order given.
+
+    Each term is dropped before the next is taken, so terms built on demand
+    are held one at a time.
+    """
     res = lhs.values.copy()
-    for name in schema:
-        res -= terms[name]
+    for term in terms:
+        res -= term
+        del term
     return res
 
 
@@ -286,8 +292,7 @@ def _build_report(relation: str, schema: Sequence[str], lhs: VectorField, terms:
     if tuple(terms.keys()) != tuple(schema):
         raise SchemaError(f"{relation} schema must be {tuple(schema)}, got {tuple(terms.keys())}")
     fields = {name: _report_field(relation, name, lhs.grid, terms.pop(name)) for name in schema}
-    values = {name: field.values for name, field in fields.items()}
-    residual = _report_field(relation, "residual", lhs.grid, _residual_from(lhs, values, schema))
+    residual = _report_field(relation, "residual", lhs.grid, _residual_from(lhs, (f.values for f in fields.values())))
     named = {"lhs": lhs, **fields, "residual": residual}
     return CroccoReport(relation, lhs, fields, residual, {name: _norms(field) for name, field in named.items()})
 
@@ -509,7 +514,7 @@ def defect_identity(
         state, model, coenergy = state_factory(grid)
         cap = _capillary(state, model, coenergy)
         lamb = lamb_vector(state.v)
-        defect = _residual_from(lamb, _korteweg_terms(state, cap), KORTEWEG_SCHEMA)
+        defect = _residual_from(lamb, _korteweg_terms(state, cap).values())  # in KORTEWEG_SCHEMA order
         return _linf(grid, defect - _steady_residual(state, cap, lamb.values))
 
     return _run_identity_probe(probe_for, grids, min_order, "capillary defect identity")
@@ -585,39 +590,40 @@ def substructural_balance_residual(
 def _complex_terms(
     v: VectorField, iota: np.ndarray, eta: np.ndarray, nu: np.ndarray, grad_nu: np.ndarray,
     parts: GinzburgLandauPartials, order: _Order,
-) -> dict[str, np.ndarray]:
-    """Shared engine: the componentwise term arrays of the relation.
+) -> Iterator[np.ndarray]:
+    """Shared engine: the componentwise term arrays of the relation, in ``COMPLEX_SCHEMA`` order.
 
     Reads arrays over the cells of ``v``'s grid: ``nu`` with its chart axis
     and ``grad_nu``, the first derivatives of ``nu``, with the chart and
-    spatial axes.  The terms are built one by one in schema order, each
-    intermediate freed before the next term: the two second-gradient terms
+    spatial axes.  Each term is built when the previous one has been taken,
+    and its intermediates are freed before it is handed over, so a consumer
+    that drops each term holds one at a time; the two second-gradient terms
     contract each derivative as it is taken (``_grad_dot``, ``_hess_dot``),
     so no ``m*dim*dim`` tensor is built.
     """
     grid = v.grid
     s, div_s = order.s, order.div_s
-    terms = {"thermo": _thermo(grid, parts.theta, eta)}
-    # h_c = q^2/2 + phi - iota*dphi_diota - dphi_dnu.nu - P:grad(nu)
-    terms["enthalpy"] = -_grad(grid, 0.5 * _speed2(v) + (
+    yield _thermo(grid, parts.theta, eta)  # thermo
+    # enthalpy: -grad(h_c), h_c = q^2/2 + phi - iota*dphi_diota - dphi_dnu.nu - P:grad(nu)
+    yield -_grad(grid, 0.5 * _speed2(v) + (
         parts.phi
         - iota * parts.dphi_diota
         - _dot(parts.dphi_dnu, nu)
         - _dot(parts.dphi_dgrad_nu, grad_nu, axes=2)
     ))
-    # -(grad P)^T grad(nu): sum_aj D_i(P^a_j) (grad nu)^a_j
-    terms["micro_grad"] = -_grad_dot(grid, parts.dphi_dgrad_nu, grad_nu)
-    # -(grad(iota*(div S - d/dt dchi_dnudot + dchi_dnu)))^T nu, a chart sum with a one-column second operand
+    # micro_grad: -(grad P)^T grad(nu), sum_aj D_i(P^a_j) (grad nu)^a_j
+    yield -_grad_dot(grid, parts.dphi_dgrad_nu, grad_nu)
+    # order_balance: -(grad(iota*(div S - d/dt dchi_dnudot + dchi_dnu)))^T nu, a chart sum with a
+    # one-column second operand
     grad_bal = _grad(grid, iota[..., None] * (div_s - order.rate + order.dchi_dnu))
-    terms["order_balance"] = -_dyadic(grad_bal, nu[..., None])[..., 0]
+    yield -_dyadic(grad_bal, nu[..., None])[..., 0]
     del grad_bal
-    terms["micro_div"] = -iota[..., None] * _dyadic(grad_nu, div_s[..., None])[..., 0]
-    # -iota S:gradgrad(nu): sum_aj D_j((grad nu)^a_i) S^a_j
-    terms["micro_hess"] = -iota[..., None] * _hess_dot(grid, grad_nu, s)
-    return terms
+    yield -iota[..., None] * _dyadic(grad_nu, div_s[..., None])[..., 0]  # micro_div
+    # micro_hess: -iota S:gradgrad(nu), sum_aj D_j((grad nu)^a_i) S^a_j
+    yield -iota[..., None] * _hess_dot(grid, grad_nu, s)
 
 
-def _state_terms(state: ComplexState, parts: GinzburgLandauPartials, order: _Order) -> dict[str, np.ndarray]:
+def _state_terms(state: ComplexState, parts: GinzburgLandauPartials, order: _Order) -> Iterator[np.ndarray]:
     """The engine fed from a typed order-parameter state."""
     fields = (state.iota, state.eta, state.nu, state.grad_nu)
     return _complex_terms(state.v, *(f.values for f in fields), parts, order)
@@ -630,7 +636,7 @@ def complex_crocco(
 ) -> CroccoReport:
     """Order-parameter relation assembled from the componentwise form."""
     parts = gl_partials(model, state.iota, state.nu, state.grad_nu, state.eta)
-    terms = _state_terms(state, parts, _state_order(state, parts, coenergy))
+    terms = dict(zip(COMPLEX_SCHEMA, _state_terms(state, parts, _state_order(state, parts, coenergy))))
     return _build_report("complex", COMPLEX_SCHEMA, lamb_vector(state.v), terms)
 
 
@@ -685,7 +691,7 @@ def complex_defect_identity(
         parts = gl_partials(model, state.iota, state.nu, state.grad_nu, state.eta)
         order = _state_order(state, parts, coenergy)
         lamb = lamb_vector(state.v)
-        defect = _residual_from(lamb, _state_terms(state, parts, order), COMPLEX_SCHEMA)
+        defect = _residual_from(lamb, _state_terms(state, parts, order))
         target = _complex_residual(state, parts, order.s, lamb.values) + _coupling(state, order)
         return _linf(grid, defect - target)
 

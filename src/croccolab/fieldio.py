@@ -37,20 +37,30 @@ make a ``Grid``, and ``kind``, ``m`` and ``components`` agree (a byte that is
 not UTF-8 reads as U+FFFD and fails the check of its value).  Any
 violation raises ``FieldFileError`` naming the key.
 
-A binary payload is viewed in place with ``np.frombuffer``.  A CSV payload
-is decoded in one C-level pass by ``np.loadtxt`` (comma delimiter, no
-comment character), after the reader has checked that it has one line per
-cell and no blank line.  A malformed CSV payload raises ``FieldFileError``
-naming the first bad row, counted from 1 at the line after ``payload``: a
-blank row, a row with the wrong number of values, or a row holding a
-token that is not a number.  A payload whose every row has the same wrong
-width is reported as a width mismatch.  Non-finite values parse, and the
+A read takes the header line by line from the head of the file and then
+the payload in one sized read, so the payload's bytes are held once and
+never sliced.  A binary payload is viewed in place with ``np.frombuffer``.
+A CSV payload is streamed to ``np.loadtxt`` (comma delimiter, no comment
+character) as lines decoded and split one block of about
+``CSV_READ_BLOCK`` bytes at a time, so one block's line strings are all
+that exist at once.  A block ends just after a ``\\n``, so its lines are
+those of the whole payload split at once, and the stream stops at the
+first blank row, which ``np.loadtxt`` would skip.  A payload that decodes
+to one row per cell is read; any other is decoded again as one list of
+lines, the route that names what is wrong with it.  A malformed CSV
+payload raises ``FieldFileError``: the first blank row, else a line count
+that is not the cell count, else the first row with the wrong number of
+values or a token that is not a number, rows counted from 1 at the line
+after ``payload``.  A payload whose every row has the same wrong width is
+reported as a width mismatch.  Non-finite values parse, and the
 field constructor then rejects them with their cell index.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 
 import numpy as np
 
@@ -67,7 +77,8 @@ from .fieldcalc import (
 )
 
 MAGIC = "CROCCOFIELD v1"
-_PAYLOAD_LINE = b"\npayload\n"
+_MAGIC_LINE = (MAGIC + "\n").encode("utf-8")
+_PAYLOAD_LINE = b"payload\n"
 
 KINDS = {cls.kind: cls for cls in (ScalarField, VectorField, TensorField, OrderField, OrderGradField, OrderHessField)}
 
@@ -76,6 +87,9 @@ ENCODINGS = ("binary", "csv")
 # values per CSV block; a block's text (at most ~25 bytes a value) is all the payload text held
 # at once, whatever the field's size
 CSV_BLOCK_VALUES = 8192
+# bytes per block of a streamed CSV read; a block's lines are all the payload text decoded at once
+CSV_READ_BLOCK = 1 << 16
+_CSV_LOADTXT = {"delimiter": ",", "comments": None, "dtype": float, "ndmin": 2}
 _KEYS = ("kind", "dim", "extents", "spacing", "boundary", "m", "components", "layout", "encoding")
 
 
@@ -150,18 +164,26 @@ def _values(header: dict[str, str], key: str, parse, count: int) -> tuple:
     return values
 
 
+def _read_header(fh) -> dict[str, str]:
+    """The header of an open field file, read line by line up to the payload line, where it leaves the file."""
+    first = fh.readline()
+    if first != _MAGIC_LINE:
+        got = first.rstrip(b"\n")[:40]
+        raise FieldFileError(f"magic mismatch: expected {MAGIC!r}, got {got!r}")
+    lines = []
+    for line in iter(fh.readline, b""):
+        if line == _PAYLOAD_LINE:
+            return _parse_header(b"".join(lines).decode("utf-8", "replace").splitlines())
+        lines.append(line)
+    raise FieldFileError("missing payload line")
+
+
 def read_field(path: str) -> Field:
     """Read a field written by :func:`write_field` (bit-exact round trip)."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith((MAGIC + "\n").encode("utf-8")):
-        got = blob.split(b"\n", 1)[0][:40]
-        raise FieldFileError(f"magic mismatch: expected {MAGIC!r}, got {got!r}")
-    mark = blob.find(_PAYLOAD_LINE)
-    if mark < 0:
-        raise FieldFileError("missing payload line")
-    header = _parse_header(blob[len(MAGIC) + 1 : mark + 1].decode("utf-8", "replace").splitlines())
-    payload = blob[mark + len(_PAYLOAD_LINE) :]
+        header = _read_header(fh)
+        # one sized read: a bare fh.read() joins the buffered head of the payload to the rest, a copy
+        payload = fh.read(os.fstat(fh.fileno()).st_size - fh.tell())
 
     kind = header["kind"]
     cls = KINDS.get(kind)
@@ -201,18 +223,10 @@ def read_field(path: str) -> Field:
             )
         flat = np.frombuffer(payload, dtype="<f8")
     else:
-        lines = payload.decode("utf-8", "replace").splitlines()
-        if "" in lines:  # np.loadtxt would skip it and shift every later row
-            raise FieldFileError(f"CSV payload row {lines.index('') + 1} is blank")
-        if len(lines) != n_cells:
-            raise FieldFileError(
-                f"payload length mismatch: expected {n_cells} lines, got {len(lines)}"
-            )
-        try:
-            flat = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
-        except ValueError as exc:
-            message = _csv_row_error(lines, components) or f"malformed CSV payload: {exc}"
-            raise FieldFileError(message) from exc
+        flat = _csv_block_values(payload, n_cells)
+        if flat is None:
+            flat = _csv_line_values(payload, n_cells, components)
+        del payload  # freed before the field copies the values
         if flat.shape[1] != components:
             raise FieldFileError(
                 f"payload width mismatch: expected {components} components, got {flat.shape[1]}"
@@ -220,6 +234,59 @@ def read_field(path: str) -> Field:
 
     # the constructor re-checks finiteness with position
     return cls(grid, flat.reshape(grid.extents + shape))
+
+
+class _BlankRow(Exception):
+    """A blank CSV payload row, which np.loadtxt would skip."""
+
+
+def _line_blocks(payload: bytes):
+    """The payload's lines, decoded and split one block of about ``CSV_READ_BLOCK`` bytes at a time.
+
+    A block ends just after a ``\\n``, which ends a line for ``str.splitlines``
+    too and is never part of a UTF-8 sequence, so the blocks' lines are
+    those of the whole payload, decoded and split at once.
+    """
+    view = memoryview(payload)
+    start = 0
+    while start < len(payload):
+        end = payload.find(b"\n", start + CSV_READ_BLOCK) + 1 or len(payload)
+        lines = str(view[start:end], "utf-8", "replace").splitlines()
+        if not all(lines):
+            raise _BlankRow
+        yield lines
+        start = end
+
+
+def _csv_block_values(payload: bytes, n_cells: int) -> np.ndarray | None:
+    """Decode a CSV payload streamed in blocks of lines, or None for one the line route must read.
+
+    ``np.loadtxt`` skips only blank lines, so a payload without one that
+    decodes to ``n_cells`` rows has ``n_cells`` lines.
+    """
+    if not payload:  # np.loadtxt warns on input with no lines
+        return None
+    try:
+        flat = np.loadtxt(itertools.chain.from_iterable(_line_blocks(payload)), **_CSV_LOADTXT)
+    except (_BlankRow, ValueError):
+        return None
+    return flat if len(flat) == n_cells else None
+
+
+def _csv_line_values(payload: bytes, n_cells: int, components: int) -> np.ndarray:
+    """Decode a CSV payload split into lines at once, naming the first bad row of a malformed one."""
+    lines = payload.decode("utf-8", "replace").splitlines()
+    if "" in lines:  # np.loadtxt would skip it and shift every later row
+        raise FieldFileError(f"CSV payload row {lines.index('') + 1} is blank")
+    if len(lines) != n_cells:
+        raise FieldFileError(
+            f"payload length mismatch: expected {n_cells} lines, got {len(lines)}"
+        )
+    try:
+        return np.loadtxt(lines, **_CSV_LOADTXT)
+    except ValueError as exc:
+        message = _csv_row_error(lines, components) or f"malformed CSV payload: {exc}"
+        raise FieldFileError(message) from exc
 
 
 def _csv_row_error(lines: list[str], components: int) -> str | None:

@@ -184,7 +184,8 @@ def smectic_crocco(state: SmecticState, model: SmecticModel) -> CroccoReport:
     w = state.w.values[..., None]
     parts = _layer_bundle(state, model)
     order = _order(state.v, ones, w, None, parts, OrderCoEnergy.zero(1))  # the zero co-energy reads no rate of w
-    terms = _complex_terms(state.v, ones, state.eta.values, w, state.grad_w.values[..., None, :], parts, order)
+    grad_w = state.grad_w.values[..., None, :]
+    terms = dict(zip(COMPLEX_SCHEMA, _complex_terms(state.v, ones, state.eta.values, w, grad_w, parts, order)))
     return _build_report("smectic", COMPLEX_SCHEMA, lamb_vector(state.v), terms)
 
 
@@ -204,5 +205,5 @@ def smectic_via_general(state: SmecticState, model: SmecticModel) -> CroccoRepor
         nu=OrderField(grid, state.w.values[..., None]),
     )
     parts = _layer_bundle(state, model)
-    terms = _state_terms(cstate, parts, _state_order(cstate, parts, OrderCoEnergy.zero(1)))
+    terms = dict(zip(COMPLEX_SCHEMA, _state_terms(cstate, parts, _state_order(cstate, parts, OrderCoEnergy.zero(1)))))
     return _build_report("smectic", COMPLEX_SCHEMA, lamb_vector(state.v), terms)

@@ -52,12 +52,29 @@ def test_json_ledger_keeps_every_workload(tmp_path, monkeypatch):
     assert calls == ["parent", "change", "change", "parent", "parent", "change"]  # alternating order
     assert bench_pairs.main([*argv, "--workload", "bad"]) == 1
     data = json.loads(ledger.read_text())
-    assert sorted(data) == ["bad", "transport"]
-    assert data["transport"]["all_check_ok"] and not data["bad"]["all_check_ok"]
-    assert data["transport"]["metrics"]["op_ms_p50"]["change_wins"] == 3
-    assert [list(run) for run in data["transport"]["runs"]] == [["parent", "change"], ["change", "parent"],
-                                                                ["parent", "change"]]
-    assert data["transport"]["runs"][0]["change"]["metrics"]["op_ms_p50"] == pytest.approx(200.0)
+    assert sorted(data) == ["bad-seed0", "transport-seed0"]
+    transport = data["transport-seed0"]
+    assert transport["all_check_ok"] and not data["bad-seed0"]["all_check_ok"]
+    assert transport["metrics"]["op_ms_p50"]["change_wins"] == 3
+    assert [list(run) for run in transport["runs"]] == [["parent", "change"], ["change", "parent"],
+                                                        ["parent", "change"]]
+    assert transport["runs"][0]["change"]["metrics"]["op_ms_p50"] == pytest.approx(200.0)
+
+
+def test_json_ledger_keys_by_seed_and_keeps_every_rerun(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": METRICS}))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds: _run(200.0 + seed))
+    ledger = tmp_path / "ledger.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "cli", "--pairs", "2", "--json",
+            str(ledger)]
+    for seed in (0, 7, 7, 0, 7):
+        assert bench_pairs.main([*argv, "--seed", str(seed)]) == 0
+    data = json.loads(ledger.read_text())
+    assert list(data) == ["cli-seed0", "cli-seed7", "cli-seed7-2", "cli-seed0-2", "cli-seed7-3"]
+    assert [data[key]["seed"] for key in data] == [0, 7, 7, 0, 7]
+    assert data["cli-seed7-3"]["runs"][0]["change"]["metrics"]["op_ms_p50"] == pytest.approx(207.0)
 
 
 def test_run_once_reads_the_child_resources(tmp_path):

@@ -233,6 +233,16 @@ def test_relation_engine_builds_no_second_gradient_tensor():
     assert _traced_peak(complex_defect_identity, CATALOG["complex-gl-m2"], grids) < 62 * plane
 
 
+def test_defect_probe_holds_one_term_at_a_time():
+    # A complex-gl-m2 probe level subtracts each term from the Lamb-vector copy as the
+    # engine builds it.  Holding all six term arrays (12 planes at m = 2) until the
+    # subtraction peaked at ~53.6 planes (128^2) inside the engine; one term at a time
+    # leaves the momentum residual's ~50.6 as the level's peak.
+    plane = Grid.periodic(128).n_cells * 8
+    grids = [Grid.periodic(n) for n in (32, 64, 128)]
+    assert _traced_peak(complex_defect_identity, CATALOG["complex-gl-m2"], grids) < 52 * plane
+
+
 def test_defect_needs_the_substructural_coupling():
     # Without the coupling built from the substructural balance residual the
     # defect stays order one on free manufactured states.

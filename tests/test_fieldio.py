@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from croccolab.fieldcalc import (
 )
 from croccolab import fieldio
 from croccolab.fieldio import KINDS, FieldFileError, read_field, write_field
+from dual_routes import read_field_whole
 
 
 def sample_fields():
@@ -453,3 +455,89 @@ def test_writes_hold_no_whole_payload_in_memory(tmp_path):
     assert _traced_write_peak(field, str(tmp_path / "t.csv"), "csv") < 2_000_000
     # the binary payload is written from the field's own buffer, with no copy of it
     assert _traced_write_peak(field, str(tmp_path / "t.bin"), "binary") < field.values.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the streamed CSV decoder against the whole-payload reader
+# ---------------------------------------------------------------------------
+
+# line ends str.splitlines breaks at (besides "\n"), and a U+0085 byte that is not UTF-8 on its own
+LINE_ENDS = (b"\r\n", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1e", "\u2028".encode(), "\x85".encode(), b"\x85")
+# bytes that are not UTF-8 (0xa0 and 0x85 are whitespace and a line end in Latin-1), and UTF-8 non-ASCII
+NON_ASCII = (b"\xff", b"\xc3", b"\xa0", b"\x85", "\u00a0".encode(), "\u00e9".encode(), "\u2028".encode())
+TOKENS = (b"nan", b"-inf", b"inf", b"NaN", b"abc", b"", b" ", b"1.2.3", b"0x10")
+
+
+def _corrupt(data, rows: list[list[bytes]]) -> None:
+    """Apply one drawn corruption to payload rows, each [line, its end]."""
+    action = data.draw(st.sampled_from(["blank", "drop", "copy", "end", "last-end", "non-ascii", "ragged", "token"]))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    if action == "blank":
+        rows.insert(data.draw(st.sampled_from([0, len(rows), i])), [b"", b"\n"])
+    elif action == "drop":
+        del rows[i]
+    elif action == "copy":
+        rows.insert(i, list(rows[i]))
+    elif action == "end":
+        rows[i][1] = data.draw(st.sampled_from(LINE_ENDS))
+    elif action == "last-end":
+        rows[-1][1] = data.draw(st.sampled_from([b""] + list(LINE_ENDS)))
+    elif action == "non-ascii":
+        edges = [0, len(rows[i][0]), rows[i][0].find(b",") + 1]
+        at = data.draw(st.sampled_from(edges) | st.integers(0, len(rows[i][0])))
+        rows[i][0] = rows[i][0][:at] + data.draw(st.sampled_from(NON_ASCII)) + rows[i][0][at:]
+    elif action == "ragged":
+        tokens = rows[i][0].split(b",")
+        rows[i][0] = b",".join(tokens[:-1] if len(tokens) > 1 and data.draw(st.booleans()) else tokens + [b"1.5"])
+    else:
+        tokens = rows[i][0].split(b",")
+        tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(st.sampled_from(TOKENS))
+        rows[i][0] = b",".join(tokens)
+
+
+def _outcome(read, path):
+    """The bits a reader returns, or the type and message of what it raises."""
+    try:
+        field = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(field), field.grid, field.values.shape, field.values.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_fields(), st.integers(1, 400), st.data())
+def test_streamed_csv_decoder_matches_the_whole_payload_reader(tmp_path_factory, field, block, data):
+    path = tmp_path_factory.mktemp("io") / "f.csv"
+    write_field(field, str(path), encoding="csv")
+    head, payload = path.read_bytes().split(b"\npayload\n", 1)
+    rows = [[line, b"\n"] for line in payload.split(b"\n")[:-1]]
+    corruptions = data.draw(st.integers(0, 3))
+    for _ in range(corruptions):
+        _corrupt(data, rows)
+    path.write_bytes(head + b"\npayload\n" + b"".join(line + end for line, end in rows))
+    whole_split = mock.patch.object(fieldio, "_csv_line_values", wraps=fieldio._csv_line_values)
+    with mock.patch.object(fieldio, "CSV_READ_BLOCK", block), whole_split as line_route:  # blocks of a few lines
+        assert _outcome(read_field, str(path)) == _outcome(read_field_whole, str(path))
+    if not corruptions:
+        assert not line_route.called  # a file as written is decoded by the streamed route
+
+
+def _traced_read_peak(path) -> int:
+    tracemalloc.start()
+    try:
+        read_field(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_reads_hold_no_list_of_payload_lines(tmp_path):
+    # decoding and splitting the whole payload into one list of lines peaked at 5.4-7x the file
+    grid = Grid.periodic(256)
+    rng = np.random.default_rng(2)
+    for field in (ScalarField(grid, rng.standard_normal(grid.extents)),
+                  OrderField(grid, rng.standard_normal(grid.extents + (2,)))):
+        path = tmp_path / f"{field.kind}.csv"
+        write_field(field, str(path), encoding="csv")
+        assert _traced_read_peak(str(path)) < 2.5 * path.stat().st_size
+        assert read_field(str(path)).values.tobytes() == field.values.tobytes()

@@ -26,9 +26,10 @@ set-up and warm-up included, so they are not end-to-end metrics; they show
 where a run's time went (kernel time spent faulting memory in, say).
 
 ``--json FILE`` also writes the summary, and every run's metrics and
-resources, into FILE under the workload's name, keeping the other workloads
-already there; three calls (certify, transport, cli) with one FILE make one
-bench ledger.
+resources, into FILE under the key ``WORKLOAD-seedS`` (``cli-seed7``).  It
+never replaces an entry: a rerun of a workload and seed already in FILE goes
+under the next free suffix (``cli-seed7-2``, ``cli-seed7-3``, ...).  So
+calls for every workload and seed with one FILE make one bench ledger.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def parse_args(argv):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--json", type=Path, help="also write the summary into this file, keyed by workload")
+    parser.add_argument("--json", type=Path, help="also write the summary into this file, keyed by workload and seed")
     return parser.parse_args(argv)
 
 
@@ -132,6 +133,16 @@ def summary_lines(summary: dict) -> list[str]:
     return out
 
 
+def ledger_key(ledger: dict, workload: str, seed: int) -> str:
+    """``WORKLOAD-seedS``, or with the first suffix ``-2``, ``-3``, ... that no entry of the ledger has."""
+    base = f"{workload}-seed{seed}"
+    key, n = base, 1
+    while key in ledger:
+        n += 1
+        key = f"{base}-{n}"
+    return key
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -155,7 +166,7 @@ def main(argv=None) -> int:
     print(f"every run check: ok with 0 failed ops: {'yes' if all_ok else 'NO'}")
     if args.json is not None:
         ledger = json.loads(args.json.read_text(encoding="utf-8")) if args.json.exists() else {}
-        ledger[args.workload] = {
+        ledger[ledger_key(ledger, args.workload, args.seed)] = {
             "seed": args.seed, "run_seconds": seconds, "all_check_ok": all_ok, "metrics": summary,
             "runs": pairs,
         }

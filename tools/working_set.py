@@ -12,7 +12,9 @@ runs each study or session once under ``tracemalloc``:
 
 * ``certify``: the three capillary defect identities, the order-parameter
   defect identity and the smectic oracle, each over the 64/128/256 levels;
-* ``cli``: ``eval-complex`` at 256^2, ``transport2d`` and ``mms-verify``.
+* ``cli``: ``eval-complex`` at 256^2, ``transport2d`` and ``mms-verify``,
+  and ``fieldio.read_field`` of each CSV field file that ``eval-complex``
+  reads (the ``[state]`` files of its config), with the file's size.
 
 Each line gives, in MiB and in bytes, the peak of the bytes allocated while
 the study or session ran, numpy arrays included, over what was allocated
@@ -25,6 +27,7 @@ interpreter, the libraries and whatever the allocator keeps.
 from __future__ import annotations
 
 import argparse
+import configparser
 import sys
 import tempfile
 import tracemalloc
@@ -44,6 +47,20 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+def read_rows(config_path: str) -> list[tuple[str, int]]:
+    """A row per ``[state]`` field file of an ``eval-complex`` config: the traced peak of reading it."""
+    from croccolab import fieldio
+
+    config = configparser.ConfigParser(interpolation=None)
+    config.read(config_path, encoding="utf-8")
+    rows = []
+    for key, path in config["state"].items():
+        peak = traced_peak(lambda p=path: fieldio.read_field(p))
+        size = Path(path).stat().st_size
+        rows.append((f"cli read_field {key} ({size:,d} B file, peak {peak / size:.2f}x)", peak))
+    return rows
 
 
 def main(argv=None) -> int:
@@ -78,6 +95,8 @@ def main(argv=None) -> int:
             return 1
         for argv_ in session.sessions:
             rows.append((f"cli {argv_[0]}", traced_peak(lambda a=argv_: cli.main(a))))
+        (eval_argv,) = [a for a in session.sessions if a[0] == "eval-complex"]
+        rows += read_rows(eval_argv[eval_argv.index("--config") + 1])
 
     width = max(len(label) for label, _ in rows)
     print(f"traced allocation peaks, seed {args.seed}")
