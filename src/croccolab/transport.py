@@ -18,16 +18,22 @@ discrete conservation of energy and enstrophy keeps the conserving-case
 drift purely time-integration (RK4) sized; a naive central product form
 would leak enstrophy at a rate set by the spatial resolution, drowning the
 time-step signal.  The Jacobian pads psi once and each operand component
-as its own 2-D plane, then runs the stencil over blocks of rows of about
-``BLOCK_CELLS`` cells of one plane, so its temporaries stay cache-sized.
-Per block it takes psi's differences once and runs the nine-point
-expression plane by plane into that component of one output array: every
-operation is plane against plane, never a 2-D psi term broadcast against a
-component axis, and a component's result is bit for bit that of a call on
-it alone.  Each cell sees the same operations in the same order for any
-block height, so the result does not depend on it.  Time stepping is
+as its own 2-D plane and ravels it, so every stencil neighbour is a
+contiguous 1-D slice at a flat offset of +-1 (axis 1) or +-(ny + 2)
+(axis 0).  It runs over blocks of rows of about ``BLOCK_CELLS`` cells of
+one plane, in block buffers allocated once per call and written in place:
+the padded differences of psi (once per block) and of the operand, and
+three work buffers.  A block is one flat run of its padded rows, so its
+pad-column cells are computed from wrapped neighbours too, and only the
+interior of each row is divided into the output.  Every operation is plane
+against plane, never a 2-D psi term broadcast against a component axis, and
+a component's result is bit for bit that of a call on it alone.  Each cell
+sees the nine-point expression's operations in its order (``j1``, ``+ j2``,
+``+ j3``, ``/ scale``) for any block height, so the result does not depend
+on it and matches the plain expression.  Time stepping is
 classical explicit RK4.  The Poisson solve is a real FFT (``rfft2``)
-against an inverse-eigenvalue table cached per grid, and its residual
+whose half-spectrum is scaled in place by an inverse-eigenvalue table
+cached per grid, and its residual
 ``max|lap(psi) + omega|`` is checked at every solve against
 ``POISSON_TOL * max|omega|``, a bound relative to the vorticity's own
 scale at every scale (omega == 0 solves to psi == 0 with residual exactly
@@ -91,8 +97,8 @@ from .models import ComplexFluidModel, ModelError
 
 POISSON_TOL = 1e-10  # per unit of max|omega|
 # cells per row block of the Jacobian, counted in one plane (one component), so its block
-# temporaries stay in cache.  On a 10-step frozen 256^2 run (2 vCPU) 4096 was ~10% slower and
-# 16384 within noise of 8192, which allocates less; a 64^2 plane is one block.
+# buffers stay in cache.  On 10-step frozen 256^2 runs (2 vCPU) 16384 tied with 8192, which
+# allocates less (traced Jacobian peak 4.06 against 4.95 grids); a 64^2 plane is one block.
 BLOCK_CELLS = 8192
 CFL_LIMIT = 0.5
 
@@ -173,7 +179,10 @@ def _inverse_symbol(grid: Grid) -> np.ndarray:
 
 def solve_streamfunction(grid: Grid, omega: np.ndarray) -> np.ndarray:
     """Zero-mean psi with lap(psi) = -omega on the compact 5-point stencil."""
-    psi = np.fft.irfft2(np.fft.rfft2(omega) * _inverse_symbol(grid), s=grid.extents)
+    spec = np.fft.rfft2(omega)
+    spec *= _inverse_symbol(grid)
+    psi = np.fft.irfft2(spec, s=grid.extents)
+    del spec  # not held through the residual check's own grid buffers
     _require_poisson(grid, psi, omega)
     return psi
 
@@ -205,27 +214,52 @@ def _arakawa(grid: Grid, psi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     # psi term broadcast against a component axis runs ~2.4x slower per element)
     stack = zeta if zeta.ndim == 3 else zeta[..., None]
     out = np.empty(stack.shape)
-    planes = [(_wrap_pad(stack[..., c]), out[..., c]) for c in range(stack.shape[-1])]
-    p = _wrap_pad(psi)
+    planes = [(_wrap_pad(stack[..., c]).ravel(), out[..., c]) for c in range(stack.shape[-1])]
+    p = _wrap_pad(psi).ravel()
     nx, ny = psi.shape
-    rows = max(1, BLOCK_CELLS // ny)
+    w = ny + 2  # padded row width: axis 0 (west -> east) is a flat offset of w, axis 1 (south -> north) of 1
+    rows = min(max(1, BLOCK_CELLS // ny), nx)
+    # block temporaries, reused by every block: the differences of psi and of the operand along
+    # axis 0 (px, zx) over the block's padded rows, along axis 1 (py, zy) over those rows and one
+    # padded row on each side, and three work buffers of the block's padded rows
+    px, zx, j, j23, t = np.empty((5, rows * w))
+    py, zy = np.empty((2, (rows + 2) * w - 2))
+
+    def block(v: np.ndarray, a: int, n: int, vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Plane v's differences along axis 0 into vx and axis 1 into vy; its E, W, N, S neighbours."""
+        np.subtract(v[a + w : a + n + w], v[a - w : a + n - w], out=vx[:n])
+        np.subtract(v[a + 2 - w : a + n + w], v[a - w : a + n + w - 2], out=vy[: n + 2 * w - 2])
+        return v[a + 1 + w : a + n - 1 + w], v[a + 1 - w : a + n - 1 - w], v[a + 2 : a + n], v[a : a + n - 2]
+
     for i0 in range(0, nx, rows):
-        i1 = min(i0 + rows, nx)
-        # rows i0-1 .. i1 of the grid, as padded rows i0 .. i1+1; axis 0 runs west -> east, axis 1
-        # south -> north.  Every neighbour difference of the stencil is a slice of one padded
-        # difference per axis (e.g. pne - pnw = px[:, 2:]), so each subtraction is done once and
-        # is the same subtraction for every block size.  The psi terms serve every plane.
-        pb = p[i0 : i1 + 2]
-        px, py = pb[2:, :] - pb[:-2, :], pb[:, 2:] - pb[:, :-2]
-        pe, pw, pn, ps = pb[2:, 1:-1], pb[:-2, 1:-1], pb[1:-1, 2:], pb[1:-1, :-2]
+        n = min(rows, nx - i0) * w
+        # the block is the flat run of its n padded-row cells starting at a; its cells f in
+        # a+1 .. a+n-2 are computed, so every read stays inside the padded plane.  A pad-column
+        # cell among them reads the wrap of its row's neighbours, and is never stored.
+        a = (i0 + 1) * w
+        c = slice(1, n - 1)
+        pe, pw, pn, ps = block(p, a, n, px, py)
+        pxc, pxn, pxs = px[c], px[2:n], px[: n - 2]
+        pyc, pye, pyw = py[w : n - 2 + w], py[2 * w : n - 2 + 2 * w], py[: n - 2]
+        jc, j23c, tc = j[c], j23[c], t[c]
         for zp, o in planes:
-            zb = zp[i0 : i1 + 2]
-            zx, zy = zb[2:, :] - zb[:-2, :], zb[:, 2:] - zb[:, :-2]
-            ze, zw, zn, zs = zb[2:, 1:-1], zb[:-2, 1:-1], zb[1:-1, 2:], zb[1:-1, :-2]
-            j1 = px[:, 1:-1] * zy[1:-1, :] - py[1:-1, :] * zx[:, 1:-1]
-            j2 = pe * zy[2:, :] - pw * zy[:-2, :] - pn * zx[:, 2:] + ps * zx[:, :-2]
-            j3 = zn * px[:, 2:] - zs * px[:, :-2] - ze * py[2:, :] + zw * py[:-2, :]
-            np.divide(j1 + j2 + j3, scale, out=o[i0:i1])
+            ze, zw, zn, zs = block(zp, a, n, zx, zy)
+            # j1 = px zy - py zx
+            np.multiply(pxc, zy[w : n - 2 + w], out=jc)
+            jc -= np.multiply(pyc, zx[c], out=tc)
+            # j2 = pe zy(east) - pw zy(west) - pn zx(north) + ps zx(south)
+            np.multiply(pe, zy[2 * w : n - 2 + 2 * w], out=j23c)
+            j23c -= np.multiply(pw, zy[: n - 2], out=tc)
+            j23c -= np.multiply(pn, zx[2:n], out=tc)
+            j23c += np.multiply(ps, zx[: n - 2], out=tc)
+            jc += j23c
+            # j3 = zn px(north) - zs px(south) - ze py(east) + zw py(west)
+            np.multiply(zn, pxn, out=j23c)
+            j23c -= np.multiply(zs, pxs, out=tc)
+            j23c -= np.multiply(ze, pye, out=tc)
+            j23c += np.multiply(zw, pyw, out=tc)
+            jc += j23c
+            np.divide(j[:n].reshape(-1, w)[:, 1:-1], scale, out=o[i0 : i0 + n // w])
     return out if zeta.ndim == 3 else out[..., 0]
 
 

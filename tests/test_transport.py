@@ -343,6 +343,82 @@ def test_arakawa_bits_do_not_depend_on_the_row_block(cells, k, monkeypatch):
     assert np.array_equal(_arakawa(grid, psi, zeta).view(np.int64), reference.view(np.int64))
 
 
+def _assert_rolls_bits(grid, psi, zeta):
+    """_arakawa equals the roll formula per component: the same NaN cells, every other bit alike."""
+    out = _arakawa(grid, psi, zeta)
+    assert out.shape == zeta.shape
+    stack = zeta if zeta.ndim == 3 else zeta[..., None]
+    got = out if zeta.ndim == 3 else out[..., None]
+    for c in range(stack.shape[-1]):
+        reference = _arakawa_rolls(grid, psi, stack[..., c])
+        nan = np.isnan(reference)
+        assert np.array_equal(np.isnan(got[..., c]), nan)
+        assert np.array_equal(np.where(nan, 0.0, got[..., c]).view(np.int64), np.where(nan, 0.0, reference).view(np.int64))
+
+
+# a padded row of n + 2 cells is barely wider than the three-cell stencil; one block, and 1-row blocks
+@pytest.mark.parametrize("n", [4, 5, 7])
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("cells", [transport.BLOCK_CELLS, 1])
+def test_arakawa_on_the_smallest_grids_matches_the_roll_formula(n, k, cells, monkeypatch):
+    grid = Grid.periodic(n)
+    rng = np.random.default_rng(n + k)
+    psi, zeta = rng.standard_normal((n, n)), rng.standard_normal((n, n, k) if k else (n, n))
+    monkeypatch.setattr(transport, "BLOCK_CELLS", cells)
+    _assert_rolls_bits(grid, psi, zeta)
+
+
+# fewer block cells than one padded row (n + 2 = 19 cells): every block is a single row
+@pytest.mark.parametrize("cells", [1, 16, 17, 18])
+@pytest.mark.parametrize("k", [0, 3])
+def test_arakawa_with_blocks_narrower_than_a_padded_row_matches_the_roll_formula(cells, k, monkeypatch):
+    n = 17
+    grid = Grid.periodic(n)
+    rng = np.random.default_rng(cells + k)
+    psi, zeta = rng.standard_normal((n, n)), rng.standard_normal((n, n, k) if k else (n, n))
+    monkeypatch.setattr(transport, "BLOCK_CELLS", cells)
+    _assert_rolls_bits(grid, psi, zeta)
+
+
+@pytest.mark.parametrize("layout", ["transposed", "strided"])
+@pytest.mark.parametrize("k", [0, 2])
+def test_arakawa_of_non_contiguous_operands_matches_the_roll_formula(layout, k, monkeypatch):
+    n = 24
+    grid = Grid.periodic(n)
+    rng = np.random.default_rng(k)
+    monkeypatch.setattr(transport, "BLOCK_CELLS", 5 * n)  # several blocks, the last one partial
+    if layout == "transposed":
+        psi = rng.standard_normal((n, n)).T
+        zeta = rng.standard_normal((k, n, n)).T if k else rng.standard_normal((n, n)).T
+    else:
+        psi = rng.standard_normal((2 * n, 3 * n))[::2, ::3]
+        zeta = rng.standard_normal((2 * n, 3 * n, 2 * k))[::2, ::3, ::2] if k else rng.standard_normal((3 * n, 2 * n))[::3, ::2]
+    assert not psi.flags.c_contiguous and not zeta.flags.c_contiguous
+    _assert_rolls_bits(grid, psi, zeta)
+
+
+# blocks of 3 rows of a 12^2 grid: rows 3 and 5 are the first and last row of the second block;
+# columns 0 and 11 sit next to the pad columns, so a stored pad-column value would add NaN cells
+_N, _ROWS = 12, 3
+_BAD_CELLS = [(0, 0), (0, _N - 1), (_N - 1, 0), (_N - 1, _N - 1), (0, 5), (7, _N - 1),
+              (_ROWS, 0), (_ROWS, _N - 1), (2 * _ROWS - 1, 0), (2 * _ROWS - 1, _N - 1), (_ROWS, 6), (2 * _ROWS - 1, 6)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cell", _BAD_CELLS)
+@pytest.mark.parametrize("operand", ["psi", "zeta", "zeta component"])
+def test_arakawa_non_finite_cells_spread_like_the_roll_formula(bad, cell, operand, monkeypatch):
+    grid = Grid.periodic(_N)
+    rng = np.random.default_rng(3)
+    psi = rng.standard_normal((_N, _N))
+    zeta = rng.standard_normal((_N, _N, 2) if operand == "zeta component" else (_N, _N))
+    target = {"psi": psi, "zeta": zeta, "zeta component": zeta[..., 1]}[operand]
+    target[cell] = bad
+    monkeypatch.setattr(transport, "BLOCK_CELLS", _ROWS * _N)
+    _assert_rolls_bits(grid, psi, zeta)
+
+
 def _traced_peak(fn, *args) -> int:
     tracemalloc.start()
     try:
