@@ -33,29 +33,41 @@ the command does not read is a usage error.
 
 Numeric output is fixed at 17 significant digits, so identical inputs give
 byte-identical artifacts.
+
+An eval-* run writes each term field as the relation builds it and then
+drops it, so it holds one term at a time rather than the whole report.  The
+artifacts are staged in a new directory beside --out (or beside its nearest
+existing ancestor): the lhs first, then each term, the residual, norms.csv
+and resolved_config.txt.  Only after the residual has passed its finiteness
+check are they moved into --out, each replacing the file of the same name.
+A failed eval removes the staging directory, so it creates no directory and
+changes no file in an existing --out.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import fields, replace
-from typing import Callable, NamedTuple, Sequence, get_type_hints
+from typing import Callable, Iterator, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
 from . import manufactured
 from .crocco import (
-    ComplexState, CroccoReport, IdentityViolationError, KortewegState, complex_crocco, complex_defect_identity,
-    defect_identity, korteweg_crocco,
+    ComplexState, IdentityViolationError, KortewegState, RelationFields, complex_defect_identity, complex_relation,
+    defect_identity, korteweg_relation,
 )
 from .fieldcalc import ONE_SIDED, PERIODIC, TWO_PI, Grid, OrderField, ScalarField, VectorField
 from .fieldio import _fmt, read_field, write_field
 from .models import ComplexFluidModel, KortewegCoEnergy, KortewegModel, OrderCoEnergy, catalog_models, validate_partials
-from .smectic import SmecticModel, SmecticState, smectic_crocco
+from .smectic import SmecticModel, SmecticState, smectic_relation
 from .transport import ADVECTED, FROZEN, CFLError, PoissonError, TransportConfig, TransportState, run as transport_run
 
 REPORT_MAGIC = "# CROCCOFIELD-REPORT v1"
@@ -135,7 +147,7 @@ class _Relation(NamedTuple):
     state: type
     files: tuple[str, ...]  # [state] field-file keys, each a keyword of `state`
     models: tuple[type, ...]  # built from [model] for a file-based state, in evaluator order
-    evaluate: Callable
+    evaluate: Callable  # the relation's fields as they are built
     grid: dict = _GRID  # [grid] keys of a generator run
 
 
@@ -143,13 +155,13 @@ class _Relation(NamedTuple):
 # is the one that runs.  A file-based complex state gets the zero rate co-energy.
 _RELATIONS = {
     "korteweg": _Relation(manufactured.KORTEWEG_CATALOG, KortewegState, ("v", "iota", "eta"),
-                          (KortewegModel, KortewegCoEnergy), lambda *inputs: korteweg_crocco(*inputs)),
+                          (KortewegModel, KortewegCoEnergy), lambda *inputs: korteweg_relation(*inputs)),
     "complex": _Relation(manufactured.COMPLEX_CATALOG, ComplexState, ("v", "iota", "eta", "nu"), (ComplexFluidModel,),
-                         lambda state, model, coenergy=None: complex_crocco(
+                         lambda state, model, coenergy=None: complex_relation(
                              state, model, OrderCoEnergy.zero(model.m) if coenergy is None else coenergy)),
     # the layer generators build every state on a one-sided grid, as its layers are not periodic
     "smectic": _Relation(manufactured.SMECTIC_CATALOG, SmecticState, ("v", "eta", "w"), (SmecticModel,),
-                         lambda *inputs: smectic_crocco(*inputs),
+                         lambda *inputs: smectic_relation(*inputs),
                          {**_GRID, "boundary": (_choice((ONE_SIDED,)), ONE_SIDED)}),
 }
 
@@ -286,13 +298,34 @@ def _write_table(values: dict, out_dir: str, name: str, header: str, rows: list[
         fh.write("\n".join([REPORT_MAGIC] + resolved) + "\n")
 
 
-def _write_report(report: CroccoReport, values: dict, out_dir: str) -> None:
-    rows = [f"{name},{_fmt(l2)},{_fmt(linf)}" for name, (l2, linf) in report.norms.items()]
-    _write_table(values, out_dir, "norms.csv", "term,l2,linf", rows)
-    write_field(report.lhs, os.path.join(out_dir, "term_lhs.field"))
-    for name, term in report.terms.items():
-        write_field(term, os.path.join(out_dir, f"term_{name}.field"))
-    write_field(report.residual, os.path.join(out_dir, "term_residual.field"))
+@contextlib.contextmanager
+def _staged(out_dir: str) -> Iterator[str]:
+    """A new directory beside `out_dir`, or beside its nearest existing ancestor, to write into.
+    When the block ends without an error, each file in it replaces the file of the same name in
+    `out_dir` (created if need be); the staging directory is removed either way, so a failed
+    block creates no directory and leaves `out_dir` as it was."""
+    parent = os.path.dirname(os.path.realpath(out_dir))
+    while not os.path.isdir(parent):
+        parent = os.path.dirname(parent)
+    stage = tempfile.mkdtemp(prefix=".croccolab-", dir=parent)
+    try:
+        yield stage
+        os.makedirs(out_dir, exist_ok=True)
+        for name in os.listdir(stage):
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _write_report(report: RelationFields, values: dict, out_dir: str) -> None:
+    """Write each field of a relation as it is built, lhs first, then the residual and norms.csv."""
+    rows = []
+    with _staged(out_dir) as stage:
+        for name, field, (l2, linf) in report:
+            write_field(field, os.path.join(stage, f"term_{name}.field"))
+            rows.append(f"{name},{_fmt(l2)},{_fmt(linf)}")
+            del field  # before the next term is built
+        _write_table(values, stage, "norms.csv", "term,l2,linf", rows)
 
 
 def _cmd_eval(kind: str, config: RunConfig, grid_n: int | None, out_dir: str) -> int:

@@ -35,27 +35,47 @@ states that satisfy no balance at all.
 
 Each quantity is evaluated once per state.  ``KortewegState``'s
 ``grad(iota)`` and ``iota_dot`` and ``ComplexState``'s ``grad(nu)`` and
-``nu_dot`` are built on first read, and the rates are read only under a
-non-zero co-energy; a capillary bundle holds ``rho*P``, ``div(rho*P)``,
+``nu_dot`` are built on first read and kept, and the rates are read only under
+a non-zero co-energy; a capillary bundle holds ``rho*P``, ``div(rho*P)``,
 ``P.grad(iota)``, ``dphi_diota``, ``phi``, ``theta`` and the co-energy
-rates, and an order-parameter bundle ``S``, ``z``, ``div S`` and the
-co-energy rates (the scalar 0.0 under the zero co-energy), read next to the
-partials of ``models.gl_partials``.
-``_momentum_residual`` is the momentum residual of both fluids.  The engine
-``_korteweg_terms`` returns its term arrays and ``_complex_terms`` (fed by
-the layered relation of :mod:`croccolab.smectic` with nu = w, m = 1) yields
-them one by one in schema order; a defect probe level builds the Lamb vector
-and its bundles once and no intermediate field, and subtracts each
-order-parameter term as it is built, so it holds one term at a time.
-``_build_report`` alone builds a report's term fields, checks them finite
-and names a non-finite term and its cell before it builds the residual.
+rates, and an order-parameter bundle ``S``, ``div S`` and the co-energy
+rates (the scalar 0.0 under the zero co-energy), read next to the partials
+of ``models.gl_partials``.  No term reads the self-interaction ``z``; it is
+built only where the substructural balance residual reads it.
+``_momentum_residual`` is the momentum residual of both fluids.  The engines
+``_korteweg_terms`` and ``_complex_terms`` (the latter also fed by the
+layered relation of :mod:`croccolab.smectic` with nu = w, m = 1) yield their
+term arrays one by one in schema order.
+
+Each relation has one term iterator: ``korteweg_relation``,
+``complex_relation`` and ``smectic.smectic_relation`` hand their engine's
+terms to ``_relation_fields``, the one place term fields are built.  It
+yields the lhs, then each term as it is built, checked finite (a non-finite
+term is named with its cell before any later term is built) and with its
+norms, then the residual, which subtracts the terms in schema order.  The
+reports (``korteweg_crocco``, ``complex_crocco``, ``smectic_crocco``)
+collect that iterator; the CLI writes each field as it comes and drops it,
+so an ``eval-*`` run holds the lhs copy and one term, not a report's eight
+fields.  A defect probe level builds the Lamb vector and its bundles once
+and no intermediate field, and subtracts each term from the Lamb-vector copy
+as it is built, so it too holds one term at a time.
+
+Bundle lifetimes.  The order-parameter engine drops its reference to each
+partial at that partial's last read: ``theta`` in thermo, ``phi``,
+``dphi_diota`` and ``dphi_dnu`` in enthalpy, and ``dphi_dgrad_nu`` when S is
+built from it, after micro_grad.  A caller that keeps no partials of its
+own, as the relation iterators do, frees each array there.  The engine
+returns its order bundle, so a defect probe reads S, div S and the rates
+back instead of rebuilding them.
 
 The order-parameter engine keeps a bounded working set: it builds its terms
 one by one, freeing each intermediate before the next term, and contracts
-``D_i(P^a_j)`` with ``(grad nu)^a_j`` and ``D_j`` of the state's own
-``grad(nu)`` with ``S^a_j`` as each derivative is taken, so no second-gradient
-tensor (``m*dim*dim`` grid planes) is built; the sums run in the order, and
-give the bits, of ``_dyadic`` over the materialized tensors.
+``D_i(P^a_j)`` with ``(grad nu)^a_j``, ``D_j`` of the state's own
+``grad(nu)`` with ``S^a_j`` and each derivative of the balance with ``nu^a``
+as each derivative is taken, so no second-gradient tensor (``m*dim*dim``
+grid planes) and no gradient of the balance (``m*dim``) is built; the sums
+run in the order, and give the bits, of ``_dyadic`` over the materialized
+tensors.
 
 Everything here is pure: states and reports are immutable value objects and
 evaluators allocate fresh fields, so independent states can be evaluated
@@ -67,7 +87,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -219,8 +239,10 @@ def _speed2(v: VectorField) -> np.ndarray:
 
 
 def _thermo(grid: Grid, theta: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """theta * grad(eta)."""
-    return theta[..., None] * _grad(grid, eta)
+    """theta * grad(eta), scaled in place."""
+    out = _grad(grid, eta)
+    out *= theta[..., None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +282,19 @@ class CroccoReport:
         return VectorField(self.lhs.grid, acc)
 
 
-def _residual_from(lhs: VectorField, terms: Iterable[np.ndarray]) -> np.ndarray:
-    """lhs minus the term arrays, subtracted one by one in the order given.
+def _residual_from(lhs: VectorField, terms: Iterator[np.ndarray]) -> tuple[np.ndarray, object]:
+    """lhs minus the term arrays, subtracted one by one in the order given, and what ``terms`` returns.
 
-    Each term is dropped before the next is taken, so terms built on demand
-    are held one at a time.
+    Each term is dropped once subtracted, so terms built on demand are held
+    one at a time; the engine's return value (the order-parameter bundle)
+    comes back with the difference.
     """
     res = lhs.values.copy()
-    for term in terms:
-        res -= term
-        del term
-    return res
+    while True:
+        try:
+            res -= next(terms)
+        except StopIteration as done:
+            return res, done.value
 
 
 def _report_field(relation: str, name: str, grid: Grid, values: np.ndarray) -> VectorField:
@@ -281,20 +305,43 @@ def _report_field(relation: str, name: str, grid: Grid, values: np.ndarray) -> V
         raise FieldValueError(f"{relation} term {name} is non-finite at cell {cell}") from None
 
 
-def _build_report(relation: str, schema: Sequence[str], lhs: VectorField, terms: dict[str, np.ndarray]) -> CroccoReport:
-    """The report of term arrays: the one place their fields are built and checked finite.
+RelationFields = Iterator[tuple[str, VectorField, tuple[float, float]]]
 
-    Consumes ``terms``: each array leaves the dict once its field holds a
-    copy.  Every term field is built, and a non-finite term named, before the
-    residual field; the residual subtracts the fields' values, which are the
-    arrays' bits, in schema order.
+
+def _relation_fields(
+    relation: str, schema: Sequence[str], lhs: VectorField, terms: Iterable[np.ndarray]
+) -> RelationFields:
+    """The one consumer of a relation's term arrays: each field, checked, with its (l2, linf) norms.
+
+    Yields ``lhs``, then each term in schema order as the engine builds it,
+    then ``residual``.  A term array becomes a field at once (a non-finite
+    term is named with its first bad cell, before any later term is built)
+    and is subtracted from the lhs copy; the residual subtracts the fields'
+    values, which are the arrays' bits, in schema order, and is checked
+    last.  Nothing is kept once yielded, so a consumer that drops each field
+    holds the lhs copy and one term.
     """
-    if tuple(terms.keys()) != tuple(schema):
-        raise SchemaError(f"{relation} schema must be {tuple(schema)}, got {tuple(terms.keys())}")
-    fields = {name: _report_field(relation, name, lhs.grid, terms.pop(name)) for name in schema}
-    residual = _report_field(relation, "residual", lhs.grid, _residual_from(lhs, (f.values for f in fields.values())))
-    named = {"lhs": lhs, **fields, "residual": residual}
-    return CroccoReport(relation, lhs, fields, residual, {name: _norms(field) for name, field in named.items()})
+    grid, terms = lhs.grid, iter(terms)
+    residual = lhs.values.copy()
+    yield "lhs", lhs, _norms(lhs)
+    del lhs
+    for name in schema:
+        field = _report_field(relation, name, grid, next(terms))
+        residual -= field.values
+        yield name, field, _norms(field)
+        del field
+    field = _report_field(relation, "residual", grid, residual)
+    del residual
+    yield "residual", field, _norms(field)
+
+
+def _report(relation: str, fields: RelationFields) -> CroccoReport:
+    """The report that collects a relation's fields."""
+    named, norms = {}, {}
+    for name, field, norm in fields:
+        named[name], norms[name] = field, norm
+    lhs, residual = named.pop("lhs"), named.pop("residual")
+    return CroccoReport(relation, lhs, named, residual, norms)
 
 
 def _norms(field: Field) -> tuple[float, float]:
@@ -424,24 +471,27 @@ def classical_crocco(state: KortewegState, model: KortewegModel) -> CroccoReport
     iota, eta = state.iota.values, state.eta.values
     entropic, theta = model._thermal(eta)
     big_h = 0.5 * _speed2(state.v) + model._phi(iota, state.grad_iota.values, entropic) - iota * model.dphi_diota(iota)
-    terms = {"thermo": _thermo(grid, theta, eta), "enthalpy": -_grad(grid, big_h)}
-    return _build_report("classical", CLASSICAL_SCHEMA, lamb_vector(state.v), terms)
+    terms = [_thermo(grid, theta, eta), -_grad(grid, big_h)]
+    return _report("classical", _relation_fields("classical", CLASSICAL_SCHEMA, lamb_vector(state.v), terms))
 
 
-def _korteweg_terms(state: KortewegState, cap: _Capillary) -> dict[str, np.ndarray]:
-    """The term arrays of the capillary relation."""
+def _korteweg_terms(state: KortewegState, cap: _Capillary) -> Iterator[np.ndarray]:
+    """The term arrays of the capillary relation, one by one in ``KORTEWEG_SCHEMA`` order."""
     grid = state.grid
-    iota, eta = state.iota.values, state.eta.values
-    if cap.rate is None:
-        inertia = np.zeros(grid.extents + (grid.dim,))
+    iota = state.iota.values
+    yield _thermo(grid, cap.theta, state.eta.values)
+    yield -_grad(grid, 0.5 * _speed2(state.v) + _xi(state, cap))  # enthalpy
+    yield -_grad(grid, iota**2 * cap.div_rho_p + cap.p_grad_iota)  # wall
+    if cap.rate is None:  # inertia
+        yield np.zeros(grid.extents + (grid.dim,))
     else:
-        inertia = iota[..., None] * _grad(grid, cap.rate - cap.dchi_diota)
-    return {
-        "thermo": _thermo(grid, cap.theta, eta),
-        "enthalpy": -_grad(grid, 0.5 * _speed2(state.v) + _xi(state, cap)),
-        "wall": -_grad(grid, iota**2 * cap.div_rho_p + cap.p_grad_iota),
-        "inertia": inertia,
-    }
+        yield iota[..., None] * _grad(grid, cap.rate - cap.dchi_diota)
+
+
+def korteweg_relation(state: KortewegState, model: KortewegModel, coenergy: KortewegCoEnergy) -> RelationFields:
+    """The capillary relation's fields as they are built (see ``_relation_fields``)."""
+    cap = _capillary(state, model, coenergy)
+    return _relation_fields("korteweg", KORTEWEG_SCHEMA, lamb_vector(state.v), _korteweg_terms(state, cap))
 
 
 def korteweg_crocco(
@@ -458,8 +508,7 @@ def korteweg_crocco(
     With beta = 0 and the zero co-energy both fields are identically zero
     and the report coincides with the classical one.
     """
-    terms = _korteweg_terms(state, _capillary(state, model, coenergy))
-    return _build_report("korteweg", KORTEWEG_SCHEMA, lamb_vector(state.v), terms)
+    return _report("korteweg", korteweg_relation(state, model, coenergy))
 
 
 def _momentum_residual(
@@ -514,7 +563,7 @@ def defect_identity(
         state, model, coenergy = state_factory(grid)
         cap = _capillary(state, model, coenergy)
         lamb = lamb_vector(state.v)
-        defect = _residual_from(lamb, _korteweg_terms(state, cap).values())  # in KORTEWEG_SCHEMA order
+        defect, _ = _residual_from(lamb, _korteweg_terms(state, cap))
         return _linf(grid, defect - _steady_residual(state, cap, lamb.values))
 
     return _run_identity_probe(probe_for, grids, min_order, "capillary defect identity")
@@ -542,36 +591,39 @@ def _run_identity_probe(
 
 
 class _Order(NamedTuple):
-    """The order-parameter quantities of one state, each evaluated once."""
+    """The order-parameter bundle of one state: what the terms after ``micro_grad`` read."""
 
     s: np.ndarray  # microstress rho*dphi_dgrad_nu
-    z: np.ndarray  # self-interaction rho*dphi_dnu
     div_s: np.ndarray
     rate: np.ndarray | float  # (v.grad)(dchi_dnudot); it and dchi_dnu are the scalar 0.0 with the zero co-energy
     dchi_dnu: np.ndarray | float
 
 
-def _order(
-    v: VectorField, rho: np.ndarray, nu: np.ndarray, nu_dot: np.ndarray | None,
-    parts: GinzburgLandauPartials, coenergy: OrderCoEnergy,
-) -> _Order:
-    """The bundle over the cells of ``v``'s grid; only a non-zero co-energy reads ``nu_dot``."""
+def _order(v: VectorField, s: np.ndarray, nu: np.ndarray, nu_dot: np.ndarray | None, coenergy: OrderCoEnergy) -> _Order:
+    """The bundle of the microstress ``s = rho*dphi_dgrad_nu`` over the cells of ``v``'s grid.
+
+    Only a non-zero co-energy reads ``nu_dot``.
+    """
     grid = v.grid
-    s = rho[..., None, None] * parts.dphi_dgrad_nu
     if coenergy.is_zero:
         rate = dchi_dnu = 0.0  # adds and subtracts as a zero array does, bit for bit
     else:
         rate, dchi_dnu = _advect(grid, coenergy.dchi_dnu_dot(nu, nu_dot), v.values), coenergy.dchi_dnu(nu, nu_dot)
-    return _Order(s, rho[..., None] * parts.dphi_dnu, _div(grid, s), rate, dchi_dnu)
+    return _Order(s, _div(grid, s), rate, dchi_dnu)
+
+
+def _nu_dot(state: ComplexState, coenergy: OrderCoEnergy) -> np.ndarray | None:
+    return None if coenergy.is_zero else state.nu_dot.values
 
 
 def _state_order(state: ComplexState, parts: GinzburgLandauPartials, coenergy: OrderCoEnergy) -> _Order:
-    nu_dot = None if coenergy.is_zero else state.nu_dot.values
-    return _order(state.v, state.rho.values, state.nu.values, nu_dot, parts, coenergy)
+    s = state.rho.values[..., None, None] * parts.dphi_dgrad_nu
+    return _order(state.v, s, state.nu.values, _nu_dot(state, coenergy), coenergy)
 
 
-def _balance_residual(order: _Order) -> np.ndarray:
-    return order.div_s - order.z - (order.rate - order.dchi_dnu)
+def _balance_residual(order: _Order, rho: np.ndarray, dphi_dnu: np.ndarray) -> np.ndarray:
+    """div S - z - (rate - dchi_dnu); the self-interaction z = rho*dphi_dnu is built here, where it is read."""
+    return order.div_s - rho[..., None] * dphi_dnu - (order.rate - order.dchi_dnu)
 
 
 def substructural_balance_residual(
@@ -584,13 +636,14 @@ def substructural_balance_residual(
     Steady reading: ``div S - z - (v.grad)(Omega nu_dot + lam)`` (the
     constant covector's advection vanishes).  Zero on hand-built equilibria.
     """
-    return OrderField(state.grid, _balance_residual(_state_order(state, parts, coenergy)))
+    order = _state_order(state, parts, coenergy)
+    return OrderField(state.grid, _balance_residual(order, state.rho.values, parts.dphi_dnu))
 
 
 def _complex_terms(
-    v: VectorField, iota: np.ndarray, eta: np.ndarray, nu: np.ndarray, grad_nu: np.ndarray,
-    parts: GinzburgLandauPartials, order: _Order,
-) -> Iterator[np.ndarray]:
+    v: VectorField, rho: np.ndarray, iota: np.ndarray, eta: np.ndarray, nu: np.ndarray, grad_nu: np.ndarray,
+    nu_dot: np.ndarray | None, parts: GinzburgLandauPartials, coenergy: OrderCoEnergy,
+) -> Generator[np.ndarray, None, _Order]:
     """Shared engine: the componentwise term arrays of the relation, in ``COMPLEX_SCHEMA`` order.
 
     Reads arrays over the cells of ``v``'s grid: ``nu`` with its chart axis
@@ -600,33 +653,51 @@ def _complex_terms(
     that drops each term holds one at a time; the two second-gradient terms
     contract each derivative as it is taken (``_grad_dot``, ``_hess_dot``),
     so no ``m*dim*dim`` tensor is built.
+
+    The engine drops its reference to each partial at the partial's last
+    read, and builds the order bundle (S, div S and the rates) only after
+    ``micro_grad``, from the last reference to ``dphi_dgrad_nu``; a caller
+    that keeps no ``parts`` of its own frees each array there.  The bundle
+    is the engine's return value, so a defect probe reads it back.
     """
     grid = v.grid
-    s, div_s = order.s, order.div_s
-    yield _thermo(grid, parts.theta, eta)  # thermo
+    p = dict(vars(parts))  # the engine's own references, each popped at its last read
+    del parts
+    yield _thermo(grid, p.pop("theta"), eta)
     # enthalpy: -grad(h_c), h_c = q^2/2 + phi - iota*dphi_diota - dphi_dnu.nu - P:grad(nu)
     yield -_grad(grid, 0.5 * _speed2(v) + (
-        parts.phi
-        - iota * parts.dphi_diota
-        - _dot(parts.dphi_dnu, nu)
-        - _dot(parts.dphi_dgrad_nu, grad_nu, axes=2)
+        p.pop("phi")
+        - iota * p.pop("dphi_diota")
+        - _dot(p.pop("dphi_dnu"), nu)
+        - _dot(p["dphi_dgrad_nu"], grad_nu, axes=2)
     ))
     # micro_grad: -(grad P)^T grad(nu), sum_aj D_i(P^a_j) (grad nu)^a_j
-    yield -_grad_dot(grid, parts.dphi_dgrad_nu, grad_nu)
-    # order_balance: -(grad(iota*(div S - d/dt dchi_dnudot + dchi_dnu)))^T nu, a chart sum with a
-    # one-column second operand
-    grad_bal = _grad(grid, iota[..., None] * (div_s - order.rate + order.dchi_dnu))
-    yield -_dyadic(grad_bal, nu[..., None])[..., 0]
-    del grad_bal
-    yield -iota[..., None] * _dyadic(grad_nu, div_s[..., None])[..., 0]  # micro_div
+    yield -_grad_dot(grid, p["dphi_dgrad_nu"], grad_nu)
+    order = _order(v, rho[..., None, None] * p.pop("dphi_dgrad_nu"), nu, nu_dot, coenergy)
+    # order_balance: -(grad(iota*(div S - d/dt dchi_dnudot + dchi_dnu)))^T nu, each derivative of the
+    # balance contracted with nu as it is taken, so the balance's gradient is never built
+    yield -_grad_dot(grid, iota[..., None] * (order.div_s - order.rate + order.dchi_dnu), nu)
+    yield -iota[..., None] * _dyadic(grad_nu, order.div_s[..., None])[..., 0]  # micro_div
     # micro_hess: -iota S:gradgrad(nu), sum_aj D_j((grad nu)^a_i) S^a_j
-    yield -iota[..., None] * _hess_dot(grid, grad_nu, s)
+    yield -iota[..., None] * _hess_dot(grid, grad_nu, order.s)
+    return order
 
 
-def _state_terms(state: ComplexState, parts: GinzburgLandauPartials, order: _Order) -> Iterator[np.ndarray]:
+def _state_terms(
+    state: ComplexState, parts: GinzburgLandauPartials, coenergy: OrderCoEnergy
+) -> Generator[np.ndarray, None, _Order]:
     """The engine fed from a typed order-parameter state."""
-    fields = (state.iota, state.eta, state.nu, state.grad_nu)
-    return _complex_terms(state.v, *(f.values for f in fields), parts, order)
+    fields = (state.rho, state.iota, state.eta, state.nu, state.grad_nu)
+    return _complex_terms(state.v, *(f.values for f in fields), _nu_dot(state, coenergy), parts, coenergy)
+
+
+def complex_relation(state: ComplexState, model: ComplexFluidModel, coenergy: OrderCoEnergy) -> RelationFields:
+    """The order-parameter relation's fields as they are built (see ``_relation_fields``).
+
+    The partials are handed to the engine alone, so each is freed after its last term.
+    """
+    parts = gl_partials(model, state.iota, state.nu, state.grad_nu, state.eta)
+    return _relation_fields("complex", COMPLEX_SCHEMA, lamb_vector(state.v), _state_terms(state, parts, coenergy))
 
 
 def complex_crocco(
@@ -635,9 +706,7 @@ def complex_crocco(
     coenergy: OrderCoEnergy,
 ) -> CroccoReport:
     """Order-parameter relation assembled from the componentwise form."""
-    parts = gl_partials(model, state.iota, state.nu, state.grad_nu, state.eta)
-    terms = dict(zip(COMPLEX_SCHEMA, _state_terms(state, parts, _state_order(state, parts, coenergy))))
-    return _build_report("complex", COMPLEX_SCHEMA, lamb_vector(state.v), terms)
+    return _report("complex", complex_relation(state, model, coenergy))
 
 
 def _complex_residual(
@@ -657,8 +726,9 @@ def complex_momentum_residual(state: ComplexState, parts: GinzburgLandauPartials
     return VectorField(state.grid, _complex_residual(state, parts, s, lamb_vector(state.v).values))
 
 
-def _coupling(state: ComplexState, order: _Order) -> np.ndarray:
-    grad_c = _grad(state.grid, state.iota.values[..., None] * _balance_residual(order))
+def _coupling(state: ComplexState, parts: GinzburgLandauPartials, order: _Order) -> np.ndarray:
+    iota, rho = state.iota.values, state.rho.values
+    grad_c = _grad(state.grid, iota[..., None] * _balance_residual(order, rho, parts.dphi_dnu))
     return _dyadic(grad_c, state.nu.values[..., None])[..., 0]
 
 
@@ -671,7 +741,7 @@ def substructural_coupling(
 
     Vanishes when the substructural balance holds, recovering defect == R.
     """
-    return VectorField(state.grid, _coupling(state, _state_order(state, parts, coenergy)))
+    return VectorField(state.grid, _coupling(state, parts, _state_order(state, parts, coenergy)))
 
 
 def complex_defect_identity(
@@ -683,16 +753,16 @@ def complex_defect_identity(
 
     The Lamb vector, the constitutive bundle and the order-parameter bundle
     are evaluated once per level and shared by the relation, the momentum
-    residual and the coupling.
+    residual and the coupling: the engine builds the order bundle and hands
+    it back with the last term.
     """
 
     def probe_for(grid: Grid) -> float:
         state, model, coenergy = state_factory(grid)
         parts = gl_partials(model, state.iota, state.nu, state.grad_nu, state.eta)
-        order = _state_order(state, parts, coenergy)
         lamb = lamb_vector(state.v)
-        defect = _residual_from(lamb, _state_terms(state, parts, order))
-        target = _complex_residual(state, parts, order.s, lamb.values) + _coupling(state, order)
+        defect, order = _residual_from(lamb, _state_terms(state, parts, coenergy))
+        target = _complex_residual(state, parts, order.s, lamb.values) + _coupling(state, parts, order)
         return _linf(grid, defect - target)
 
     return _run_identity_probe(probe_for, grids, min_order, "order-parameter defect identity")

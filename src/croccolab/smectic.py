@@ -36,10 +36,10 @@ from .crocco import (
     COMPLEX_SCHEMA,
     ComplexState,
     CroccoReport,
-    _build_report,
+    RelationFields,
     _complex_terms,
-    _order,
-    _state_order,
+    _relation_fields,
+    _report,
     _state_terms,
     lamb_vector,
 )
@@ -163,6 +163,17 @@ def _layer_bundle(state: SmecticState, model: SmecticModel) -> GinzburgLandauPar
     )
 
 
+def smectic_relation(state: SmecticState, model: SmecticModel) -> RelationFields:
+    """The layered-phase relation's fields as they are built; see :func:`smectic_crocco`."""
+    ones = np.ones(state.grid.extents)  # iota and rho
+    w = state.w.values[..., None]
+    grad_w = state.grad_w.values[..., None, :]
+    # the zero co-energy reads no rate of w
+    terms = _complex_terms(state.v, ones, ones, state.eta.values, w, grad_w, None, _layer_bundle(state, model),
+                           OrderCoEnergy.zero(1))
+    return _relation_fields("smectic", COMPLEX_SCHEMA, lamb_vector(state.v), terms)
+
+
 def smectic_crocco(state: SmecticState, model: SmecticModel) -> CroccoReport:
     """Layered-phase relation: the general m = 1 engine fed with nu = w.
 
@@ -180,13 +191,7 @@ def smectic_crocco(state: SmecticState, model: SmecticModel) -> CroccoReport:
     ``gradgrad(w)`` (the derivatives of the cached ``grad(w)``) as it takes
     them, so neither second-gradient tensor is built.
     """
-    ones = np.ones(state.grid.extents)  # iota and rho
-    w = state.w.values[..., None]
-    parts = _layer_bundle(state, model)
-    order = _order(state.v, ones, w, None, parts, OrderCoEnergy.zero(1))  # the zero co-energy reads no rate of w
-    grad_w = state.grad_w.values[..., None, :]
-    terms = dict(zip(COMPLEX_SCHEMA, _complex_terms(state.v, ones, state.eta.values, w, grad_w, parts, order)))
-    return _build_report("smectic", COMPLEX_SCHEMA, lamb_vector(state.v), terms)
+    return _report("smectic", smectic_relation(state, model))
 
 
 def smectic_via_general(state: SmecticState, model: SmecticModel) -> CroccoReport:
@@ -204,6 +209,5 @@ def smectic_via_general(state: SmecticState, model: SmecticModel) -> CroccoRepor
         eta=state.eta,
         nu=OrderField(grid, state.w.values[..., None]),
     )
-    parts = _layer_bundle(state, model)
-    terms = dict(zip(COMPLEX_SCHEMA, _state_terms(cstate, parts, _state_order(cstate, parts, OrderCoEnergy.zero(1)))))
-    return _build_report("smectic", COMPLEX_SCHEMA, lamb_vector(state.v), terms)
+    terms = _state_terms(cstate, _layer_bundle(state, model), OrderCoEnergy.zero(1))
+    return _report("smectic", _relation_fields("smectic", COMPLEX_SCHEMA, lamb_vector(state.v), terms))

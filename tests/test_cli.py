@@ -4,16 +4,17 @@ import contextlib
 import io
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from croccolab import cli, manufactured
+from croccolab import cli, crocco, manufactured, smectic
 from croccolab.cli import ConfigError, RunConfig, main
-from croccolab.fieldcalc import Grid, OrderField, ScalarField, VectorField
-from croccolab.fieldio import read_field, write_field
+from croccolab.fieldcalc import ONE_SIDED, PERIODIC, Grid, OrderField, ScalarField, VectorField, l2_norm, linf_norm
+from croccolab.fieldio import _fmt, read_field, write_field
 from croccolab.transport import PoissonError
 
 
@@ -322,13 +323,13 @@ def test_two_well_config_reaches_the_complex_model(tmp_path, monkeypatch):
                 str(tmp_path / "nu.field"))
     state = "".join(f"{key} = {tmp_path}/{key}.field\n" for key in ("v", "iota", "eta", "nu"))
     models = []
-    evaluate = cli.complex_crocco
+    evaluate = cli.complex_relation
 
     def capture(state, model, coenergy):
         models.append(model)
         return evaluate(state, model, coenergy)
 
-    monkeypatch.setattr(cli, "complex_crocco", capture)
+    monkeypatch.setattr(cli, "complex_relation", capture)
     wells = write_config(
         tmp_path, f"[state]\n{state}\n[model]\ngamma_kind = two-well\nwell_1 = -0.5\nwell_2 = 2.0\n", "w.cfg"
     )
@@ -563,6 +564,173 @@ def test_non_finite_term_exits_two_naming_the_term_and_cell(tmp_path, capsys):
     assert code == 2
     assert_one_line_error(err, "korteweg term thermo is non-finite at cell (2, 3)")
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# streamed eval artifacts
+# ---------------------------------------------------------------------------
+
+_WHOLE = {  # command -> (the relation iterator the CLI calls, the report that collects it)
+    "eval-korteweg": ("korteweg_relation", crocco.korteweg_crocco),
+    "eval-complex": ("complex_relation", crocco.complex_crocco),
+    "eval-smectic": ("smectic_relation", smectic.smectic_crocco),
+}
+
+
+def write_whole(report, values, out_dir):
+    """Reference writer: a report held whole, its residual and norms rebuilt from the public API."""
+    residual = report.lhs.values.copy()
+    for term in report.terms.values():
+        residual -= term.values
+    fields = {"lhs": report.lhs, **report.terms, "residual": VectorField(report.lhs.grid, residual)}
+    rows = [f"{name},{_fmt(l2_norm(field))},{_fmt(linf_norm(field))}" for name, field in fields.items()]
+    cli._write_table(values, str(out_dir), "norms.csv", "term,l2,linf", rows)
+    for name, field in fields.items():
+        write_field(field, str(out_dir / f"term_{name}.field"))
+
+
+def staging_dirs(directory):
+    return [path.name for path in directory.iterdir() if path.name.startswith(".croccolab-")]
+
+
+@pytest.mark.parametrize(
+    "command, generator, source, boundary",
+    [
+        ("eval-korteweg", "korteweg-inertia", "generator", PERIODIC),
+        ("eval-korteweg", "korteweg-basic", "generator", ONE_SIDED),
+        ("eval-complex", "complex-gl-m2", "generator", PERIODIC),
+        ("eval-complex", "complex-gl-m2", "generator", ONE_SIDED),
+        ("eval-smectic", "smectic-wavy", "generator", ONE_SIDED),  # the layer generators are one-sided only
+        ("eval-korteweg", "korteweg-inertia", "files", PERIODIC),
+        ("eval-korteweg", "korteweg-inertia", "files", ONE_SIDED),
+        ("eval-complex", "complex-gl-m2", "files", PERIODIC),
+        ("eval-complex", "complex-gl-m2", "files", ONE_SIDED),
+        ("eval-smectic", "smectic-wavy", "files", PERIODIC),
+        ("eval-smectic", "smectic-wavy", "files", ONE_SIDED),
+    ],
+)
+def test_streamed_artifacts_match_the_report_written_whole(tmp_path, monkeypatch, command, generator, source, boundary):
+    name, whole = _WHOLE[command]
+    captured = {}
+    relation, write_report = getattr(cli, name), cli._write_report
+
+    def capture_inputs(*inputs):
+        captured["inputs"] = inputs
+        return relation(*inputs)
+
+    def capture_values(report, values, out_dir):
+        captured["values"] = values
+        return write_report(report, values, out_dir)
+
+    monkeypatch.setattr(cli, name, capture_inputs)
+    monkeypatch.setattr(cli, "_write_report", capture_values)
+    if source == "generator":
+        text = f"[grid]\nboundary = {boundary}\n\n[state]\ngenerator = {generator}\n"
+        grid_flag = ["--grid", "16"]
+    else:
+        grid = Grid.periodic(16) if boundary == PERIODIC else Grid.one_sided((16, 16), (2.0 * np.pi / 16,) * 2)
+        state = {**manufactured.CATALOG, **manufactured.SMECTIC_CATALOG}[generator](grid)[0]
+        paths = {key: str(tmp_path / f"{key}.field") for key in cli._RELATIONS[command.removeprefix("eval-")].files}
+        for key, path in paths.items():  # on `grid`: a layer generator builds its state one-sided
+            field = getattr(state, key)
+            write_field(type(field)(grid, field.values), path)
+        text, grid_flag = state_section(paths, paths), []
+    streamed, reference = tmp_path / "streamed", tmp_path / "whole"
+    assert main([command, "--config", write_config(tmp_path, text), *grid_flag, "--out", str(streamed)]) == 0
+    assert captured["inputs"][0].grid.boundary == (boundary, boundary)
+    reference.mkdir()
+    write_whole(whole(*captured["inputs"]), captured["values"], reference)
+    names = sorted(path.name for path in reference.iterdir())
+    assert sorted(path.name for path in streamed.iterdir()) == names
+    for file_name in names:
+        assert (streamed / file_name).read_bytes() == (reference / file_name).read_bytes(), file_name
+    assert not staging_dirs(tmp_path)
+
+
+def poisoned(engine, values_at):
+    """`engine` with values_at[k] written into cell (3, 5) of its k-th term."""
+
+    def terms(*args):
+        for k, term in enumerate(engine(*args)):
+            if k in values_at:
+                term = term.copy()
+                term[3, 5] = values_at[k]
+            yield term
+
+    return terms
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would print lines of its own before the error
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize(
+    "command, module, engine, generator, values_at, failing",
+    [
+        ("eval-korteweg", crocco, "_korteweg_terms", "korteweg-inertia", {2: np.nan}, "korteweg term wall"),
+        ("eval-complex", crocco, "_complex_terms", "complex-gl-m2", {5: np.inf}, "complex term micro_hess"),
+        ("eval-smectic", smectic, "_complex_terms", "smectic-wavy", {3: -np.inf}, "smectic term order_balance"),
+        # every term finite, but lhs - 1e308 - 1e308 overflows
+        ("eval-korteweg", crocco, "_korteweg_terms", "korteweg-basic", {0: 1e308, 1: 1e308}, "korteweg term residual"),
+        ("eval-complex", crocco, "_complex_terms", "complex-gl-m2", {4: 1e308, 5: 1e308}, "complex term residual"),
+    ],
+)
+def test_non_finite_later_term_or_residual_exits_two_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, existing, command, module, engine, generator, values_at, failing
+):
+    monkeypatch.setattr(module, engine, poisoned(getattr(module, engine), values_at))
+    out = tmp_path / "o" if existing else tmp_path / "new" / "o"
+    if existing:  # a failed eval changes no file of an existing --out
+        out.mkdir()
+        (out / "term_lhs.field").write_bytes(b"an earlier run")
+    code, err = run_cli([command, "--config", write_config(tmp_path, f"[state]\ngenerator = {generator}\n"),
+                         "--grid", "16", "--out", str(out)], capsys)
+    assert code == 2
+    assert_one_line_error(err, f"{failing} is non-finite at cell (3, 5)")
+    if existing:
+        assert [path.name for path in out.iterdir()] == ["term_lhs.field"]
+        assert (out / "term_lhs.field").read_bytes() == b"an earlier run"
+    else:  # nor the directories above it
+        assert not (tmp_path / "new").exists()
+    assert not staging_dirs(tmp_path)
+
+
+def test_a_rerun_into_an_existing_directory_replaces_every_artifact(tmp_path):
+    out, fresh = tmp_path / "o", tmp_path / "fresh"
+    first = write_config(tmp_path, "[state]\ngenerator = korteweg-basic\n", "first.cfg")
+    second = write_config(tmp_path, "[state]\ngenerator = korteweg-inertia\n", "second.cfg")
+    assert main(["eval-korteweg", "--config", first, "--grid", "16", "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    (out / "notes.txt").write_text("not an artifact")
+    assert main(["eval-korteweg", "--config", second, "--grid", "12", "--out", str(out)]) == 0
+    assert main(["eval-korteweg", "--config", second, "--grid", "12", "--out", str(fresh)]) == 0
+    assert sorted(path.name for path in fresh.iterdir()) == sorted(before)
+    for path in fresh.iterdir():
+        assert (out / path.name).read_bytes() == path.read_bytes() != before[path.name]
+    assert (out / "notes.txt").read_text() == "not an artifact"
+    assert not staging_dirs(tmp_path)
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_complex_on_field_files_bounds_the_allocation_peak(tmp_path):
+    # At 128^2 one grid plane is 128 KiB.  Holding the report's eight fields until they were
+    # written, every partial until the last term and the order bundle from before the first
+    # peaked at ~46 planes (the binary file reads included); writing each field as it is
+    # built and freeing each bundle array after its last read leaves ~27.
+    grid = Grid.periodic(128)
+    state = manufactured.CATALOG["complex-gl-m2"](grid)[0]
+    paths = {key: str(tmp_path / f"{key}.field") for key in ("v", "iota", "eta", "nu")}
+    for key, path in paths.items():
+        write_field(getattr(state, key), path)
+    config = write_config(tmp_path, state_section(paths, paths))
+    assert main(["eval-complex", "--config", config, "--out", str(tmp_path / "warm-up")]) == 0
+    assert _traced_peak(["eval-complex", "--config", config, "--out", str(tmp_path / "o")]) < 32 * grid.n_cells * 8
 
 
 def test_mms_verify_on_a_grid_too_coarse_for_the_identity_exits_two(tmp_path, capsys):

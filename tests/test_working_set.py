@@ -44,3 +44,13 @@ def test_read_rows_give_each_state_file_its_read_peak(tmp_path):
         size = (tmp_path / f"{key}.field").stat().st_size
         assert f"({size:,d} B file, peak {peak / size:.2f}x)" in label
         assert fields[key].values.nbytes < peak  # the read holds the values at least
+
+
+def test_generated_eval_rows_give_the_korteweg_and_smectic_sessions_their_peaks(tmp_path):
+    rows = working_set.generated_eval_rows(tmp_path, 16)
+    assert [label for label, _ in rows] == [
+        "cli eval-korteweg (korteweg-inertia, 16^2)", "cli eval-smectic (smectic-wavy, 16^2)"
+    ]
+    for (command, _), (_, peak) in zip(working_set.GENERATED_EVALS, rows):
+        # the run holds its state's fields at least
+        assert (tmp_path / command / "norms.csv").is_file() and peak > 3 * 16 * 16 * 8

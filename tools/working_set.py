@@ -14,7 +14,10 @@ runs each study or session once under ``tracemalloc``:
   defect identity and the smectic oracle, each over the 64/128/256 levels;
 * ``cli``: ``eval-complex`` at 256^2, ``transport2d`` and ``mms-verify``,
   and ``fieldio.read_field`` of each CSV field file that ``eval-complex``
-  reads (the ``[state]`` files of its config), with the file's size.
+  reads (the ``[state]`` files of its config), with the file's size;
+* ``eval-korteweg`` and ``eval-smectic`` on the states that the
+  ``korteweg-inertia`` and ``smectic-wavy`` generators build at 256^2 (not
+  part of the benchmark), each after a warm-up run of its own.
 
 Each line gives, in MiB and in bytes, the peak of the bytes allocated while
 the study or session ran, numpy arrays included, over what was allocated
@@ -63,6 +66,24 @@ def read_rows(config_path: str) -> list[tuple[str, int]]:
     return rows
 
 
+GENERATED_EVALS = (("eval-korteweg", "korteweg-inertia"), ("eval-smectic", "smectic-wavy"))
+
+
+def generated_eval_rows(workdir: Path, n: int) -> list[tuple[str, int]]:
+    """A row per ``GENERATED_EVALS`` session on its generator's n^2 state: the traced peak of the run."""
+    from croccolab import cli
+
+    rows = []
+    for command, generator in GENERATED_EVALS:
+        config = workdir / f"{command}.cfg"
+        config.write_text(f"[state]\ngenerator = {generator}\n", encoding="utf-8")
+        argv = [command, "--config", str(config), "--grid", str(n), "--out", str(workdir / command)]
+        if cli.main(argv) != 0:  # the warm-up
+            raise SystemExit(f"working_set: {command} exited non-zero")
+        rows.append((f"cli {command} ({generator}, {n}^2)", traced_peak(lambda a=argv: cli.main(a))))
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -97,6 +118,7 @@ def main(argv=None) -> int:
             rows.append((f"cli {argv_[0]}", traced_peak(lambda a=argv_: cli.main(a))))
         (eval_argv,) = [a for a in session.sessions if a[0] == "eval-complex"]
         rows += read_rows(eval_argv[eval_argv.index("--config") + 1])
+        rows += generated_eval_rows(Path(tmp), session.N)
 
     width = max(len(label) for label, _ in rows)
     print(f"traced allocation peaks, seed {args.seed}")
