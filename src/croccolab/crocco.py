@@ -722,7 +722,7 @@ def complex_momentum_residual(state: ComplexState, parts: GinzburgLandauPartials
     ``R = omega x v + grad(q^2)/2 + iota*grad(p_tilde) + iota*div((grad nu)^T S)``
     with ``p_tilde = -rho*iota*dphi_diota``.
     """
-    s = _state_order(state, parts, OrderCoEnergy.zero(state.nu.m)).s
+    s = state.rho.values[..., None, None] * parts.dphi_dgrad_nu
     return VectorField(state.grid, _complex_residual(state, parts, s, lamb_vector(state.v).values))
 
 
@@ -800,42 +800,3 @@ def corollary_check(report: CroccoReport, mode: str) -> CorollaryCheck:
         raise SchemaError(f"mode must be 'cancellation' or 'generation', got {mode!r}")
     field = ScalarField(report.lhs.grid, _pointwise_magnitude(report.lhs.grid, target))
     return CorollaryCheck(mode, field, l2_norm(field), linf_norm(field))
-
-
-# ---------------------------------------------------------------------------
-# capillary fluid as a one-component order-parameter fluid
-# ---------------------------------------------------------------------------
-
-
-def korteweg_embedding(
-    state: KortewegState,
-    model: KortewegModel,
-) -> tuple[ComplexState, ComplexFluidModel, OrderCoEnergy]:
-    """Embed a capillary state as an m=1 order-parameter state (nu == iota).
-
-    The embedded model has gamma = f(iota, eta) (no chart coupling) and
-    a = beta, so constitutive partials reproduce the capillary ones exactly;
-    inertia is excluded (the constrained and unconstrained theories disagree
-    on the co-energy route).
-    """
-    grid = state.grid
-    cstate = ComplexState(
-        v=state.v,
-        iota=state.iota,
-        eta=state.eta,
-        nu=OrderField(grid, state.iota.values[..., None]),
-    )
-    cmodel = ComplexFluidModel(
-        m=1,
-        gamma_kind=model.f_kind,
-        k=0.0,
-        a=model.beta,
-        f_kind=model.f_kind,
-        c=model.c,
-        iota_ref=model.iota_ref,
-        f_well_1=model.well_1,
-        f_well_2=model.well_2,
-        e0=model.e0,
-        c_v=model.c_v,
-    )
-    return cstate, cmodel, OrderCoEnergy.zero(1)

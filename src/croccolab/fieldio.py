@@ -45,15 +45,16 @@ character) as lines decoded and split one block of about
 ``CSV_READ_BLOCK`` bytes at a time, so one block's line strings are all
 that exist at once.  A block ends just after a ``\\n``, so its lines are
 those of the whole payload split at once, and the stream stops at the
-first blank row, which ``np.loadtxt`` would skip.  A payload that decodes
-to one row per cell is read; any other is decoded again as one list of
-lines, the route that names what is wrong with it.  A malformed CSV
-payload raises ``FieldFileError``: the first blank row, else a line count
-that is not the cell count, else the first row with the wrong number of
-values or a token that is not a number, rows counted from 1 at the line
-after ``payload``.  A payload whose every row has the same wrong width is
-reported as a width mismatch.  Non-finite values parse, and the
-field constructor then rejects them with their cell index.
+first blank row, which ``np.loadtxt`` would skip.  A payload that fails the
+parse or decodes to a row count other than the cell count is walked once
+more in the same blocks, counting rows, so a malformed read holds no more
+lines at once.  It raises ``FieldFileError``: the first blank row, else a
+line count that is not the cell count, else the first row with the wrong
+number of values or a token that ``np.loadtxt`` does not read as a number,
+rows counted from 1 at the line after ``payload``.  A payload whose every
+row has the same wrong width is reported as a width mismatch.  Non-finite
+values parse, and the field constructor then rejects them with their cell
+index.
 """
 
 from __future__ import annotations
@@ -223,21 +224,11 @@ def read_field(path: str) -> Field:
             )
         flat = np.frombuffer(payload, dtype="<f8")
     else:
-        flat = _csv_block_values(payload, n_cells)
-        if flat is None:
-            flat = _csv_line_values(payload, n_cells, components)
+        flat = _csv_values(payload, n_cells, components)
         del payload  # freed before the field copies the values
-        if flat.shape[1] != components:
-            raise FieldFileError(
-                f"payload width mismatch: expected {components} components, got {flat.shape[1]}"
-            )
 
     # the constructor re-checks finiteness with position
     return cls(grid, flat.reshape(grid.extents + shape))
-
-
-class _BlankRow(Exception):
-    """A blank CSV payload row, which np.loadtxt would skip."""
 
 
 def _line_blocks(payload: bytes):
@@ -245,59 +236,62 @@ def _line_blocks(payload: bytes):
 
     A block ends just after a ``\\n``, which ends a line for ``str.splitlines``
     too and is never part of a UTF-8 sequence, so the blocks' lines are
-    those of the whole payload, decoded and split at once.
+    those of the whole payload, decoded and split at once.  The first blank
+    row, which ``np.loadtxt`` would skip and so shift every later row, raises.
     """
     view = memoryview(payload)
-    start = 0
+    start = row = 0
     while start < len(payload):
         end = payload.find(b"\n", start + CSV_READ_BLOCK) + 1 or len(payload)
         lines = str(view[start:end], "utf-8", "replace").splitlines()
         if not all(lines):
-            raise _BlankRow
+            raise FieldFileError(f"CSV payload row {row + lines.index('') + 1} is blank")
         yield lines
+        row += len(lines)
         start = end
 
 
-def _csv_block_values(payload: bytes, n_cells: int) -> np.ndarray | None:
-    """Decode a CSV payload streamed in blocks of lines, or None for one the line route must read.
+def _csv_values(payload: bytes, n_cells: int, components: int) -> np.ndarray:
+    """Decode a CSV payload streamed in blocks of lines; with no blank row, each line is one row."""
+    flat = error = None
+    if payload:  # np.loadtxt warns on input with no lines
+        try:
+            flat = np.loadtxt(itertools.chain.from_iterable(_line_blocks(payload)), **_CSV_LOADTXT)
+        except ValueError as exc:  # a blank row's FieldFileError too, which _csv_error raises again
+            error = exc
+    if flat is None or len(flat) != n_cells:
+        raise FieldFileError(_csv_error(payload, n_cells, components, error)) from error
+    if flat.shape[1] != components:
+        raise FieldFileError(f"payload width mismatch: expected {components} components, got {flat.shape[1]}")
+    return flat
 
-    ``np.loadtxt`` skips only blank lines, so a payload without one that
-    decodes to ``n_cells`` rows has ``n_cells`` lines.
+
+def _csv_error(payload: bytes, n_cells: int, components: int, error: ValueError | None) -> str:
+    """Name what is wrong with a CSV payload the decode rejected, in one more streamed pass.
+
+    The first blank row raises; else a line count that is not `n_cells`,
+    the first row that is not `components` numbers, or `error`.
     """
-    if not payload:  # np.loadtxt warns on input with no lines
-        return None
-    try:
-        flat = np.loadtxt(itertools.chain.from_iterable(_line_blocks(payload)), **_CSV_LOADTXT)
-    except (_BlankRow, ValueError):
-        return None
-    return flat if len(flat) == n_cells else None
+    row, bad = 0, None
+    for lines in _line_blocks(payload):
+        bad = bad or _csv_row_error(lines, components, row + 1)
+        row += len(lines)
+    if row != n_cells:
+        return f"payload length mismatch: expected {n_cells} lines, got {row}"
+    return bad or f"malformed CSV payload: {error}"
 
 
-def _csv_line_values(payload: bytes, n_cells: int, components: int) -> np.ndarray:
-    """Decode a CSV payload split into lines at once, naming the first bad row of a malformed one."""
-    lines = payload.decode("utf-8", "replace").splitlines()
-    if "" in lines:  # np.loadtxt would skip it and shift every later row
-        raise FieldFileError(f"CSV payload row {lines.index('') + 1} is blank")
-    if len(lines) != n_cells:
-        raise FieldFileError(
-            f"payload length mismatch: expected {n_cells} lines, got {len(lines)}"
-        )
-    try:
-        return np.loadtxt(lines, **_CSV_LOADTXT)
-    except ValueError as exc:
-        message = _csv_row_error(lines, components) or f"malformed CSV payload: {exc}"
-        raise FieldFileError(message) from exc
-
-
-def _csv_row_error(lines: list[str], components: int) -> str | None:
-    """Name the first CSV payload row (counted from 1) that is not `components` numbers."""
-    for row, line in enumerate(lines, 1):
+def _csv_row_error(lines: list[str], components: int, first: int) -> str | None:
+    """Name the first CSV row (counted from `first`) that ``np.loadtxt`` does not read as `components` numbers."""
+    for row, line in enumerate(lines, first):
         tokens = line.split(",")
         if len(tokens) != components:
             return f"CSV payload row {row} has {len(tokens)} values, expected {components}"
-        for token in tokens:
+        for token in map(str.strip, tokens):
             try:
+                if not token.isascii() or "_" in token:  # float() takes these, np.loadtxt does not
+                    raise ValueError(token)
                 float(token)
             except ValueError:
-                return f"CSV payload row {row} holds non-numeric token {token.strip()!r}"
+                return f"CSV payload row {row} holds non-numeric token {token!r}"
     return None

@@ -11,7 +11,10 @@ the library's route with this one:
   the product rule, against ``div_tensor(substructural_stress(...))``;
 * ``read_field_whole``: a field file read whole and its CSV payload decoded
   and split into one list of lines, against ``fieldio.read_field``, which
-  streams the payload in blocks.
+  decodes the payload in streamed blocks and names what is wrong with a
+  malformed one in a second streamed pass;
+* ``korteweg_embedding``: a capillary state as an m=1 order-parameter
+  state, so the general engine can be checked against the capillary one.
 
 Kept with the tests, not in the package, because nothing but a test reads
 them.  ``read_field_whole`` shares ``fieldio``'s header parsers and its
@@ -22,7 +25,7 @@ import math
 
 import numpy as np
 
-from croccolab.crocco import KortewegState, korteweg_pressures
+from croccolab.crocco import ComplexState, KortewegState, korteweg_pressures
 from croccolab.fieldcalc import (
     Grid,
     GridError,
@@ -43,7 +46,7 @@ from croccolab.fieldio import (
     _parse_header,
     _values,
 )
-from croccolab.models import ComplexFluidModel, KortewegCoEnergy, KortewegModel
+from croccolab.models import ComplexFluidModel, KortewegCoEnergy, KortewegModel, OrderCoEnergy
 
 
 def _rho_p(state: KortewegState, model: KortewegModel) -> np.ndarray:
@@ -76,6 +79,40 @@ def stress_divergence_expanded(grid: Grid, nu: OrderField, model: ComplexFluidMo
     div_p = np.stack([div_vector(VectorField(grid, p[..., a, :])).values for a in range(nu.m)], axis=-1)
     hess = order_second_grad(nu).values
     return np.einsum("...ai,...a->...i", gnu, div_p) + np.einsum("...aj,...aji->...i", p, hess)
+
+
+def korteweg_embedding(
+    state: KortewegState,
+    model: KortewegModel,
+) -> tuple[ComplexState, ComplexFluidModel, OrderCoEnergy]:
+    """Embed a capillary state as an m=1 order-parameter state (nu == iota).
+
+    The embedded model has gamma = f(iota, eta) (no chart coupling) and
+    a = beta, so constitutive partials reproduce the capillary ones exactly;
+    inertia is excluded (the constrained and unconstrained theories disagree
+    on the co-energy route).
+    """
+    grid = state.grid
+    cstate = ComplexState(
+        v=state.v,
+        iota=state.iota,
+        eta=state.eta,
+        nu=OrderField(grid, state.iota.values[..., None]),
+    )
+    cmodel = ComplexFluidModel(
+        m=1,
+        gamma_kind=model.f_kind,
+        k=0.0,
+        a=model.beta,
+        f_kind=model.f_kind,
+        c=model.c,
+        iota_ref=model.iota_ref,
+        f_well_1=model.well_1,
+        f_well_2=model.well_2,
+        e0=model.e0,
+        c_v=model.c_v,
+    )
+    return cstate, cmodel, OrderCoEnergy.zero(1)
 
 
 def read_field_whole(path: str):
@@ -133,7 +170,7 @@ def read_field_whole(path: str):
         try:
             flat = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
         except ValueError as exc:
-            message = _csv_row_error(lines, components) or f"malformed CSV payload: {exc}"
+            message = _csv_row_error(lines, components, 1) or f"malformed CSV payload: {exc}"
             raise FieldFileError(message) from exc
         if flat.shape[1] != components:
             raise FieldFileError(f"payload width mismatch: expected {components} components, got {flat.shape[1]}")

@@ -16,7 +16,6 @@ from croccolab.crocco import (
     corollary_check,
     defect_identity,
     korteweg_crocco,
-    korteweg_embedding,
     korteweg_enthalpy,
     korteweg_stress,
     lamb_vector,
@@ -65,7 +64,12 @@ from croccolab.transport import (
     transport_rhs,
 )
 
-from dual_routes import korteweg_enthalpy_alt, korteweg_stress_expanded, stress_divergence_expanded
+from dual_routes import (
+    korteweg_embedding,
+    korteweg_enthalpy_alt,
+    korteweg_stress_expanded,
+    stress_divergence_expanded,
+)
 
 TWO_PI = 2.0 * np.pi
 LEVELS = (32, 64, 128)

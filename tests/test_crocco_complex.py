@@ -13,7 +13,6 @@ from croccolab.crocco import (
     complex_momentum_residual,
     corollary_check,
     korteweg_crocco,
-    korteweg_embedding,
     substructural_balance_residual,
     substructural_coupling,
 )
@@ -33,6 +32,7 @@ from croccolab.manufactured import (
     korteweg_basic,
 )
 from croccolab.models import ComplexFluidModel, OrderCoEnergy, gl_partials
+from dual_routes import korteweg_embedding
 
 TWO_PI = 2.0 * np.pi
 

@@ -135,6 +135,19 @@ def _blank(lines):
     lines.insert(6, "")
 
 
+def _underscore(lines):
+    lines[0] = "1_0,0.5"  # float() reads 10, np.loadtxt rejects it
+
+
+def _late_non_numeric(lines):
+    lines[13] = "abc,0.25"
+
+
+def _token_then_blank(lines):
+    lines[0] = "0.25,abc"
+    lines.insert(12, "")
+
+
 def _widen(lines):
     lines[:] = [f"{line},0" for line in lines]
 
@@ -143,15 +156,21 @@ MALFORMED_CSV = {
     "ragged": (_ragged, "CSV payload row 3 has 3 values, expected 2"),
     "non-numeric": (_non_numeric, "CSV payload row 5 holds non-numeric token 'abc'"),
     "blank": (_blank, "CSV payload row 7 is blank"),
+    "underscore": (_underscore, "CSV payload row 1 holds non-numeric token '1_0'"),
+    "late-non-numeric": (_late_non_numeric, "CSV payload row 14 holds non-numeric token 'abc'"),
+    # the first blank row comes before any bad token, as in a whole-payload read
+    "token-then-blank": (_token_then_blank, "CSV payload row 13 is blank"),
 }
 
 
+# 64 bytes: blocks of two or three rows, so rows are counted across blocks
+@pytest.mark.parametrize("block", [fieldio.CSV_READ_BLOCK, 64])
 @pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
-def test_malformed_csv_row_is_named(tmp_path, case):
+def test_malformed_csv_row_is_named(tmp_path, case, block):
     edit, message = MALFORMED_CSV[case]
     path = _csv_file(tmp_path)
     _edit_payload(path, edit)
-    with pytest.raises(FieldFileError) as info:
+    with mock.patch.object(fieldio, "CSV_READ_BLOCK", block), pytest.raises(FieldFileError) as info:
         read_field(str(path))
     assert str(info.value) == message
 
@@ -465,7 +484,7 @@ def test_writes_hold_no_whole_payload_in_memory(tmp_path):
 LINE_ENDS = (b"\r\n", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1e", "\u2028".encode(), "\x85".encode(), b"\x85")
 # bytes that are not UTF-8 (0xa0 and 0x85 are whitespace and a line end in Latin-1), and UTF-8 non-ASCII
 NON_ASCII = (b"\xff", b"\xc3", b"\xa0", b"\x85", "\u00a0".encode(), "\u00e9".encode(), "\u2028".encode())
-TOKENS = (b"nan", b"-inf", b"inf", b"NaN", b"abc", b"", b" ", b"1.2.3", b"0x10")
+TOKENS = (b"nan", b"-inf", b"inf", b"NaN", b"abc", b"", b" ", b"1.2.3", b"0x10", b"1_0")
 
 
 def _corrupt(data, rows: list[list[bytes]]) -> None:
@@ -515,11 +534,11 @@ def test_streamed_csv_decoder_matches_the_whole_payload_reader(tmp_path_factory,
     for _ in range(corruptions):
         _corrupt(data, rows)
     path.write_bytes(head + b"\npayload\n" + b"".join(line + end for line, end in rows))
-    whole_split = mock.patch.object(fieldio, "_csv_line_values", wraps=fieldio._csv_line_values)
-    with mock.patch.object(fieldio, "CSV_READ_BLOCK", block), whole_split as line_route:  # blocks of a few lines
+    diagnose = mock.patch.object(fieldio, "_csv_error", wraps=fieldio._csv_error)
+    with mock.patch.object(fieldio, "CSV_READ_BLOCK", block), diagnose as error_pass:  # blocks of a few lines
         assert _outcome(read_field, str(path)) == _outcome(read_field_whole, str(path))
     if not corruptions:
-        assert not line_route.called  # a file as written is decoded by the streamed route
+        assert not error_pass.called  # a file as written is decoded in one pass
 
 
 def _traced_read_peak(path) -> int:
@@ -541,3 +560,40 @@ def test_csv_reads_hold_no_list_of_payload_lines(tmp_path):
         write_field(field, str(path), encoding="csv")
         assert _traced_read_peak(str(path)) < 2.5 * path.stat().st_size
         assert read_field(str(path)).values.tobytes() == field.values.tobytes()
+
+
+def _last_token(lines):
+    lines[-1] = lines[-1].split(",")[0] + ",abc"
+
+
+def _last_ragged(lines):
+    lines[-1] += ",1.5"
+
+
+def _last_blank(lines):
+    lines[-1] = ""
+
+
+def _missing_row(lines):
+    del lines[len(lines) // 2]
+
+
+MALFORMED_LAST = {"token": _last_token, "ragged": _last_ragged, "blank": _last_blank, "missing": _missing_row}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LAST))
+def test_malformed_csv_reads_hold_no_list_of_payload_lines(tmp_path, case):
+    # decoding and splitting the whole payload again to name the bad row peaked at 4.4x the file
+    grid = Grid.periodic(256)
+    path = tmp_path / "order.csv"
+    write_field(OrderField(grid, np.random.default_rng(2).standard_normal(grid.extents + (2,))), str(path), "csv")
+    _edit_payload(path, MALFORMED_LAST[case])
+    tracemalloc.start()
+    try:
+        outcome = _outcome(read_field, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == _outcome(read_field_whole, str(path))
+    assert outcome[0] is FieldFileError
+    assert peak < 2.5 * path.stat().st_size

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from croccolab.crocco import KortewegState, complex_crocco, korteweg_embedding
+from croccolab.crocco import KortewegState, complex_crocco
 from croccolab.fieldcalc import Grid, OrderField, OrderGradField, ScalarField, VectorField
 from croccolab.models import (
     ComplexFluidModel,
@@ -21,6 +21,7 @@ from croccolab.models import (
     gl_partials,
     validate_partials,
 )
+from dual_routes import korteweg_embedding
 
 
 def fields_on(grid, iota, gradiota, eta):
