@@ -103,6 +103,7 @@ from .fieldcalc import (
     VectorField,
     _advect,
     _div,
+    _div_dyadic,
     _dot,
     _dyadic,
     _first_index,
@@ -522,7 +523,7 @@ def _momentum_residual(
     """
     grid = state.grid
     iota = state.iota.values[..., None]
-    return lamb + 0.5 * _grad(grid, _speed2(state.v)) + iota * _grad(grid, p) + iota * _div(grid, _dyadic(g, s))
+    return lamb + 0.5 * _grad(grid, _speed2(state.v)) + iota * _grad(grid, p) + iota * _div_dyadic(grid, g, s)
 
 
 def _steady_residual(state: KortewegState, cap: _Capillary, lamb: np.ndarray) -> np.ndarray:

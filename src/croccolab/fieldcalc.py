@@ -49,7 +49,8 @@ np.einsum a chart axis, so they give those functions' bits without their
 cost on axes two to four elements long.  ``_grad_dot`` and ``_hess_dot``
 contract a first or second gradient with a component array as each
 derivative is taken, with the bits of ``_dyadic`` over the materialized
-``_grad`` or ``_hess`` tensor and one derivative slice alive at a time.
+``_grad`` or ``_hess`` tensor and one derivative slice alive at a time, and
+``_div_dyadic`` takes ``_div`` of ``_dyadic`` one slot at a time.
 
 Every operator is a pure function: fields are immutable after construction
 (their arrays are marked read-only) and operators allocate fresh arrays, so
@@ -405,6 +406,21 @@ def _dyadic(g: np.ndarray, s: np.ndarray) -> np.ndarray:
             for a in range(1, g.shape[-2]):
                 acc += g[..., a, i] * s[..., a, j]
             np.add(acc, 0.0, out=out[..., i, j])
+    return out
+
+
+def _div_dyadic(grid: Grid, g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``_div(grid, _dyadic(g, s))`` with its bits, one slot ``D_ij`` of the dyadic alive at a time.
+
+    Each slot is ``_dyadic`` of ``g``'s column ``i`` against ``s``'s column
+    ``j``, in its order, and its ``d_j`` is added into component ``i`` in
+    ``_div``'s order, without the whole ``dim x dim`` tensor.
+    """
+    out = np.empty(g.shape[:-2] + g.shape[-1:])
+    for i in range(g.shape[-1]):
+        _diff(grid, _dyadic(g[..., i : i + 1], s[..., :1])[..., 0, 0], 0, out=out[..., i])
+        for j in range(1, grid.dim):
+            out[..., i] += _diff(grid, _dyadic(g[..., i : i + 1], s[..., j : j + 1])[..., 0, 0], j)
     return out
 
 

@@ -17,30 +17,31 @@ The advection term is discretized with the Arakawa 9-point Jacobian, whose
 discrete conservation of energy and enstrophy keeps the conserving-case
 drift purely time-integration (RK4) sized; a naive central product form
 would leak enstrophy at a rate set by the spatial resolution, drowning the
-time-step signal.  The Jacobian pads psi once and each operand component
-as its own 2-D plane and ravels it, so every stencil neighbour is a
-contiguous 1-D slice at a flat offset of +-1 (axis 1) or +-(ny + 2)
-(axis 0).  It runs over blocks of rows of about ``BLOCK_CELLS`` cells of
-one plane, in block buffers allocated once per call and written in place:
-the padded differences of psi (once per block) and of the operand, and
-three work buffers.  A block is one flat run of its padded rows, so its
-pad-column cells are computed from wrapped neighbours too, and only the
-interior of each row is divided into the output.  Every operation is plane
-against plane, never a 2-D psi term broadcast against a component axis, and
-a component's result is bit for bit that of a call on it alone.  Each cell
-sees the nine-point expression's operations in its order (``j1``, ``+ j2``,
-``+ j3``, ``/ scale``) for any block height, so the result does not depend
-on it and matches the plain expression.  Time stepping is
-classical explicit RK4.  The Poisson solve is a real FFT (``rfft2``)
-whose half-spectrum is scaled in place by an inverse-eigenvalue table
-cached per grid, and its residual
-``max|lap(psi) + omega|`` is checked at every solve against
-``POISSON_TOL * max|omega|``, a bound relative to the vorticity's own
-scale at every scale (omega == 0 solves to psi == 0 with residual exactly
-0); a non-finite residual or vorticity fails the check too.  The
-residual is built in place in two grid buffers with the operations of the
-plain expression in its order, so it rounds like that expression.  A step
-stops with ``CFLError`` when its CFL number exceeds ``CFL_LIMIT``.
+time-step signal.  The Jacobian pads psi and each operand component as its
+own raveled plane, so every stencil neighbour is a contiguous slice at a
+flat offset of +-1 or +-(ny + 2), and runs over flat blocks of about
+``BLOCK_CELLS`` cells in block buffers allocated once per call.  Pad-column
+cells of a block are computed from wrapped neighbours and never stored.
+Every operation is plane against plane, so a component's result is bit for
+bit that of a call on it alone, and each cell sees the nine-point
+expression's operations in its order (``j1``, ``+ j2``, ``+ j3``,
+``/ scale``) for any block height.
+
+The Poisson solve is a real FFT (``rfft2``) whose half-spectrum is scaled
+in place by an inverse-eigenvalue table cached per grid, and every solve
+checks its residual against ``POISSON_TOL * max|omega|``, a bound relative
+to the vorticity's own scale (``_require_poisson``).
+
+Time stepping is classical explicit RK4, run as one loop over the four
+stages.  A stage's rate is the Jacobian's output with the source added into
+it in place; it is read once for the next stage's input (``x0 + c dt k``,
+one new array), then scaled in place and added into a running stage sum
+kept in the first stage's rate arrays (``k1 + 2 k2``, ``+ 2 k3``, ``+ k4``,
+the plain expression's order), which becomes the new vorticity in place.  Besides the state, a frozen
+step holds the stage sum, the stage input and its psi, and one rate with its
+Jacobian's padded psi and operand (about 7 grids at the peak); an advected
+step holds each of these for nu too.  A step stops with ``CFLError`` when
+its CFL number exceeds ``CFL_LIMIT``.
 
 The source and ``div T`` of the last (immutable) ``OrderField`` and model
 are memoized: frozen steps and samples, and later runs from the same nu,
@@ -48,16 +49,14 @@ read one build, and an advected sample's two diagnostics share one.  One
 entry is kept, weakly keyed by its nu, so it is dropped as soon as the
 caller drops that nu and every state and result holding it.
 
-Validation sits at the state boundary.  ``TransportState`` and the
-``ScalarField`` / ``OrderField`` it holds are checked (shape, finiteness,
-zero-mean vorticity) when a step ends, and ``run`` checks once that the
-initial psi solves the Poisson problem for its omega.  The RK stages work
-on plain arrays and build no ``Field``: the stress contraction, the source
-``-curl(div T)`` and the Jacobian of omega and of every nu component run on
-the arrays of the stage.  A non-finite stage vorticity fails its Poisson
-solve, and a non-finite result fails the new state's checks.  The public
-``substructural_stress`` and ``transport_rhs`` wrap the same arrays in
-checked fields.
+Validation sits at the state boundary.  ``TransportState`` and its fields
+are checked (shape, finiteness, zero-mean vorticity) when a step ends, and
+``run`` checks once that the initial psi solves the Poisson problem for its
+omega.  The RK stages work on plain arrays and build no ``Field``; a
+non-finite stage vorticity fails its Poisson solve, and a non-finite
+result fails the new state's checks.  The public ``substructural_stress``
+and ``transport_rhs`` wrap the kernels' arrays in checked fields; the
+source takes ``div T`` one slot at a time and never builds ``T``.
 
 The integrator owns its state single-threaded per run and keeps no
 run-scoped state; the per-cell right side is data-parallel and independent
@@ -83,7 +82,7 @@ from .fieldcalc import (
     VectorField,
     _curl,
     _diff,
-    _div,
+    _div_dyadic,
     _dyadic,
     _grad,
     curl_vector,
@@ -134,11 +133,8 @@ def _require_zero_mean(omega: np.ndarray) -> None:
 
 
 def _wrap_pad(values: np.ndarray) -> np.ndarray:
-    """Copy with one periodic ghost cell on each side of the LAST two axes.
-
-    Equals ``np.pad`` in ``mode="wrap"`` over those axes without its per-call
-    overhead, which dominates the stencils at small grids.
-    """
+    """Copy with one periodic ghost cell on each side of the LAST two axes: ``np.pad`` in
+    ``mode="wrap"`` over them without its per-call overhead, which dominates small stencils."""
     p = np.empty(values.shape[:-2] + (values.shape[-2] + 2, values.shape[-1] + 2))
     p[..., 1:-1, 1:-1], p[..., 0, 1:-1], p[..., -1, 1:-1] = values, values[..., -1, :], values[..., 0, :]
     p[..., 0], p[..., -1] = p[..., -2], p[..., 1]
@@ -279,10 +275,10 @@ class TransportState:
 
     @classmethod
     def from_vorticity(cls, grid: Grid, omega: np.ndarray, nu: OrderField, t: float = 0.0) -> "TransportState":
-        omega = np.asarray(omega, dtype=float)
-        _require_zero_mean(omega)  # before the solve, which needs it
-        psi = solve_streamfunction(grid, omega)
-        return cls(ScalarField(grid, omega), ScalarField(grid, psi), nu, t)
+        # checked first, so a non-finite cell is named here and never reaches the mean or the FFT
+        omega = ScalarField(grid, omega)
+        _require_zero_mean(omega.values)  # before the solve, which needs it
+        return cls(omega, ScalarField(grid, solve_streamfunction(grid, omega.values)), nu, t)
 
     @property
     def grid(self) -> Grid:
@@ -312,17 +308,17 @@ class TransportConfig:
             raise TransportError(f"mode must be '{FROZEN}' or '{ADVECTED}'")
 
 
-def _stress(grid: Grid, nu: np.ndarray, model: ComplexFluidModel) -> np.ndarray:
-    """T[..., i, j] = sum_a (grad nu)^a_i (dphi/dgrad nu)^a_j of the chart values nu (iota == 1)."""
+def _stress_factors(grid: Grid, nu: np.ndarray, model: ComplexFluidModel) -> tuple[np.ndarray, np.ndarray]:
+    """(grad nu, dphi/dgrad nu) of the chart values nu, whose chart sum ``_dyadic`` is T (iota == 1)."""
     if nu.shape[-1] != model.m:
         raise ModelError(f"chart dimension mismatch: model m={model.m}, field m={nu.shape[-1]}")
     gnu = _grad(grid, nu)
-    return _dyadic(gnu, model.dphi_dgrad_nu(gnu))
+    return gnu, model.dphi_dgrad_nu(gnu)
 
 
 def substructural_stress(grid: Grid, nu: OrderField, model: ComplexFluidModel) -> TensorField:
     """Dyadic stress T_ij = sum_a (grad nu)^a_i (dphi/dgrad nu)^a_j (iota == 1)."""
-    return TensorField(grid, _stress(grid, nu.values, model))
+    return TensorField(grid, _dyadic(*_stress_factors(grid, nu.values, model)))
 
 
 def transport_rhs(state: TransportState, model: ComplexFluidModel) -> ScalarField:
@@ -335,7 +331,7 @@ def transport_rhs(state: TransportState, model: ComplexFluidModel) -> ScalarFiel
 
 def _source(grid: Grid, nu: np.ndarray, model: ComplexFluidModel) -> tuple[np.ndarray, np.ndarray]:
     """(-curl(div T), div T) as arrays for the chart values nu."""
-    div_te = _div(grid, _stress(grid, nu, model))
+    div_te = _div_dyadic(grid, *_stress_factors(grid, nu, model))
     curl = _curl(grid, div_te)
     return np.negative(curl, out=curl), div_te
 
@@ -406,8 +402,15 @@ def potential_condition_check(tensors: Sequence[TensorField]) -> PotentialCondit
 def cfl_number(state: TransportState, dt: float) -> float:
     """Largest |v| dt / h; sqrt is monotone and correctly rounded, so it is taken once, of the max |v|^2."""
     vx, vy = _diff(state.grid, state.psi.values, 1), _diff(state.grid, state.psi.values, 0)
-    speed = math.sqrt(float(np.max(vx * vx + vy * vy)))
-    return speed * dt / min(state.grid.spacing)
+    np.add(np.multiply(vx, vx, out=vx), np.multiply(vy, vy, out=vy), out=vx)
+    return math.sqrt(float(np.max(vx))) * dt / min(state.grid.spacing)
+
+
+def _ahead(x0: np.ndarray, s: float, k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x0 + s * k`` with its bits, in one new array (or in ``out``)."""
+    y = np.multiply(k, s, out=out)
+    y += x0
+    return y
 
 
 def step(state: TransportState, config: TransportConfig) -> TransportState:
@@ -418,43 +421,34 @@ def step(state: TransportState, config: TransportConfig) -> TransportState:
     source the stage right sides reduce bit-for-bit to pure advection.
     A frozen step reads the memoized source of its nu.
     """
-    grid, model = state.grid, config.model
-    cfl = cfl_number(state, config.dt)
+    grid, model, dt = state.grid, config.model, config.dt
+    cfl = cfl_number(state, dt)
     if cfl > CFL_LIMIT:
         raise CFLError(f"CFL {cfl:.3f} exceeds limit {CFL_LIMIT}")
 
     frozen = config.mode == FROZEN
-    # a frozen step tests its source for zeros once; None stands for an identically zero one
-    source = transport_rhs(state, model).values if frozen else None
-    if frozen and not np.any(source):
-        source = None
-
-    def rate(om: np.ndarray, nu: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """(d omega/dt, d nu/dt) at one stage; d nu/dt is None when nu is frozen."""
-        adv = _arakawa(grid, psi, om)  # J(psi, omega) = -(v.grad) omega
-        if frozen:
-            return (adv if source is None else adv + source), None
-        src = _source(grid, nu, model)[0]
-        return (adv + src if np.any(src) else adv), _arakawa(grid, psi, nu)
-
-    dt = config.dt
-    om0, nu0, psi0 = state.omega.values, state.nu.values, state.psi.values
-
-    def nu_at(c: float, k: np.ndarray | None) -> np.ndarray:
-        return nu0 if k is None else nu0 + c * dt * k
-
-    k1o, k1n = rate(om0, nu0, psi0)
-    om = om0 + 0.5 * dt * k1o
-    k2o, k2n = rate(om, nu_at(0.5, k1n), solve_streamfunction(grid, om))
-    om = om0 + 0.5 * dt * k2o
-    k3o, k3n = rate(om, nu_at(0.5, k2n), solve_streamfunction(grid, om))
-    om = om0 + dt * k3o
-    k4o, k4n = rate(om, nu_at(1.0, k3n), solve_streamfunction(grid, om))
-
-    om1 = om0 + (dt / 6.0) * (k1o + 2.0 * k2o + 2.0 * k3o + k4o)
+    # None stands for an identically zero source; a frozen step tests its source once
+    nonzero = lambda a: a if np.any(a) else None  # noqa: E731
+    source = nonzero(transport_rhs(state, model).values) if frozen else None
+    starts = [state.omega.values] if frozen else [state.omega.values, state.nu.values]
+    stage, psi, sums = starts, state.psi.values, None
+    # a stage's rates k give the next stage's input start + c dt k (none after c = None), then w k to the sum
+    for c, w in ((0.5, 1.0), (0.5, 2.0), (1.0, 2.0), (None, 1.0)):
+        src = source if frozen else nonzero(_source(grid, stage[1], model)[0])
+        ks = [_arakawa(grid, psi, x) for x in stage]  # J(psi, x) = -(v.grad) x
+        if src is not None:
+            ks[0] += src
+        stage = psi = src = None  # dropped before the next stage's input is built
+        if c is not None:
+            stage = [_ahead(x0, c * dt, k) for x0, k in zip(starts, ks)]
+        sums = ks if sums is None else [np.add(t, np.multiply(k, w, out=k), out=t) for t, k in zip(sums, ks)]
+        ks = None
+        if c is not None:
+            psi = solve_streamfunction(grid, stage[0])
+    om1, *nu1 = (_ahead(x0, dt / 6.0, total, out=total) for x0, total in zip(starts, sums))
     psi_new = solve_streamfunction(grid, om1)
-    nu1 = state.nu if frozen else OrderField(grid, nu0 + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n))
-    return TransportState(ScalarField(grid, om1), ScalarField(grid, psi_new), nu1, state.t + dt)
+    nu_field = state.nu if frozen else OrderField(grid, nu1[0])
+    return TransportState(ScalarField(grid, om1), ScalarField(grid, psi_new), nu_field, state.t + dt)
 
 
 def enstrophy(state: TransportState) -> float:
@@ -471,7 +465,12 @@ def te_work_rate(state: TransportState, model: ComplexFluidModel) -> float:
     time integral of this rate differ only by the quadrature error.
     """
     div_te = _field_source(state.nu, model)[1]
-    return float(np.sum(state.velocity().values * -div_te)) * state.grid.cell_volume
+    grid, psi = state.grid, state.psi.values
+    work = np.empty(div_te.shape)  # -v, so work * div T has the bits of v * -div T, signed zeros too
+    np.negative(_diff(grid, psi, 1, out=work[..., 0]), out=work[..., 0])
+    _diff(grid, psi, 0, out=work[..., 1])
+    work *= div_te
+    return float(np.sum(work)) * grid.cell_volume
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from croccolab import crocco
 from croccolab.crocco import (
     IdentityViolationError,
     KortewegState,
@@ -24,6 +25,9 @@ from croccolab.fieldcalc import (
     Grid,
     ScalarField,
     VectorField,
+    _div,
+    _dyadic,
+    _grad,
     linf_norm,
     refinement_study,
 )
@@ -271,6 +275,26 @@ def test_momentum_residual_uniform_rest_state():
 def test_momentum_residual_nonzero_on_manufactured_state():
     state, model, coenergy = korteweg_basic(Grid.periodic(32))
     assert linf_norm(steady_momentum_residual(state, model, coenergy)) > 0.1
+
+
+@pytest.mark.parametrize("grid", [Grid.periodic(16), Grid.one_sided((8, 8, 8), (0.25, 0.25, 0.25))], ids=["2d", "3d"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_momentum_residual_takes_div_of_the_dyadic_slot_by_slot(grid, m):
+    # the bits of div over the whole dim x dim dyadic tensor, with the capillary (m = 1) and
+    # order-parameter (m = 2) operand shapes
+    rng = np.random.default_rng(m + grid.dim)
+    state = KortewegState(
+        v=VectorField(grid, rng.standard_normal(grid.extents + (grid.dim,))),
+        iota=ScalarField(grid, 1.0 + rng.random(grid.extents)),
+        eta=ScalarField(grid, rng.standard_normal(grid.extents)),
+    )
+    lamb, p = rng.standard_normal(grid.extents + (grid.dim,)), rng.standard_normal(grid.extents)
+    g, s = rng.standard_normal((2,) + grid.extents + (m, grid.dim))
+    iota = state.iota.values[..., None]
+    whole = (lamb + 0.5 * _grad(grid, crocco._speed2(state.v)) + iota * _grad(grid, p)
+             + iota * _div(grid, _dyadic(g, s)))
+    got = crocco._momentum_residual(state, lamb, p, g, s)
+    assert np.array_equal(got.view(np.int64), whole.view(np.int64))
 
 
 def test_momentum_residual_hydrostatic_balance():

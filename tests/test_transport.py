@@ -1,5 +1,6 @@
 """2-D vorticity transport: solver, source term, conservation, alteration."""
 
+import dataclasses
 import gc
 import math
 import re
@@ -199,6 +200,20 @@ def test_poisson_rejects_non_finite_vorticity(bad):
     omega[3, 5] = bad
     with pytest.raises(PoissonError, match="residual nan"):
         solve_streamfunction(grid, omega)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_vorticity_names_a_non_finite_cell_before_the_solve(bad):
+    # the checked field is built first, so the value never reaches the mean or the FFT (whose
+    # RuntimeWarnings are errors here) and fails as the cell it sits in
+    grid = Grid.periodic(16)
+    omega = two_mode_vorticity(grid)
+    state = TransportState.from_vorticity(grid, omega, uniform_order_parameter(grid))
+    assert np.array_equal(state.omega.values.view(np.int64), omega.view(np.int64))
+    omega[3, 5] = bad
+    with pytest.raises(FieldValueError, match=re.escape("non-finite value at index (3, 5) of ScalarField")):
+        TransportState.from_vorticity(grid, omega, uniform_order_parameter(grid))
 
 
 def test_inverse_symbol_is_cached_and_read_only():
@@ -441,6 +456,21 @@ def test_stage_kernels_bound_the_allocation_peak():
     assert _traced_peak(transport._require_poisson, grid, solve_streamfunction(grid, omega), omega) < 3.5 * array
 
 
+def test_rk4_step_bounds_the_allocation_peak():
+    # besides its state a frozen step holds the stage sum, the stage input and its psi, and one
+    # rate with the Jacobian's padded psi and operand (~7 grids); a run also holds the state it
+    # replaces, and an advected one the last sample's memoized source
+    n = 256
+    grid, array = Grid.periodic(n), n * n * 8
+    state = make_state(grid, two_mode_vorticity, generic_order_parameter)
+    frozen = TransportConfig(dt=0.25 * grid.spacing[0], steps=10, model=MODEL2)
+    run(frozen, state)  # memoizes the source of this nu, which every frozen call below reads
+    assert _traced_peak(run, frozen, state) < 9.5 * array
+    assert _traced_peak(step, state, frozen) < 7.5 * array
+    assert _traced_peak(run, dataclasses.replace(frozen, mode="advected"), state) < 32 * array
+    assert _traced_peak(cfl_number, state, frozen.dt) < 2.5 * array
+
+
 def test_compact_laplacian_matches_roll_formula():
     grid = Grid.periodic(32)
     values = np.random.default_rng(3).standard_normal(grid.extents)
@@ -467,7 +497,7 @@ def _broadcast_stress(grid, nu, model):
 def test_stress_contraction_matches_broadcast_sum(m):
     grid, model = Grid.periodic(32), ComplexFluidModel(m=m, a=1.3)
     nu = np.random.default_rng(m).standard_normal(grid.extents + (m,))
-    stress = transport._stress(grid, nu, model)
+    stress = substructural_stress(grid, OrderField(grid, nu), model).values
     assert np.array_equal(stress.view(np.int64), _broadcast_stress(grid, nu, model).view(np.int64))
     # components constant along y have exactly zero y-derivatives, so products
     # such as (d nu/dx)(+0) are signed zeros; the reference's sum starts from
@@ -475,7 +505,7 @@ def test_stress_contraction_matches_broadcast_sum(m):
     nu[...] = np.sin(grid.axis_coords(0)[:, None, None] + np.arange(m))
     reference = _broadcast_stress(grid, nu, model)
     assert np.any(reference == 0.0)
-    assert np.array_equal(transport._stress(grid, nu, model), reference)
+    assert np.array_equal(substructural_stress(grid, OrderField(grid, nu), model).values, reference)
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -699,15 +729,15 @@ def test_frozen_run_matches_public_step_loop_bit_for_bit():
 
 @pytest.fixture
 def stress_builds(monkeypatch):
-    """List that gains one entry per `transport._stress` call."""
+    """List that gains one entry per `transport._stress_factors` call, the first step of every stress build."""
     calls = []
-    build = transport._stress
+    build = transport._stress_factors
 
     def counted(*args):
         calls.append(1)
         return build(*args)
 
-    monkeypatch.setattr(transport, "_stress", counted)
+    monkeypatch.setattr(transport, "_stress_factors", counted)
     return calls
 
 
@@ -808,50 +838,77 @@ def test_enstrophy_drift_is_a_running_max_over_every_step():
     assert abs(result.samples[-1].enstrophy - z0) / abs(z0) < 1e-3
 
 
-def _field_stage_step(state, config):
-    """One advected RK4 step whose stages build Fields, a broadcast stress and per-component Jacobians.
+def _reference_source(grid, nu, model):
+    """(-curl(div T), div T) through Fields and a broadcast stress."""
+    gnu = order_grad(OrderField(grid, nu)).values
+    p = model.dphi_dgrad_nu(gnu)
+    div_te = div_tensor(TensorField(grid, np.sum(gnu[..., :, None] * p[..., None, :], axis=-3)))
+    return -curl_vector(div_te).values, div_te.values
 
-    The reference route for the array-based stages of `step`.
+
+def _field_stage_step(state, config):
+    """One unrolled RK4 step whose stages build Fields, a broadcast stress and per-component Jacobians.
+
+    The reference route for the stage loop of `step`; nu moves only in advected mode.
     """
     grid, model, dt = state.grid, config.model, config.dt
+    advected = config.mode == "advected"
     v = state.velocity().values
     assert float(np.max(np.sqrt(np.sum(v * v, axis=-1)))) * dt / grid.spacing[0] <= CFL_LIMIT
 
     def rate(om, nu, psi):
-        gnu = order_grad(OrderField(grid, nu)).values
-        p = model.dphi_dgrad_nu(gnu)
-        stress = TensorField(grid, np.sum(gnu[..., :, None] * p[..., None, :], axis=-3))
-        src = -curl_vector(div_tensor(stress)).values
+        src = _reference_source(grid, nu, model)[0]
         adv = _arakawa_rolls(grid, psi, om)
         dnu = np.stack([_arakawa_rolls(grid, psi, nu[..., a]) for a in range(nu.shape[-1])], axis=-1)
         return (adv + src if np.any(src) else adv), dnu
 
     om0, nu0, psi0 = state.omega.values, state.nu.values, state.psi.values
+
+    def nu_at(c, k):
+        return nu0 + c * dt * k if advected else nu0
+
     k1o, k1n = rate(om0, nu0, psi0)
     om = om0 + 0.5 * dt * k1o
-    k2o, k2n = rate(om, nu0 + 0.5 * dt * k1n, solve_streamfunction(grid, om))
+    k2o, k2n = rate(om, nu_at(0.5, k1n), solve_streamfunction(grid, om))
     om = om0 + 0.5 * dt * k2o
-    k3o, k3n = rate(om, nu0 + 0.5 * dt * k2n, solve_streamfunction(grid, om))
+    k3o, k3n = rate(om, nu_at(0.5, k2n), solve_streamfunction(grid, om))
     om = om0 + dt * k3o
-    k4o, k4n = rate(om, nu0 + dt * k3n, solve_streamfunction(grid, om))
+    k4o, k4n = rate(om, nu_at(1.0, k3n), solve_streamfunction(grid, om))
     om1 = om0 + (dt / 6.0) * (k1o + 2.0 * k2o + 2.0 * k3o + k4o)
-    nu1 = nu0 + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
+    nu1 = nu0 + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n) if advected else nu0
     psi1 = solve_streamfunction(grid, om1)
     return TransportState(ScalarField(grid, om1), ScalarField(grid, psi1), OrderField(grid, nu1), state.t + dt)
 
 
+def _field_sample(state, model):
+    """A RunSample with the source, div T and velocity built through Fields."""
+    src, div_te = _reference_source(state.grid, state.nu.values, model)
+    work = float(np.sum(state.velocity().values * -div_te)) * state.grid.cell_volume
+    return transport.RunSample(state.t, l2_norm(state.omega), linf_norm(state.omega), enstrophy(state),
+                               l2_norm(ScalarField(state.grid, src)), work)
+
+
+@pytest.mark.parametrize("mode", ["frozen", "advected"])
+@pytest.mark.parametrize("n, steps", [(32, 8), (48, 8), (256, 4)])
 @pytest.mark.parametrize("nu_builder", [generic_order_parameter, uniform_order_parameter])
-def test_advected_run_bit_identical_to_field_stage_loop(nu_builder):
-    grid = Grid.periodic(32)
+def test_run_bit_identical_to_field_stage_loop(nu_builder, n, steps, mode):
+    # 48 is not a power of two; 256 runs the Jacobian over several row blocks
+    grid = Grid.periodic(n)
     state = make_state(grid, two_mode_vorticity, nu_builder)
-    config = TransportConfig(dt=0.25 * grid.spacing[0], steps=8, model=MODEL2, mode="advected", report_every=4)
+    config = TransportConfig(dt=0.25 * grid.spacing[0], steps=steps, model=MODEL2, mode=mode, report_every=2)
     result = run(config, state)
-    manual = state
-    for _ in range(config.steps):
+    manual, samples = state, [_field_sample(state, MODEL2)]
+    for k in range(config.steps):
         manual = _field_stage_step(manual, config)
+        if (k + 1) % config.report_every == 0:
+            samples.append(_field_sample(manual, MODEL2))
     for name in ("omega", "psi", "nu"):
         got, want = getattr(result.final_state, name).values, getattr(manual, name).values
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    assert len(result.samples) == len(samples)
+    for got, want in zip(result.samples, samples):
+        for name in ("t", "l2_omega", "max_omega", "enstrophy", "rhs_norm", "te_work_rate"):
+            assert getattr(got, name) == getattr(want, name), name
 
 
 @pytest.mark.parametrize("mode", ["frozen", "advected"])

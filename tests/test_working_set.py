@@ -54,3 +54,14 @@ def test_generated_eval_rows_give_the_korteweg_and_smectic_sessions_their_peaks(
     for (command, _), (_, peak) in zip(working_set.GENERATED_EVALS, rows):
         # the run holds its state's fields at least
         assert (tmp_path / command / "norms.csv").is_file() and peak > 3 * 16 * 16 * 8
+
+
+def test_transport_rows_give_each_mode_its_run_peak_in_grids():
+    n = 16
+    rows = working_set.transport_rows(0, n)
+    assert [label.split(" (")[0] for label, _ in rows] == ["transport frozen", "transport advected"]
+    for label, peak in rows:
+        assert label.endswith(f"({n}^2, 10 steps, {peak / (n * n * 8):.2f} grids)")
+    # a run holds the new state's omega and psi at least; advected mode also moves nu
+    (_, frozen), (_, advected) = rows
+    assert 2 * n * n * 8 < frozen < advected

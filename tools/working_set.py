@@ -17,7 +17,12 @@ runs each study or session once under ``tracemalloc``:
   reads (the ``[state]`` files of its config), with the file's size;
 * ``eval-korteweg`` and ``eval-smectic`` on the states that the
   ``korteweg-inertia`` and ``smectic-wavy`` generators build at 256^2 (not
-  part of the benchmark), each after a warm-up run of its own.
+  part of the benchmark), each after a warm-up run of its own;
+* ``transport frozen`` and ``transport advected``: a 10-step 256^2 run from
+  the ``transport`` workload's seeded vorticity and generic nu in each mode
+  (the benchmark runs the frozen one), each after a warm-up run of its own,
+  which memoizes the frozen source as the benchmark's warm-up does.  These
+  rows also give the peak in grid arrays of n^2 doubles.
 
 Each line gives, in MiB and in bytes, the peak of the bytes allocated while
 the study or session ran, numpy arrays included, over what was allocated
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import sys
 import tempfile
 import tracemalloc
@@ -84,6 +90,24 @@ def generated_eval_rows(workdir: Path, n: int) -> list[tuple[str, int]]:
     return rows
 
 
+def transport_rows(seed: int, n: int) -> list[tuple[str, int]]:
+    """A row per transport mode: the traced peak of a run from the ``transport`` workload's seeded n^2 state."""
+    from crocbench import workloads
+    from croccolab import transport
+
+    bench = workloads.Transport(Path("."))
+    bench.N = n
+    bench.setup(seed)
+    rows = []
+    for mode in (transport.FROZEN, transport.ADVECTED):
+        config = dataclasses.replace(bench.config, mode=mode)
+        transport.run(config, bench.initial)  # the warm-up
+        peak = traced_peak(lambda c=config: transport.run(c, bench.initial))
+        grids = peak / (n * n * 8)
+        rows.append((f"transport {mode} ({n}^2, {config.steps} steps, {grids:.2f} grids)", peak))
+    return rows
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -119,6 +143,7 @@ def main(argv=None) -> int:
         (eval_argv,) = [a for a in session.sessions if a[0] == "eval-complex"]
         rows += read_rows(eval_argv[eval_argv.index("--config") + 1])
         rows += generated_eval_rows(Path(tmp), session.N)
+    rows += transport_rows(args.seed, workloads.Transport.N)
 
     width = max(len(label) for label, _ in rows)
     print(f"traced allocation peaks, seed {args.seed}")
