@@ -17,31 +17,38 @@ The advection term is discretized with the Arakawa 9-point Jacobian, whose
 discrete conservation of energy and enstrophy keeps the conserving-case
 drift purely time-integration (RK4) sized; a naive central product form
 would leak enstrophy at a rate set by the spatial resolution, drowning the
-time-step signal.  The Jacobian pads psi and each operand component as its
-own raveled plane, so every stencil neighbour is a contiguous slice at a
-flat offset of +-1 or +-(ny + 2), and runs over flat blocks of about
-``BLOCK_CELLS`` cells in block buffers allocated once per call.  Pad-column
-cells of a block are computed from wrapped neighbours and never stored.
-Every operation is plane against plane, so a component's result is bit for
-bit that of a call on it alone, and each cell sees the nine-point
-expression's operations in its order (``j1``, ``+ j2``, ``+ j3``,
-``/ scale``) for any block height.
+time-step signal.  The Jacobian pads psi once and each operand component
+as its own 2-D plane and ravels it, so every stencil neighbour is a
+contiguous 1-D slice at a flat offset of +-1 (axis 1) or +-(ny + 2)
+(axis 0).  It runs over blocks of rows of about ``BLOCK_CELLS`` cells of
+one plane, in block buffers allocated once per call and written in place:
+the padded differences of psi (once per block) and of the operand, and
+three work buffers.  A block is one flat run of its padded rows, so its
+pad-column cells are computed from wrapped neighbours too, and only the
+interior of each row is divided into the output.  Every operation is plane
+against plane, never a 2-D psi term broadcast against a component axis, and
+a component's result is bit for bit that of a call on it alone.  Each cell
+sees the nine-point expression's operations in its order (``j1``, ``+ j2``,
+``+ j3``, ``/ scale``) for any block height, so the result does not depend
+on it and matches the plain expression.  The Poisson solve is a real FFT
+(``rfft2``) whose half-spectrum is scaled in place by an inverse-eigenvalue
+table cached per grid, and its residual
+``max|lap(psi) + omega|`` is checked at every solve against
+``POISSON_TOL * max|omega|``, a bound relative to the vorticity's own
+scale at every scale (omega == 0 solves to psi == 0 with residual exactly
+0); a non-finite residual or vorticity fails the check too.  The
+residual is built in place in two grid buffers with the operations of the
+plain expression in its order, so it rounds like that expression.
 
-The Poisson solve is a real FFT (``rfft2``) whose half-spectrum is scaled
-in place by an inverse-eigenvalue table cached per grid, and every solve
-checks its residual against ``POISSON_TOL * max|omega|``, a bound relative
-to the vorticity's own scale (``_require_poisson``).
-
-Time stepping is classical explicit RK4, run as one loop over the four
-stages.  A stage's rate is the Jacobian's output with the source added into
-it in place; it is read once for the next stage's input (``x0 + c dt k``,
-one new array), then scaled in place and added into a running stage sum
-kept in the first stage's rate arrays (``k1 + 2 k2``, ``+ 2 k3``, ``+ k4``,
-the plain expression's order), which becomes the new vorticity in place.  Besides the state, a frozen
-step holds the stage sum, the stage input and its psi, and one rate with its
-Jacobian's padded psi and operand (about 7 grids at the peak); an advected
-step holds each of these for nu too.  A step stops with ``CFLError`` when
-its CFL number exceeds ``CFL_LIMIT``.
+Time stepping is classical explicit RK4 (``_rk4``).  The stage sum
+``k1 + 2 k2 + 2 k3 + k4`` is added into k1's arrays in that order, each
+later rate as soon as it has given the next stage input, and the stage
+inputs after the first share one set of arrays, so the step has the plain
+expression's bits.  Besides its state a frozen step holds the stage sum, a
+stage input and its psi, and one rate with the Jacobian's padded psi and
+operand (about 7 grids at the peak); an advected step holds each of these
+for nu too, and every stage builds its own source.  A step stops with
+``CFLError`` when its CFL number exceeds ``CFL_LIMIT``.
 
 The source and ``div T`` of the last (immutable) ``OrderField`` and model
 are memoized: frozen steps and samples, and later runs from the same nu,
@@ -49,14 +56,16 @@ read one build, and an advected sample's two diagnostics share one.  One
 entry is kept, weakly keyed by its nu, so it is dropped as soon as the
 caller drops that nu and every state and result holding it.
 
-Validation sits at the state boundary.  ``TransportState`` and its fields
-are checked (shape, finiteness, zero-mean vorticity) when a step ends, and
-``run`` checks once that the initial psi solves the Poisson problem for its
-omega.  The RK stages work on plain arrays and build no ``Field``; a
-non-finite stage vorticity fails its Poisson solve, and a non-finite
-result fails the new state's checks.  The public ``substructural_stress``
-and ``transport_rhs`` wrap the kernels' arrays in checked fields; the
-source takes ``div T`` one slot at a time and never builds ``T``.
+Validation sits at the state boundary.  ``TransportState`` and the
+``ScalarField`` / ``OrderField`` it holds are checked (shape, finiteness,
+zero-mean vorticity) when a step ends, and ``run`` checks once that the
+initial psi solves the Poisson problem for its omega.  The RK stages work
+on plain arrays and build no ``Field``: the stress contraction, the source
+``-curl(div T)`` and the Jacobian of omega and of every nu component run on
+the arrays of the stage.  A non-finite stage vorticity fails its Poisson
+solve, and a non-finite result fails the new state's checks.  The public
+``substructural_stress`` and ``transport_rhs`` wrap the same arrays in
+checked fields.  The source takes ``div T`` slot by slot (``_div_dyadic``).
 
 The integrator owns its state single-threaded per run and keeps no
 run-scoped state; the per-cell right side is data-parallel and independent
@@ -69,7 +78,7 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -133,8 +142,11 @@ def _require_zero_mean(omega: np.ndarray) -> None:
 
 
 def _wrap_pad(values: np.ndarray) -> np.ndarray:
-    """Copy with one periodic ghost cell on each side of the LAST two axes: ``np.pad`` in
-    ``mode="wrap"`` over them without its per-call overhead, which dominates small stencils."""
+    """Copy with one periodic ghost cell on each side of the LAST two axes.
+
+    Equals ``np.pad`` in ``mode="wrap"`` over those axes without its per-call
+    overhead, which dominates the stencils at small grids.
+    """
     p = np.empty(values.shape[:-2] + (values.shape[-2] + 2, values.shape[-1] + 2))
     p[..., 1:-1, 1:-1], p[..., 0, 1:-1], p[..., -1, 1:-1] = values, values[..., -1, :], values[..., 0, :]
     p[..., 0], p[..., -1] = p[..., -2], p[..., 1]
@@ -402,8 +414,8 @@ def potential_condition_check(tensors: Sequence[TensorField]) -> PotentialCondit
 def cfl_number(state: TransportState, dt: float) -> float:
     """Largest |v| dt / h; sqrt is monotone and correctly rounded, so it is taken once, of the max |v|^2."""
     vx, vy = _diff(state.grid, state.psi.values, 1), _diff(state.grid, state.psi.values, 0)
-    np.add(np.multiply(vx, vx, out=vx), np.multiply(vy, vy, out=vy), out=vx)
-    return math.sqrt(float(np.max(vx))) * dt / min(state.grid.spacing)
+    speed = math.sqrt(float(np.max(vx * vx + vy * vy)))
+    return speed * dt / min(state.grid.spacing)
 
 
 def _ahead(x0: np.ndarray, s: float, k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -411,6 +423,26 @@ def _ahead(x0: np.ndarray, s: float, k: np.ndarray, out: np.ndarray | None = Non
     y = np.multiply(k, s, out=out)
     y += x0
     return y
+
+
+def _rk4(grid: Grid, x0s: list[np.ndarray], psi0: np.ndarray,
+         rates: Callable[[list[np.ndarray], np.ndarray], list[np.ndarray]], dt: float) -> list[np.ndarray]:
+    """``x0 + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` of each x0 of x0s, with that expression's bits.
+
+    ``rates(xs, psi)`` gives the rates at the stage inputs xs, psi solving for ``xs[0]``.  The
+    stage sum is added into k1's arrays in the expression's order, each later rate as soon as
+    it has given the next stage input, which is written into the second stage input's arrays.
+    """
+    sums = rates(x0s, psi0)  # k1 starts the stage sum
+    xs = [_ahead(x0, 0.5 * dt, k) for x0, k in zip(x0s, sums)]
+    for c in (0.5, 1.0):
+        for x0, x, k, total in zip(x0s, xs, rates(xs, solve_streamfunction(grid, xs[0])), sums):
+            _ahead(x0, c * dt, k, out=x)
+            total += np.multiply(k, 2.0, out=k)
+        del k  # dropped before the next stage's rates are built
+    for x0, total, k in zip(x0s, sums, rates(xs, solve_streamfunction(grid, xs[0]))):
+        _ahead(x0, dt / 6.0, np.add(total, k, out=total), out=total)
+    return sums
 
 
 def step(state: TransportState, config: TransportConfig) -> TransportState:
@@ -427,28 +459,21 @@ def step(state: TransportState, config: TransportConfig) -> TransportState:
         raise CFLError(f"CFL {cfl:.3f} exceeds limit {CFL_LIMIT}")
 
     frozen = config.mode == FROZEN
-    # None stands for an identically zero source; a frozen step tests its source once
-    nonzero = lambda a: a if np.any(a) else None  # noqa: E731
-    source = nonzero(transport_rhs(state, model).values) if frozen else None
-    starts = [state.omega.values] if frozen else [state.omega.values, state.nu.values]
-    stage, psi, sums = starts, state.psi.values, None
-    # a stage's rates k give the next stage's input start + c dt k (none after c = None), then w k to the sum
-    for c, w in ((0.5, 1.0), (0.5, 2.0), (1.0, 2.0), (None, 1.0)):
-        src = source if frozen else nonzero(_source(grid, stage[1], model)[0])
-        ks = [_arakawa(grid, psi, x) for x in stage]  # J(psi, x) = -(v.grad) x
-        if src is not None:
+    source = transport_rhs(state, model).values if frozen else None
+
+    def rates(xs: list[np.ndarray], psi: np.ndarray) -> list[np.ndarray]:
+        """d x/dt of each stage input x (omega, then nu when it is advected), with the source added into omega's."""
+        src = source if frozen else _source(grid, xs[1], model)[0]
+        ks = [_arakawa(grid, psi, x) for x in xs]  # J(psi, x) = -(v.grad) x
+        if src is not None and np.any(src):  # an identically zero source adds nothing, not even to a -0
             ks[0] += src
-        stage = psi = src = None  # dropped before the next stage's input is built
-        if c is not None:
-            stage = [_ahead(x0, c * dt, k) for x0, k in zip(starts, ks)]
-        sums = ks if sums is None else [np.add(t, np.multiply(k, w, out=k), out=t) for t, k in zip(sums, ks)]
-        ks = None
-        if c is not None:
-            psi = solve_streamfunction(grid, stage[0])
-    om1, *nu1 = (_ahead(x0, dt / 6.0, total, out=total) for x0, total in zip(starts, sums))
+        return ks
+
+    om1, *nu1 = _rk4(grid, [state.omega.values] if frozen else [state.omega.values, state.nu.values],
+                     state.psi.values, rates, dt)
     psi_new = solve_streamfunction(grid, om1)
-    nu_field = state.nu if frozen else OrderField(grid, nu1[0])
-    return TransportState(ScalarField(grid, om1), ScalarField(grid, psi_new), nu_field, state.t + dt)
+    nu1 = state.nu if frozen else OrderField(grid, nu1[0])
+    return TransportState(ScalarField(grid, om1), ScalarField(grid, psi_new), nu1, state.t + dt)
 
 
 def enstrophy(state: TransportState) -> float:
@@ -465,12 +490,7 @@ def te_work_rate(state: TransportState, model: ComplexFluidModel) -> float:
     time integral of this rate differ only by the quadrature error.
     """
     div_te = _field_source(state.nu, model)[1]
-    grid, psi = state.grid, state.psi.values
-    work = np.empty(div_te.shape)  # -v, so work * div T has the bits of v * -div T, signed zeros too
-    np.negative(_diff(grid, psi, 1, out=work[..., 0]), out=work[..., 0])
-    _diff(grid, psi, 0, out=work[..., 1])
-    work *= div_te
-    return float(np.sum(work)) * grid.cell_volume
+    return float(np.sum(state.velocity().values * -div_te)) * state.grid.cell_volume
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,7 @@ def test_json_ledger_keeps_every_workload(tmp_path, monkeypatch):
     assert sorted(data) == ["bad-seed0", "transport-seed0"]
     transport = data["transport-seed0"]
     assert transport["all_check_ok"] and not data["bad-seed0"]["all_check_ok"]
+    assert transport["checkouts"] == {"parent": "parent", "change": "change"}
     assert transport["metrics"]["op_ms_p50"]["change_wins"] == 3
     assert [list(run) for run in transport["runs"]] == [["parent", "change"], ["change", "parent"],
                                                         ["parent", "change"]]

@@ -457,7 +457,7 @@ def test_stage_kernels_bound_the_allocation_peak():
 
 
 def test_rk4_step_bounds_the_allocation_peak():
-    # besides its state a frozen step holds the stage sum, the stage input and its psi, and one
+    # besides its state a frozen step holds the stage sum, a stage input and its psi, and one
     # rate with the Jacobian's padded psi and operand (~7 grids); a run also holds the state it
     # replaces, and an advected one the last sample's memoized source
     n = 256
@@ -468,7 +468,15 @@ def test_rk4_step_bounds_the_allocation_peak():
     assert _traced_peak(run, frozen, state) < 9.5 * array
     assert _traced_peak(step, state, frozen) < 7.5 * array
     assert _traced_peak(run, dataclasses.replace(frozen, mode="advected"), state) < 32 * array
-    assert _traced_peak(cfl_number, state, frozen.dt) < 2.5 * array
+
+
+def test_source_takes_div_t_without_the_whole_stress():
+    # grad nu and dphi/dgrad nu (4 planes each at m = 2) live through the divergence, which
+    # holds one slot of T at a time and never the whole tensor (4 planes more)
+    n = 256
+    grid, array = Grid.periodic(n), n * n * 8
+    nu = generic_order_parameter(grid).values
+    assert _traced_peak(transport._source, grid, nu, MODEL2) < 13.5 * array
 
 
 def test_compact_laplacian_matches_roll_formula():

@@ -25,8 +25,10 @@ system CPU seconds and minor page faults.  They cover the whole run, import,
 set-up and warm-up included, so they are not end-to-end metrics; they show
 where a run's time went (kernel time spent faulting memory in, say).
 
-``--json FILE`` also writes the summary, and every run's metrics and
-resources, into FILE under the key ``WORKLOAD-seedS`` (``cli-seed7``).  It
+``--json FILE`` also writes the summary, every run's metrics and
+resources, and the names of the two checkout directories (a benchmark's
+peak RSS can depend on them), into FILE under the key ``WORKLOAD-seedS``
+(``cli-seed7``).  It
 never replaces an entry: a rerun of a workload and seed already in FILE goes
 under the next free suffix (``cli-seed7-2``, ``cli-seed7-3``, ...).  So
 calls for every workload and seed with one FILE make one bench ledger.
@@ -167,8 +169,8 @@ def main(argv=None) -> int:
     if args.json is not None:
         ledger = json.loads(args.json.read_text(encoding="utf-8")) if args.json.exists() else {}
         ledger[ledger_key(ledger, args.workload, args.seed)] = {
-            "seed": args.seed, "run_seconds": seconds, "all_check_ok": all_ok, "metrics": summary,
-            "runs": pairs,
+            "seed": args.seed, "run_seconds": seconds, "checkouts": {side: dirs[side].name for side in SIDES},
+            "all_check_ok": all_ok, "metrics": summary, "runs": pairs,
         }
         args.json.write_text(json.dumps(ledger, indent=1) + "\n", encoding="utf-8")
     return 0 if all_ok else 1
