@@ -75,7 +75,8 @@ one by one, freeing each intermediate before the next term, and contracts
 as each derivative is taken, so no second-gradient tensor (``m*dim*dim``
 grid planes) and no gradient of the balance (``m*dim``) is built; the sums
 run in the order, and give the bits, of ``_dyadic`` over the materialized
-tensors.
+tensors.  The defect probe's coupling contracts the gradient of
+``iota*Rs`` with ``nu^a`` the same way.
 
 Everything here is pure: states and reports are immutable value objects and
 evaluators allocate fresh fields, so independent states can be evaluated
@@ -84,7 +85,6 @@ concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -111,12 +111,11 @@ from .fieldcalc import (
     _grad_dot,
     _hess_dot,
     _linf,
+    _norms,
     _pointwise_magnitude,
     advect_steady,
     curl_vector,
     grad_scalar,
-    l2_norm,
-    linf_norm,
     order_grad,
     refinement_study,
     require_same_grid,
@@ -129,8 +128,6 @@ from .models import (
     OrderCoEnergy,
     gl_partials,
 )
-
-RHO_IOTA_TOL = 1e-14
 
 CLASSICAL_SCHEMA = ("thermo", "enthalpy")
 KORTEWEG_SCHEMA = ("thermo", "enthalpy", "wall", "inertia")
@@ -343,12 +340,6 @@ def _report(relation: str, fields: RelationFields) -> CroccoReport:
         named[name], norms[name] = field, norm
     lhs, residual = named.pop("lhs"), named.pop("residual")
     return CroccoReport(relation, lhs, named, residual, norms)
-
-
-def _norms(field: Field) -> tuple[float, float]:
-    """(l2_norm, linf_norm) of a field from one pointwise magnitude, with the same bits as each."""
-    mag = _pointwise_magnitude(field.grid, field.values)
-    return float(math.sqrt(np.sum(mag * mag) * field.grid.cell_volume)), float(np.max(mag))
 
 
 # ---------------------------------------------------------------------------
@@ -728,9 +719,8 @@ def complex_momentum_residual(state: ComplexState, parts: GinzburgLandauPartials
 
 
 def _coupling(state: ComplexState, parts: GinzburgLandauPartials, order: _Order) -> np.ndarray:
-    iota, rho = state.iota.values, state.rho.values
-    grad_c = _grad(state.grid, iota[..., None] * _balance_residual(order, rho, parts.dphi_dnu))
-    return _dyadic(grad_c, state.nu.values[..., None])[..., 0]
+    iota_rs = state.iota.values[..., None] * _balance_residual(order, state.rho.values, parts.dphi_dnu)
+    return _grad_dot(state.grid, iota_rs, state.nu.values)
 
 
 def substructural_coupling(
@@ -800,4 +790,4 @@ def corollary_check(report: CroccoReport, mode: str) -> CorollaryCheck:
     else:
         raise SchemaError(f"mode must be 'cancellation' or 'generation', got {mode!r}")
     field = ScalarField(report.lhs.grid, _pointwise_magnitude(report.lhs.grid, target))
-    return CorollaryCheck(mode, field, l2_norm(field), linf_norm(field))
+    return CorollaryCheck(mode, field, *_norms(field))

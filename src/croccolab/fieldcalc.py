@@ -41,16 +41,20 @@ these helpers.  The relation and transport modules call the helpers on plain
 intermediate arrays: a field, whose values are checked finite, is built only
 for a state, a report's terms and the result of a public function.
 
-Sums over component axes go through two contraction helpers: ``_dot`` sums
-``a[..., k] * b[..., k]`` over trailing axes and ``_dyadic`` is the chart sum
-``sum_a g[..., a, i] * s[..., a, j]``.  Both add whole-grid component slices
-one by one from +0, the order in which np.sum adds a short axis and
-np.einsum a chart axis, so they give those functions' bits without their
-cost on axes two to four elements long.  ``_grad_dot`` and ``_hess_dot``
-contract a first or second gradient with a component array as each
-derivative is taken, with the bits of ``_dyadic`` over the materialized
-``_grad`` or ``_hess`` tensor and one derivative slice alive at a time, and
-``_div_dyadic`` takes ``_div`` of ``_dyadic`` one slot at a time.
+Every sum over component axes goes through one kernel, ``_sum``: it adds
+fresh whole-grid product arrays one by one in the order given, then the
+closing ``+ 0`` (the +0 that np.sum and np.einsum start from, which turns an
+all -0 sum into +0), and drops each term before the next is built.  Adding
+in C order of the summed axes gives np.sum's bits on an axis below 8
+elements and np.einsum's on a chart axis of any length, without their cost
+on axes two to four elements long.  ``_dot`` sums ``a[..., k] * b[..., k]``
+over trailing axes and ``_dyadic`` is the chart sum ``sum_a g[..., a, i] *
+s[..., a, j]``.  ``_grad_dot`` and ``_hess_dot`` contract a first or second
+gradient with a component array as each derivative is taken, with the bits
+of ``_dyadic`` over the materialized ``_grad`` or ``_hess`` tensor and one
+derivative alive at a time, and ``_div_dyadic`` takes ``_div`` of
+``_dyadic`` one slot at a time.  ``_advect`` and the per-cell magnitude of
+the norms add their products through the same kernel.
 
 Every operator is a pure function: fields are immutable after construction
 (their arrays are marked read-only) and operators allocate fresh arrays, so
@@ -353,12 +357,7 @@ def order_second_grad(nu: OrderField) -> OrderHessField:
 def _advect(grid: Grid, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(v . grad) a for an array of any rank and velocity values v."""
     vb = v.reshape(grid.extents + (1,) * (a.ndim - grid.dim) + (grid.dim,))
-    out = np.zeros_like(a)
-    for i in range(grid.dim):
-        d = _diff(grid, a, i)
-        d *= vb[..., i]
-        out += d
-    return out
+    return _sum(_diff(grid, a, i) * vb[..., i] for i in range(grid.dim))
 
 
 def advect_steady(f: Field, v: VectorField) -> Field:
@@ -372,75 +371,64 @@ def advect_steady(f: Field, v: VectorField) -> Field:
 # ---------------------------------------------------------------------------
 
 
+def _sum(terms: Iterable[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """The terms added one by one in the order given, then ``+ 0``, into `out` if given.
+
+    Each term must be a fresh array (or numpy scalar), which the sum may
+    overwrite: the first one becomes the accumulator.  The closing ``+ 0``
+    is the +0 start of np.sum and np.einsum, turning an all -0 sum into +0
+    and leaving every other sum as it is.  Each term is dropped once added,
+    so a generator of terms holds the accumulator and the term it builds.
+    """
+    terms = iter(terms)
+    acc = next(terms)
+    for term in terms:
+        acc += term
+        del term  # before the generator builds the next term
+    if out is None:
+        acc += 0.0
+        return acc
+    return np.add(acc, 0.0, out=out)
+
+
 def _dot(a: np.ndarray, b: np.ndarray, axes: int = 1) -> np.ndarray:
     """sum of a * b over the trailing `axes` axes of `a` (b broadcasts), as np.sum adds it.
 
-    Below 8 terms np.sum adds them one by one in C order of those axes,
-    from +0, and so does this loop over whole-grid component slices, which
-    skips np.sum's cost on a short innermost axis; the closing ``+ 0.0`` is
-    the +0 start, turning an all -0 sum into +0 and leaving every other sum
-    as it is.  From 8 terms on np.sum adds pairwise, and the sum is its own.
+    Below 8 terms np.sum adds them one by one in C order of those axes, from
+    +0, as ``_sum`` does; from 8 terms on it adds pairwise, and the sum is
+    its own.
     """
     keys = [(Ellipsis,) + k for k in itertools.product(*map(range, a.shape[a.ndim - axes:]))]
     if len(keys) >= 8:
         return np.sum(a * b, axis=tuple(range(-axes, 0)))
-    acc = a[keys[0]] * b[keys[0]]
-    for k in keys[1:]:
-        acc += a[k] * b[k]
-    acc += 0.0
-    return acc
+    return _sum(a[k] * b[k] for k in keys)
+
+
+def _chart(g: np.ndarray, s: np.ndarray, i: int, j: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The slot sum_a g[..., a, i] * s[..., a, j] of ``_dyadic``, into `out` if given."""
+    return _sum((g[..., a, i] * s[..., a, j] for a in range(g.shape[-2])), out)
 
 
 def _dyadic(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Chart sum out[..., i, j] = sum_a g[..., a, i] * s[..., a, j], as np.einsum("...ai,...aj->...ij") adds it.
-
-    One accumulator per (i, j) over whole-grid component slices: the
-    broadcast product summed over the chart axis runs inner loops m long.
-    The terms are added in chart order for any m, and the write into `out`
-    adds the +0 that np.einsum starts from.
-    """
+    """Chart sum out[..., i, j] = sum_a g[..., a, i] * s[..., a, j], as np.einsum("...ai,...aj->...ij") adds it."""
     out = np.empty(g.shape[:-2] + (g.shape[-1], s.shape[-1]))
-    for i in range(g.shape[-1]):
-        for j in range(s.shape[-1]):
-            acc = g[..., 0, i] * s[..., 0, j]
-            for a in range(1, g.shape[-2]):
-                acc += g[..., a, i] * s[..., a, j]
-            np.add(acc, 0.0, out=out[..., i, j])
+    for i, j in itertools.product(range(g.shape[-1]), range(s.shape[-1])):
+        _chart(g, s, i, j, out[..., i, j])
     return out
 
 
 def _div_dyadic(grid: Grid, g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """``_div(grid, _dyadic(g, s))`` with its bits, one slot ``D_ij`` of the dyadic alive at a time.
 
-    Each slot is ``_dyadic`` of ``g``'s column ``i`` against ``s``'s column
-    ``j``, in its order, and its ``d_j`` is added into component ``i`` in
-    ``_div``'s order, without the whole ``dim x dim`` tensor.
+    Each slot's ``d_j`` is added into component ``i`` in ``_div``'s order,
+    without the whole ``dim x dim`` tensor.
     """
     out = np.empty(g.shape[:-2] + g.shape[-1:])
     for i in range(g.shape[-1]):
-        _diff(grid, _dyadic(g[..., i : i + 1], s[..., :1])[..., 0, 0], 0, out=out[..., i])
+        _diff(grid, _chart(g, s, i, 0), 0, out=out[..., i])
         for j in range(1, grid.dim):
-            out[..., i] += _diff(grid, _dyadic(g[..., i : i + 1], s[..., j : j + 1])[..., 0, 0], j)
+            out[..., i] += _diff(grid, _chart(g, s, i, j), j)
     return out
-
-
-def _diff_dot(grid: Grid, terms: Iterable[tuple[np.ndarray, int, np.ndarray]], out: np.ndarray) -> np.ndarray:
-    """out = sum of ``_diff(grid, x, axis) * y`` over the (x, axis, y) of `terms`, as _dyadic adds it.
-
-    Each derivative is multiplied into its own buffer and added as soon as
-    it is taken, one whole-grid slice at a time, and the write into `out`
-    adds the closing +0: the bits of _dyadic's chart sum over the slots of a
-    materialized derivative tensor, with one derivative alive at a time.
-    """
-    acc = None
-    for x, axis, y in terms:
-        d = _diff(grid, x, axis)
-        d *= y
-        if acc is None:
-            acc = d
-        else:
-            acc += d
-    return np.add(acc, 0.0, out=out)
 
 
 def _grad_dot(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -453,7 +441,7 @@ def _grad_dot(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty(grid.extents + (grid.dim,))
     keys = [(Ellipsis,) + k for k in itertools.product(*map(range, a.shape[grid.dim:]))]
     for i in range(grid.dim):
-        _diff_dot(grid, ((a[k], i, b[k]) for k in keys), out[..., i])
+        _sum((_diff(grid, a[k], i) * b[k] for k in keys), out[..., i])
     return out
 
 
@@ -469,7 +457,7 @@ def _hess_dot(grid: Grid, g: np.ndarray, s: np.ndarray) -> np.ndarray:
     out = np.empty(grid.extents + (grid.dim,))
     pairs = list(itertools.product(range(g.shape[-2]), range(grid.dim)))
     for i in range(grid.dim):
-        _diff_dot(grid, ((g[..., a, i], j, s[..., a, j]) for a, j in pairs), out[..., i])
+        _sum((_diff(grid, g[..., a, i], j) * s[..., a, j] for a, j in pairs), out[..., i])
     return out
 
 
@@ -479,20 +467,25 @@ def _hess_dot(grid: Grid, g: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _pointwise_magnitude(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Euclidean magnitude over all component axes, per cell."""
+    """Euclidean magnitude over all component axes, per cell.
+
+    The squares are added in C order, as np.sum adds fewer than 8 terms.
+    """
     if values.ndim == grid.dim:
         return np.abs(values)
     flat = values.reshape(grid.extents + (-1,))
-    # component by component: np.sum over a short innermost axis costs far
-    # more than its arithmetic, and below 8 components it adds in this order
-    acc = flat[..., 0] * flat[..., 0]
-    for k in range(1, flat.shape[-1]):
-        acc += flat[..., k] * flat[..., k]
+    acc = _sum(flat[..., k] * flat[..., k] for k in range(flat.shape[-1]))
     return np.sqrt(acc, out=acc)
 
 
 def _linf(grid: Grid, values: np.ndarray) -> float:
     return float(np.max(_pointwise_magnitude(grid, values)))
+
+
+def _norms(field: Field) -> tuple[float, float]:
+    """(l2_norm, linf_norm) of a field from one pointwise magnitude."""
+    mag = _pointwise_magnitude(field.grid, field.values)
+    return float(math.sqrt(np.sum(mag * mag) * field.grid.cell_volume)), float(np.max(mag))
 
 
 def linf_norm(field: Field) -> float:
@@ -502,8 +495,7 @@ def linf_norm(field: Field) -> float:
 
 def l2_norm(field: Field) -> float:
     """Cell-volume-weighted discrete L2 norm."""
-    mag = _pointwise_magnitude(field.grid, field.values)
-    return float(math.sqrt(np.sum(mag * mag) * field.grid.cell_volume))
+    return _norms(field)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,9 @@ potential or co-energy.  :func:`catalog_models` lists the instances that
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass, field as dc_field, fields
+from typing import Iterator
 
 import numpy as np
 
@@ -66,6 +68,24 @@ class ModelError(ValueError):
 
 class EvaluationError(ValueError):
     """Constitutive evaluation produced a non-finite value."""
+
+
+def _nonfinite(name: str, value) -> Iterator[tuple[str, float]]:
+    """(name, value) of each non-finite float in `value`: a float, or a (nested) tuple, list or array of them."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (tuple, list)):
+        for i, x in enumerate(value):
+            yield from _nonfinite(f"{name}[{i}]", x)
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield name, value
+
+
+def _require_finite(model) -> None:
+    """Raise ModelError naming each float parameter, or tuple entry, of a model dataclass that is not finite."""
+    bad = [f"{name} = {value}" for f in fields(model) for name, value in _nonfinite(f.name, getattr(model, f.name))]
+    if bad:
+        raise ModelError(f"{type(model).__name__} parameters must be finite, got {', '.join(bad)}")
 
 
 def _check_finite(name: str, arr: np.ndarray) -> np.ndarray:
@@ -160,6 +180,7 @@ class KortewegModel(MechanicalPart, ThermalPart):
     _wells = ("well_1", "well_2")
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         self._check_mechanical()
         if self.beta < 0.0:
             raise ModelError("gradient coefficient beta must be >= 0")
@@ -191,6 +212,9 @@ class KortewegCoEnergy:
 
     kappa0: float = 0.0
     kappa1: float = 0.0
+
+    def __post_init__(self) -> None:
+        _require_finite(self)
 
     @property
     def is_zero(self) -> bool:
@@ -252,6 +276,7 @@ class ComplexFluidModel(MechanicalPart, ThermalPart):
     _wells = ("f_well_1", "f_well_2")
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.m < 1:
             raise ModelError(f"chart dimension m must be >= 1, got {self.m}")
         if self.gamma_kind not in _F_KINDS:
@@ -391,6 +416,7 @@ class OrderCoEnergy:
     lam: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         om = np.array(self.omega, dtype=float)
         lv = np.array(self.lam, dtype=float)
         if om.ndim != 2 or om.shape[0] != om.shape[1]:

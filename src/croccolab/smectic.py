@@ -55,7 +55,7 @@ from .fieldcalc import (
     grad_scalar,
     require_same_grid,
 )
-from .models import GinzburgLandauPartials, ModelError, OrderCoEnergy, ThermalPart
+from .models import GinzburgLandauPartials, ModelError, OrderCoEnergy, ThermalPart, _require_finite
 
 _TINY = 1e-300
 
@@ -75,6 +75,7 @@ class SmecticModel(ThermalPart):
     c_v: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.gamma1 <= 0.0 or self.gamma2 <= 0.0:
             raise ModelError("moduli gamma1, gamma2 must be positive")
         if self.eps_reg < 0.0:

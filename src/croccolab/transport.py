@@ -94,6 +94,7 @@ from .fieldcalc import (
     _div_dyadic,
     _dyadic,
     _grad,
+    _norms,
     curl_vector,
     div_tensor,
     l2_norm,
@@ -367,8 +368,7 @@ def _field_source(nu: OrderField, model: ComplexFluidModel) -> tuple[ScalarField
 
 def curl_div_norms(te: TensorField) -> tuple[float, float]:
     """(L2, Linf) of curl(div T), the vorticity-alteration magnitude."""
-    w = curl_vector(div_tensor(te))
-    return l2_norm(w), linf_norm(w)
+    return _norms(curl_vector(div_tensor(te)))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ import contextlib
 import io
 import os
 import tempfile
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from croccolab.cli import ConfigError, RunConfig, main
 from croccolab.fieldcalc import ONE_SIDED, PERIODIC, Grid, OrderField, ScalarField, VectorField, l2_norm, linf_norm
 from croccolab.fieldio import _fmt, read_field, write_field
 from croccolab.transport import PoissonError
+from traced_peaks import traced_peak
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -709,13 +709,8 @@ def test_a_rerun_into_an_existing_directory_replaces_every_artifact(tmp_path):
     assert not staging_dirs(tmp_path)
 
 
-def _traced_peak(argv) -> int:
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+def _main_ok(argv) -> None:
+    assert main(argv) == 0
 
 
 def test_eval_complex_on_field_files_bounds_the_allocation_peak(tmp_path):
@@ -730,7 +725,8 @@ def test_eval_complex_on_field_files_bounds_the_allocation_peak(tmp_path):
         write_field(getattr(state, key), path)
     config = write_config(tmp_path, state_section(paths, paths))
     assert main(["eval-complex", "--config", config, "--out", str(tmp_path / "warm-up")]) == 0
-    assert _traced_peak(["eval-complex", "--config", config, "--out", str(tmp_path / "o")]) < 32 * grid.n_cells * 8
+    argv = ["eval-complex", "--config", config, "--out", str(tmp_path / "o")]
+    assert traced_peak(_main_ok, argv) < 32 * grid.n_cells * 8
 
 
 def test_mms_verify_on_a_grid_too_coarse_for_the_identity_exits_two(tmp_path, capsys):

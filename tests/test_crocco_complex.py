@@ -1,6 +1,5 @@
 """Order-parameter relation: balances, reductions, corollaries."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from croccolab.manufactured import (
 )
 from croccolab.models import ComplexFluidModel, OrderCoEnergy, gl_partials
 from dual_routes import korteweg_embedding
+from traced_peaks import traced_peak
 
 TWO_PI = 2.0 * np.pi
 
@@ -210,15 +210,6 @@ def test_complex_defect_identity_evaluates_the_bundle_once_per_level(monkeypatch
     assert calls == {"gl_partials": 3, "check_sphere_constraint": 3}
 
 
-def _traced_peak(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_relation_engine_builds_no_second_gradient_tensor():
     # At 128^2 one grid plane is 128 KiB.  The complex-gl-m2 relation (m = 2, non-zero
     # co-energy) peaked at ~64 planes and its defect-probe level at ~73 while the engine
@@ -228,9 +219,9 @@ def test_relation_engine_builds_no_second_gradient_tensor():
     grid = Grid.periodic(128)
     plane = grid.n_cells * 8
     state, model, coenergy = CATALOG["complex-gl-m2"](grid)
-    assert _traced_peak(complex_crocco, state, model, coenergy) < 52 * plane
+    assert traced_peak(complex_crocco, state, model, coenergy) < 52 * plane
     grids = [Grid.periodic(n) for n in (32, 64, 128)]
-    assert _traced_peak(complex_defect_identity, CATALOG["complex-gl-m2"], grids) < 62 * plane
+    assert traced_peak(complex_defect_identity, CATALOG["complex-gl-m2"], grids) < 62 * plane
 
 
 def test_defect_probe_holds_one_term_at_a_time():
@@ -240,7 +231,7 @@ def test_defect_probe_holds_one_term_at_a_time():
     # leaves the momentum residual's ~50.6 as the level's peak.
     plane = Grid.periodic(128).n_cells * 8
     grids = [Grid.periodic(n) for n in (32, 64, 128)]
-    assert _traced_peak(complex_defect_identity, CATALOG["complex-gl-m2"], grids) < 52 * plane
+    assert traced_peak(complex_defect_identity, CATALOG["complex-gl-m2"], grids) < 52 * plane
 
 
 def test_defect_needs_the_substructural_coupling():

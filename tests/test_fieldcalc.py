@@ -29,6 +29,7 @@ from croccolab.fieldcalc import (
     _hess,
     _hess_dot,
     _pointwise_magnitude,
+    _sum,
     advect_steady,
     curl_vector,
     div_tensor,
@@ -42,6 +43,7 @@ from croccolab.fieldcalc import (
     order_second_grad,
     refinement_study,
 )
+from traced_peaks import traced_peak
 
 TWO_PI = 2.0 * math.pi
 
@@ -552,6 +554,57 @@ def test_hessian_is_contiguous_and_bit_identical_to_swapped_repeated_gradient(gr
     got = _hess(grid, a)
     assert got.flags.c_contiguous
     assert np.array_equal(_bits(got), _bits(ref))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 8, 9])
+def test_ordered_sum_bit_identical_to_np_sum_and_einsum(m):
+    rng = np.random.default_rng(40 + m)
+    g, s = _wild(rng, (7, 6, m, 2)), _wild(rng, (7, 6, m, 3))
+    g[0], s[0] = -1.0, 0.0  # all -0 products: np.sum and np.einsum give +0
+    got = _sum(g[..., a, 1] * s[..., a, 2] for a in range(m))
+    assert np.array_equal(_bits(got), _bits(np.einsum("...ai,...aj->...ij", g, s)[..., 1, 2]))
+    if m < 8:  # from 8 terms on np.sum adds pairwise
+        assert np.array_equal(_bits(got), _bits(np.sum(g[..., 1] * s[..., 2], axis=-1)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_ordered_sum_of_negative_zeros_is_positive_zero(k):
+    got = _sum(np.full((3, 4), -0.0) for _ in range(k))
+    assert np.array_equal(_bits(got), _bits(np.zeros((3, 4))))
+    assert _sum(np.float64(-0.0) for _ in range(k)) == 0.0
+    assert not np.signbit(_sum(np.float64(-0.0) for _ in range(k)))
+
+
+def test_ordered_sum_writes_a_strided_out_slot():
+    rng = np.random.default_rng(41)
+    a, b = _wild(rng, (9, 7, 3)), _wild(rng, (9, 7, 3))
+    slot = np.full((9, 7, 2), np.nan)[..., 1]
+    assert _sum((a[..., k] * b[..., k] for k in range(3)), slot) is slot
+    assert np.array_equal(_bits(slot), _bits(np.sum(a * b, axis=-1)))
+
+
+def test_ordered_sum_of_numpy_scalars():
+    # validate_partials evaluates the potentials one cell at a time: the terms are numpy scalars
+    rng = np.random.default_rng(42)
+    a, b = _wild(rng, (5,)), _wild(rng, (5,))
+    got = _sum(a[k] * b[k] for k in range(5))
+    assert isinstance(got, np.float64)
+    assert np.array_equal(_bits(got), _bits(np.sum(a * b)))
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_ordered_sum_holds_the_accumulator_and_at_most_two_terms(n):
+    # A generator of k fresh products, each dropped once added, where a list of them holds
+    # k.  A term still bound while the next is built would make a product sum hold 3
+    # planes.  A derivative times a component holds the derivative and its product at
+    # once where numpy does not reuse the temporary (arrays below 256 KiB, so at 128^2).
+    grid, k = Grid.periodic(n), 6
+    plane = grid.n_cells * 8
+    rng = np.random.default_rng(43)
+    a, b = rng.standard_normal((n, n, k)), rng.standard_normal((n, n, k))
+    assert traced_peak(lambda: _sum(a[..., j] * b[..., j] for j in range(k))) < 2.5 * plane
+    assert traced_peak(lambda: _sum(_diff(grid, a[..., j], 0) * b[..., j] for j in range(k))) < 3.5 * plane
+    assert traced_peak(lambda: _sum([a[..., j] * b[..., j] for j in range(k)])) >= k * plane
 
 
 @pytest.mark.parametrize("width", range(1, 11))

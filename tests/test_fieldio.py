@@ -1,7 +1,6 @@
 """CROCCOFIELD files: round trips, malformed inputs, error positions, encoder bytes."""
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,6 +22,7 @@ from croccolab.fieldcalc import (
 from croccolab import fieldio
 from croccolab.fieldio import KINDS, FieldFileError, read_field, write_field
 from dual_routes import read_field_whole
+from traced_peaks import traced_peak
 
 
 def sample_fields():
@@ -458,22 +458,13 @@ def test_csv_blocks_join_to_the_per_value_format_bytes(tmp_path, case):
     assert np.array_equal(read_field(str(path)).values.view(np.int64), field.values.view(np.int64))
 
 
-def _traced_write_peak(field, path, encoding) -> int:
-    tracemalloc.start()
-    try:
-        write_field(field, path, encoding=encoding)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_writes_hold_no_whole_payload_in_memory(tmp_path):
     grid = Grid.periodic(256)
     field = TensorField(grid, np.random.default_rng(1).standard_normal(grid.extents + (2, 2)))
     # the whole CSV text is ~12 MB; one block of it is ~0.2 MB
-    assert _traced_write_peak(field, str(tmp_path / "t.csv"), "csv") < 2_000_000
+    assert traced_peak(write_field, field, str(tmp_path / "t.csv"), "csv") < 2_000_000
     # the binary payload is written from the field's own buffer, with no copy of it
-    assert _traced_write_peak(field, str(tmp_path / "t.bin"), "binary") < field.values.nbytes
+    assert traced_peak(write_field, field, str(tmp_path / "t.bin"), "binary") < field.values.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -541,15 +532,6 @@ def test_streamed_csv_decoder_matches_the_whole_payload_reader(tmp_path_factory,
         assert not error_pass.called  # a file as written is decoded in one pass
 
 
-def _traced_read_peak(path) -> int:
-    tracemalloc.start()
-    try:
-        read_field(path)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_csv_reads_hold_no_list_of_payload_lines(tmp_path):
     # decoding and splitting the whole payload into one list of lines peaked at 5.4-7x the file
     grid = Grid.periodic(256)
@@ -558,7 +540,7 @@ def test_csv_reads_hold_no_list_of_payload_lines(tmp_path):
                   OrderField(grid, rng.standard_normal(grid.extents + (2,)))):
         path = tmp_path / f"{field.kind}.csv"
         write_field(field, str(path), encoding="csv")
-        assert _traced_read_peak(str(path)) < 2.5 * path.stat().st_size
+        assert traced_peak(read_field, str(path)) < 2.5 * path.stat().st_size
         assert read_field(str(path)).values.tobytes() == field.values.tobytes()
 
 
@@ -588,12 +570,8 @@ def test_malformed_csv_reads_hold_no_list_of_payload_lines(tmp_path, case):
     path = tmp_path / "order.csv"
     write_field(OrderField(grid, np.random.default_rng(2).standard_normal(grid.extents + (2,))), str(path), "csv")
     _edit_payload(path, MALFORMED_LAST[case])
-    tracemalloc.start()
-    try:
-        outcome = _outcome(read_field, str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(_outcome, read_field, str(path))
+    outcome = _outcome(read_field, str(path))
     assert outcome == _outcome(read_field_whole, str(path))
     assert outcome[0] is FieldFileError
     assert peak < 2.5 * path.stat().st_size

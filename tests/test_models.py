@@ -21,6 +21,7 @@ from croccolab.models import (
     gl_partials,
     validate_partials,
 )
+from croccolab.smectic import SmecticModel
 from dual_routes import korteweg_embedding
 
 
@@ -252,6 +253,41 @@ def test_order_coenergy_validation():
     with pytest.raises(ModelError):
         OrderCoEnergy(((-1.0, 0.0), (0.0, 1.0)), (0.0, 0.0))  # not PSD
     assert OrderCoEnergy.zero(3).is_zero
+
+
+# a valid instance's arguments per model, every tuple parameter given with entries
+VALID_ARGS = {
+    KortewegModel: {},
+    ComplexFluidModel: {"m": 2, "nu_ref": (0.2, -0.1), "nu_ref_slope": (0.3, -0.2)},
+    SmecticModel: {"gamma1": 1.2, "gamma2": 0.6},
+    KortewegCoEnergy: {},
+    OrderCoEnergy: {"omega": ((1.0, 0.0), (0.0, 1.0)), "lam": (0.0, 0.0)},
+}
+NUMERIC_PARAMETERS = [
+    (cls, f.name) for cls in VALID_ARGS for f in fields(cls) if f.type == "float" or f.type.startswith("tuple")
+]
+
+
+def _last_entry_set(value, bad):
+    """`value` with its last float, in a (nested) tuple or alone, replaced by `bad`."""
+    return value[:-1] + (_last_entry_set(value[-1], bad),) if isinstance(value, tuple) else bad
+
+
+def test_every_model_parameter_left_out_of_the_finite_check_is_a_choice_or_a_count():
+    for cls in VALID_ARGS:
+        for f in fields(cls):
+            assert (cls, f.name) in NUMERIC_PARAMETERS or f.type in ("str", "int", "bool"), (cls, f.name)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("cls, name", NUMERIC_PARAMETERS, ids=[f"{c.__name__}.{n}" for c, n in NUMERIC_PARAMETERS])
+def test_models_reject_non_finite_parameters_by_name(cls, name, bad):
+    args = dict(VALID_ARGS[cls])
+    cls(**args)  # valid as given
+    args[name] = _last_entry_set(args.get(name, getattr(cls, name, 0.0)), bad)
+    entry = name if isinstance(args[name], float) else rf"{name}(\[\d\])+"
+    with pytest.raises(ModelError, match=rf"^{cls.__name__} parameters must be finite, got {entry} = {bad}$"):
+        cls(**args)
 
 
 @settings(max_examples=30, deadline=None)

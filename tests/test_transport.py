@@ -4,7 +4,6 @@ import dataclasses
 import gc
 import math
 import re
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -60,6 +59,7 @@ from croccolab.transport import (
     te_work_rate,
     transport_rhs,
 )
+from traced_peaks import traced_peak
 
 TWO_PI = 2.0 * np.pi
 MODEL2 = ComplexFluidModel(m=2, a=1.0)
@@ -434,15 +434,6 @@ def test_arakawa_non_finite_cells_spread_like_the_roll_formula(bad, cell, operan
     _assert_rolls_bits(grid, psi, zeta)
 
 
-def _traced_peak(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_stage_kernels_bound_the_allocation_peak():
     # the Jacobian's padded operands and output are whole grids, every other temporary is one
     # row block; the residual check holds the padded psi and two grid buffers
@@ -450,10 +441,10 @@ def test_stage_kernels_bound_the_allocation_peak():
     grid, array = Grid.periodic(n), n * n * 8
     rng = np.random.default_rng(5)
     psi, omega, nu = rng.standard_normal((n, n)), rng.standard_normal((n, n)), rng.standard_normal((n, n, 2))
-    assert _traced_peak(_arakawa, grid, psi, omega) < 5 * array
-    assert _traced_peak(_arakawa, grid, psi, nu) < 7 * array
+    assert traced_peak(_arakawa, grid, psi, omega) < 5 * array
+    assert traced_peak(_arakawa, grid, psi, nu) < 7 * array
     omega = two_mode_vorticity(grid)
-    assert _traced_peak(transport._require_poisson, grid, solve_streamfunction(grid, omega), omega) < 3.5 * array
+    assert traced_peak(transport._require_poisson, grid, solve_streamfunction(grid, omega), omega) < 3.5 * array
 
 
 def test_rk4_step_bounds_the_allocation_peak():
@@ -465,9 +456,9 @@ def test_rk4_step_bounds_the_allocation_peak():
     state = make_state(grid, two_mode_vorticity, generic_order_parameter)
     frozen = TransportConfig(dt=0.25 * grid.spacing[0], steps=10, model=MODEL2)
     run(frozen, state)  # memoizes the source of this nu, which every frozen call below reads
-    assert _traced_peak(run, frozen, state) < 9.5 * array
-    assert _traced_peak(step, state, frozen) < 7.5 * array
-    assert _traced_peak(run, dataclasses.replace(frozen, mode="advected"), state) < 32 * array
+    assert traced_peak(run, frozen, state) < 9.5 * array
+    assert traced_peak(step, state, frozen) < 7.5 * array
+    assert traced_peak(run, dataclasses.replace(frozen, mode="advected"), state) < 32 * array
 
 
 def test_source_takes_div_t_without_the_whole_stress():
@@ -476,7 +467,7 @@ def test_source_takes_div_t_without_the_whole_stress():
     n = 256
     grid, array = Grid.periodic(n), n * n * 8
     nu = generic_order_parameter(grid).values
-    assert _traced_peak(transport._source, grid, nu, MODEL2) < 13.5 * array
+    assert traced_peak(transport._source, grid, nu, MODEL2) < 13.5 * array
 
 
 def test_compact_laplacian_matches_roll_formula():
