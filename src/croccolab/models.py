@@ -22,6 +22,9 @@ The zero co-energy (all coefficients zero) is admitted as the designated
 "no substructural inertia" element; evaluators short-circuit on it so the
 inertia-free reductions are bit-exact.
 
+Every model's constructor first rejects a NaN or infinite parameter, a
+float field or an entry of a tuple field, naming it (``_require_finite``).
+
 All evaluators here are pure and operate on numpy arrays (fields pass their
 ``values``); objectivity holds because gradients enter only through their
 euclidean magnitude.  The one field-level entry point is :func:`gl_partials`:
