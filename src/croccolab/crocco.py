@@ -43,9 +43,10 @@ rates (the scalar 0.0 under the zero co-energy), read next to the partials
 of ``models.gl_partials``.  No term reads the self-interaction ``z``; it is
 built only where the substructural balance residual reads it.
 ``_momentum_residual`` is the momentum residual of both fluids.  The engines
-``_korteweg_terms`` and ``_complex_terms`` (the latter also fed by the
-layered relation of :mod:`croccolab.smectic` with nu = w, m = 1) yield their
-term arrays one by one in schema order.
+``_korteweg_terms`` and ``_complex_terms`` yield their term arrays one by one
+in schema order.  ``_complex_terms`` has one feed, a ``ComplexState``: the
+layered relation of :mod:`croccolab.smectic` hands it the layered state's
+m = 1 order-parameter state (iota = 1, nu = w).
 
 Each relation has one term iterator: ``korteweg_relation``,
 ``complex_relation`` and ``smectic.smectic_relation`` hand their engine's
@@ -591,26 +592,22 @@ class _Order(NamedTuple):
     dchi_dnu: np.ndarray | float
 
 
-def _order(v: VectorField, s: np.ndarray, nu: np.ndarray, nu_dot: np.ndarray | None, coenergy: OrderCoEnergy) -> _Order:
-    """The bundle of the microstress ``s = rho*dphi_dgrad_nu`` over the cells of ``v``'s grid.
+def _order(state: ComplexState, s: np.ndarray, coenergy: OrderCoEnergy) -> _Order:
+    """The bundle of the microstress ``s = rho*dphi_dgrad_nu`` of ``state``.
 
-    Only a non-zero co-energy reads ``nu_dot``.
+    Only a non-zero co-energy reads the state's ``nu_dot``.
     """
-    grid = v.grid
+    grid = state.grid
     if coenergy.is_zero:
         rate = dchi_dnu = 0.0  # adds and subtracts as a zero array does, bit for bit
     else:
-        rate, dchi_dnu = _advect(grid, coenergy.dchi_dnu_dot(nu, nu_dot), v.values), coenergy.dchi_dnu(nu, nu_dot)
+        nu, nu_dot = state.nu.values, state.nu_dot.values
+        rate, dchi_dnu = _advect(grid, coenergy.dchi_dnu_dot(nu, nu_dot), state.v.values), coenergy.dchi_dnu(nu, nu_dot)
     return _Order(s, _div(grid, s), rate, dchi_dnu)
 
 
-def _nu_dot(state: ComplexState, coenergy: OrderCoEnergy) -> np.ndarray | None:
-    return None if coenergy.is_zero else state.nu_dot.values
-
-
 def _state_order(state: ComplexState, parts: GinzburgLandauPartials, coenergy: OrderCoEnergy) -> _Order:
-    s = state.rho.values[..., None, None] * parts.dphi_dgrad_nu
-    return _order(state.v, s, state.nu.values, _nu_dot(state, coenergy), coenergy)
+    return _order(state, state.rho.values[..., None, None] * parts.dphi_dgrad_nu, coenergy)
 
 
 def _balance_residual(order: _Order, rho: np.ndarray, dphi_dnu: np.ndarray) -> np.ndarray:
@@ -633,18 +630,17 @@ def substructural_balance_residual(
 
 
 def _complex_terms(
-    v: VectorField, rho: np.ndarray, iota: np.ndarray, eta: np.ndarray, nu: np.ndarray, grad_nu: np.ndarray,
-    nu_dot: np.ndarray | None, parts: GinzburgLandauPartials, coenergy: OrderCoEnergy,
+    state: ComplexState, parts: GinzburgLandauPartials, coenergy: OrderCoEnergy
 ) -> Generator[np.ndarray, None, _Order]:
-    """Shared engine: the componentwise term arrays of the relation, in ``COMPLEX_SCHEMA`` order.
+    """The engine: the componentwise term arrays of the relation, in ``COMPLEX_SCHEMA`` order.
 
-    Reads arrays over the cells of ``v``'s grid: ``nu`` with its chart axis
-    and ``grad_nu``, the first derivatives of ``nu``, with the chart and
-    spatial axes.  Each term is built when the previous one has been taken,
-    and its intermediates are freed before it is handed over, so a consumer
-    that drops each term holds one at a time; the two second-gradient terms
-    contract each derivative as it is taken (``_grad_dot``, ``_hess_dot``),
-    so no ``m*dim*dim`` tensor is built.
+    Reads ``nu``, its cached gradient, ``iota``, ``rho`` and ``eta`` off the
+    state, and ``nu_dot`` only under a non-zero co-energy.  Each term is
+    built when the previous one has been taken, and its intermediates are
+    freed before it is handed over, so a consumer that drops each term
+    holds one at a time; the two second-gradient terms contract each
+    derivative as it is taken (``_grad_dot``, ``_hess_dot``), so no
+    ``m*dim*dim`` tensor is built.
 
     The engine drops its reference to each partial at the partial's last
     read, and builds the order bundle (S, div S and the rates) only after
@@ -652,12 +648,12 @@ def _complex_terms(
     that keeps no ``parts`` of its own frees each array there.  The bundle
     is the engine's return value, so a defect probe reads it back.
     """
-    grid = v.grid
+    grid, iota, nu, grad_nu = state.grid, state.iota.values, state.nu.values, state.grad_nu.values
     p = dict(vars(parts))  # the engine's own references, each popped at its last read
     del parts
-    yield _thermo(grid, p.pop("theta"), eta)
+    yield _thermo(grid, p.pop("theta"), state.eta.values)
     # enthalpy: -grad(h_c), h_c = q^2/2 + phi - iota*dphi_diota - dphi_dnu.nu - P:grad(nu)
-    yield -_grad(grid, 0.5 * _speed2(v) + (
+    yield -_grad(grid, 0.5 * _speed2(state.v) + (
         p.pop("phi")
         - iota * p.pop("dphi_diota")
         - _dot(p.pop("dphi_dnu"), nu)
@@ -665,7 +661,7 @@ def _complex_terms(
     ))
     # micro_grad: -(grad P)^T grad(nu), sum_aj D_i(P^a_j) (grad nu)^a_j
     yield -_grad_dot(grid, p["dphi_dgrad_nu"], grad_nu)
-    order = _order(v, rho[..., None, None] * p.pop("dphi_dgrad_nu"), nu, nu_dot, coenergy)
+    order = _order(state, state.rho.values[..., None, None] * p.pop("dphi_dgrad_nu"), coenergy)
     # order_balance: -(grad(iota*(div S - d/dt dchi_dnudot + dchi_dnu)))^T nu, each derivative of the
     # balance contracted with nu as it is taken, so the balance's gradient is never built
     yield -_grad_dot(grid, iota[..., None] * (order.div_s - order.rate + order.dchi_dnu), nu)
@@ -675,21 +671,13 @@ def _complex_terms(
     return order
 
 
-def _state_terms(
-    state: ComplexState, parts: GinzburgLandauPartials, coenergy: OrderCoEnergy
-) -> Generator[np.ndarray, None, _Order]:
-    """The engine fed from a typed order-parameter state."""
-    fields = (state.rho, state.iota, state.eta, state.nu, state.grad_nu)
-    return _complex_terms(state.v, *(f.values for f in fields), _nu_dot(state, coenergy), parts, coenergy)
-
-
 def complex_relation(state: ComplexState, model: ComplexFluidModel, coenergy: OrderCoEnergy) -> RelationFields:
     """The order-parameter relation's fields as they are built (see ``_relation_fields``).
 
     The partials are handed to the engine alone, so each is freed after its last term.
     """
     parts = gl_partials(model, state.iota, state.nu, state.grad_nu, state.eta)
-    return _relation_fields("complex", COMPLEX_SCHEMA, lamb_vector(state.v), _state_terms(state, parts, coenergy))
+    return _relation_fields("complex", COMPLEX_SCHEMA, lamb_vector(state.v), _complex_terms(state, parts, coenergy))
 
 
 def complex_crocco(
@@ -752,7 +740,7 @@ def complex_defect_identity(
         state, model, coenergy = state_factory(grid)
         parts = gl_partials(model, state.iota, state.nu, state.grad_nu, state.eta)
         lamb = lamb_vector(state.v)
-        defect, order = _residual_from(lamb, _state_terms(state, parts, coenergy))
+        defect, order = _residual_from(lamb, _complex_terms(state, parts, coenergy))
         target = _complex_residual(state, parts, order.s, lamb.values) + _coupling(state, parts, order)
         return _linf(grid, defect - target)
 

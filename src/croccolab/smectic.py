@@ -12,14 +12,16 @@ compressible-layer form
     S = gamma1*(|grad w| - 1)*n
         - gamma2*|grad w|^{-1} * (I - n(x)n) grad(div n)
 
-and the relation runs in incompressible mode (iota == 1) through the
-general order-parameter engine, fed nu = w with the cached ``grad(w)``,
-``S`` as the gradient partial, zero chart and iota partials and the zero
-rate co-energy; :func:`smectic_via_general` feeds it from a typed state
-instead, as the oracle.  A separable entropic part ``e0*exp(eta/c_v)`` is
-added so the temperature is positive; the mechanical energy reported by
-:func:`smectic_energy` excludes it (flat unit-spaced layers have zero
-energy).
+The layered phase is an order-parameter fluid with m = 1: each state
+builds, on first read, its incompressible (iota == 1) order-parameter state
+with nu = w, ``SmecticState.order_state``, and that state's cached
+``grad(nu)`` is the one gradient of w the director, the energy, the
+microstress and the relation read.  The relation is the general
+order-parameter engine fed that state, ``S`` as the gradient partial, zero
+chart and iota partials and the zero rate co-energy.  A separable entropic
+part ``e0*exp(eta/c_v)`` is added so the temperature is positive; the
+mechanical energy reported by :func:`smectic_energy` excludes it (flat
+unit-spaced layers have zero energy).
 
 Cells where ``|grad w| <= eps_reg`` are flagged as defect cores and the
 director is regularized there by ``max(|grad w|, eps_reg)``; every report
@@ -28,7 +30,8 @@ that depends on the regularization carries the flag mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +43,6 @@ from .crocco import (
     _complex_terms,
     _relation_fields,
     _report,
-    _state_terms,
     lamb_vector,
 )
 from .fieldcalc import (
@@ -52,7 +54,6 @@ from .fieldcalc import (
     _dot,
     _grad,
     _pointwise_magnitude,
-    grad_scalar,
     require_same_grid,
 )
 from .models import GinzburgLandauPartials, ModelError, OrderCoEnergy, ThermalPart, _require_finite
@@ -90,11 +91,15 @@ class SmecticState:
     v: VectorField
     eta: ScalarField
     w: ScalarField
-    grad_w: VectorField = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_same_grid(self.v, self.eta, self.w)
-        object.__setattr__(self, "grad_w", grad_scalar(self.w))
+
+    @cached_property
+    def order_state(self) -> ComplexState:
+        """The m = 1 order-parameter state (v, iota = 1, eta, nu = w), built on first read and kept."""
+        return ComplexState(self.v, ScalarField(self.grid, np.ones(self.grid.extents)), self.eta,
+                            OrderField(self.grid, self.w.values[..., None]))
 
     @property
     def grid(self) -> Grid:
@@ -103,7 +108,7 @@ class SmecticState:
 
 def _director(state: SmecticState, model: SmecticModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``|grad w|``, its core-regularized value, the director array and the core flags."""
-    gw = state.grad_w.values
+    gw = state.order_state.grad_nu.values[..., 0, :]
     mag = _pointwise_magnitude(state.grid, gw)
     flags = mag <= model.eps_reg
     if np.all(flags):
@@ -166,20 +171,15 @@ def _layer_bundle(state: SmecticState, model: SmecticModel) -> GinzburgLandauPar
 
 def smectic_relation(state: SmecticState, model: SmecticModel) -> RelationFields:
     """The layered-phase relation's fields as they are built; see :func:`smectic_crocco`."""
-    ones = np.ones(state.grid.extents)  # iota and rho
-    w = state.w.values[..., None]
-    grad_w = state.grad_w.values[..., None, :]
-    # the zero co-energy reads no rate of w
-    terms = _complex_terms(state.v, ones, ones, state.eta.values, w, grad_w, None, _layer_bundle(state, model),
-                           OrderCoEnergy.zero(1))
+    terms = _complex_terms(state.order_state, _layer_bundle(state, model), OrderCoEnergy.zero(1))
     return _relation_fields("smectic", COMPLEX_SCHEMA, lamb_vector(state.v), terms)
 
 
 def smectic_crocco(state: SmecticState, model: SmecticModel) -> CroccoReport:
-    """Layered-phase relation: the general m = 1 engine fed with nu = w.
+    """Layered-phase relation: the general m = 1 engine fed the state's ``order_state``.
 
-    Incompressible mode (iota == 1), no layer inertia.  The state's cached
-    ``grad(w)`` is the order gradient, and the effective microstress stands
+    Incompressible mode (iota == 1), no layer inertia.  The order state's
+    cached ``grad(nu)`` is ``grad(w)``, and the effective microstress stands
     in for the gradient partial, so the terms read
 
         micro_grad    = -(grad S)^T grad(w)
@@ -196,19 +196,9 @@ def smectic_crocco(state: SmecticState, model: SmecticModel) -> CroccoReport:
 
 
 def smectic_via_general(state: SmecticState, model: SmecticModel) -> CroccoReport:
-    """Oracle route: the layer function fed to the engine as a typed m = 1 state.
+    """:func:`smectic_crocco` itself; the relation has one feed.
 
-    The order gradient, its rate and the density come from a
-    :class:`~croccolab.crocco.ComplexState` built on ``nu = w`` rather than
-    from the layered state, so the two routes differ only in how they feed
-    the one engine.
+    Kept only because the benchmark's ``certify`` workload
+    (``benchmarks/crocbench/workloads.py``) calls it.
     """
-    grid = state.grid
-    cstate = ComplexState(
-        v=state.v,
-        iota=ScalarField(grid, np.ones(grid.extents)),
-        eta=state.eta,
-        nu=OrderField(grid, state.w.values[..., None]),
-    )
-    terms = _state_terms(cstate, _layer_bundle(state, model), OrderCoEnergy.zero(1))
-    return _report("smectic", _relation_fields("smectic", COMPLEX_SCHEMA, lamb_vector(state.v), terms))
+    return smectic_crocco(state, model)

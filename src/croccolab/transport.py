@@ -98,7 +98,6 @@ from .fieldcalc import (
     curl_vector,
     div_tensor,
     l2_norm,
-    linf_norm,
     refinement_study,
     require_same_grid,
 )
@@ -465,7 +464,7 @@ def step(state: TransportState, config: TransportConfig) -> TransportState:
         """d x/dt of each stage input x (omega, then nu when it is advected), with the source added into omega's."""
         src = source if frozen else _source(grid, xs[1], model)[0]
         ks = [_arakawa(grid, psi, x) for x in xs]  # J(psi, x) = -(v.grad) x
-        if src is not None and np.any(src):  # an identically zero source adds nothing, not even to a -0
+        if np.any(src):  # an identically zero source adds nothing, not even to a -0
             ks[0] += src
         return ks
 
@@ -521,11 +520,12 @@ def run(config: TransportConfig, initial: TransportState) -> RunResult:
     result, model = RunResult(), config.model
 
     def sample(state: TransportState) -> None:
+        l2_omega, max_omega = _norms(state.omega)
         result.samples.append(
             RunSample(
                 t=state.t,
-                l2_omega=l2_norm(state.omega),
-                max_omega=linf_norm(state.omega),
+                l2_omega=l2_omega,
+                max_omega=max_omega,
                 enstrophy=enstrophy(state),
                 rhs_norm=l2_norm(transport_rhs(state, model)),
                 te_work_rate=te_work_rate(state, model),
