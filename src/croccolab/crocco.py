@@ -57,9 +57,9 @@ norms, then the residual, which subtracts the terms in schema order.  The
 reports (``korteweg_crocco``, ``complex_crocco``, ``smectic_crocco``)
 collect that iterator; the CLI writes each field as it comes and drops it,
 so an ``eval-*`` run holds the lhs copy and one term, not a report's eight
-fields.  A defect probe level builds the Lamb vector and its bundles once
-and no intermediate field, and subtracts each term from the Lamb-vector copy
-as it is built, so it too holds one term at a time.
+fields.  A defect probe level builds the Lamb vector (an array, ``_lamb``)
+and its bundles once and no intermediate field, and subtracts each term from
+the Lamb-vector copy as it is built, so it too holds one term at a time.
 
 Bundle lifetimes.  The order-parameter engine drops its reference to each
 partial at that partial's last read: ``theta`` in thermo, ``phi``,
@@ -103,6 +103,7 @@ from .fieldcalc import (
     TensorField,
     VectorField,
     _advect,
+    _curl,
     _div,
     _div_dyadic,
     _dot,
@@ -225,12 +226,23 @@ class ComplexState:
         return self.v.grid
 
 
+def _lamb(grid: Grid, v: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """omega x v of the velocity values v, omega = w or else their curl (``_curl``).
+
+    In 2-D the planar convention gives omega*(-v_y, v_x).
+    """
+    w = _curl(grid, v) if w is None else w
+    if grid.dim == 2:
+        return np.stack([-w * v[..., 1], w * v[..., 0]], axis=-1)
+    return np.cross(w, v)
+
+
 def lamb_vector(v: VectorField) -> VectorField:
-    """omega x v.  In 2-D the planar convention gives omega*(-v_y, v_x)."""
-    w = curl_vector(v).values
-    if v.grid.dim == 2:
-        return VectorField(v.grid, np.stack([-w * v.values[..., 1], w * v.values[..., 0]], axis=-1))
-    return VectorField(v.grid, np.cross(w, v.values))
+    """omega x v.  In 2-D the planar convention gives omega*(-v_y, v_x).
+
+    The curl is the public ``curl_vector``, so a traced call shows it.
+    """
+    return VectorField(v.grid, _lamb(v.grid, v.values, curl_vector(v).values))
 
 
 def _speed2(v: VectorField) -> np.ndarray:
@@ -281,14 +293,14 @@ class CroccoReport:
         return VectorField(self.lhs.grid, acc)
 
 
-def _residual_from(lhs: VectorField, terms: Iterator[np.ndarray]) -> tuple[np.ndarray, object]:
-    """lhs minus the term arrays, subtracted one by one in the order given, and what ``terms`` returns.
+def _residual_from(lhs: np.ndarray, terms: Iterator[np.ndarray]) -> tuple[np.ndarray, object]:
+    """A copy of lhs minus the term arrays, subtracted one by one in the order given, and what ``terms`` returns.
 
     Each term is dropped once subtracted, so terms built on demand are held
     one at a time; the engine's return value (the order-parameter bundle)
     comes back with the difference.
     """
-    res = lhs.values.copy()
+    res = lhs.copy()
     while True:
         try:
             res -= next(terms)
@@ -308,20 +320,22 @@ RelationFields = Iterator[tuple[str, VectorField, tuple[float, float]]]
 
 
 def _relation_fields(
-    relation: str, schema: Sequence[str], lhs: VectorField, terms: Iterable[np.ndarray]
+    relation: str, schema: Sequence[str], v: VectorField, terms: Iterable[np.ndarray]
 ) -> RelationFields:
     """The one consumer of a relation's term arrays: each field, checked, with its (l2, linf) norms.
 
-    Yields ``lhs``, then each term in schema order as the engine builds it,
-    then ``residual``.  A term array becomes a field at once (a non-finite
-    term is named with its first bad cell, before any later term is built)
-    and is subtracted from the lhs copy; the residual subtracts the fields'
-    values, which are the arrays' bits, in schema order, and is checked
-    last.  Nothing is kept once yielded, so a consumer that drops each field
-    holds the lhs copy and one term.
+    Yields ``lhs``, the Lamb vector of ``v``, then each term in schema order
+    as the engine builds it, then ``residual``.  A term array becomes a
+    field at once (a non-finite term is named with its first bad cell,
+    before any later term is built) and is subtracted from the lhs array,
+    of which the lhs field holds its own copy; the residual subtracts the
+    fields' values, which are the arrays' bits, in schema order, and is
+    checked last.  Nothing is kept once yielded, so a consumer that drops
+    each field holds the lhs array and one term.
     """
-    grid, terms = lhs.grid, iter(terms)
-    residual = lhs.values.copy()
+    grid, terms = v.grid, iter(terms)
+    residual = _lamb(grid, v.values)
+    lhs = VectorField(grid, residual)
     yield "lhs", lhs, _norms(lhs)
     del lhs
     for name in schema:
@@ -465,7 +479,7 @@ def classical_crocco(state: KortewegState, model: KortewegModel) -> CroccoReport
     entropic, theta = model._thermal(eta)
     big_h = 0.5 * _speed2(state.v) + model._phi(iota, state.grad_iota.values, entropic) - iota * model.dphi_diota(iota)
     terms = [_thermo(grid, theta, eta), -_grad(grid, big_h)]
-    return _report("classical", _relation_fields("classical", CLASSICAL_SCHEMA, lamb_vector(state.v), terms))
+    return _report("classical", _relation_fields("classical", CLASSICAL_SCHEMA, state.v, terms))
 
 
 def _korteweg_terms(state: KortewegState, cap: _Capillary) -> Iterator[np.ndarray]:
@@ -484,7 +498,7 @@ def _korteweg_terms(state: KortewegState, cap: _Capillary) -> Iterator[np.ndarra
 def korteweg_relation(state: KortewegState, model: KortewegModel, coenergy: KortewegCoEnergy) -> RelationFields:
     """The capillary relation's fields as they are built (see ``_relation_fields``)."""
     cap = _capillary(state, model, coenergy)
-    return _relation_fields("korteweg", KORTEWEG_SCHEMA, lamb_vector(state.v), _korteweg_terms(state, cap))
+    return _relation_fields("korteweg", KORTEWEG_SCHEMA, state.v, _korteweg_terms(state, cap))
 
 
 def korteweg_crocco(
@@ -535,7 +549,7 @@ def steady_momentum_residual(
     R identically (to discretization order) on arbitrary smooth states.
     """
     cap = _capillary(state, model, coenergy)
-    return VectorField(state.grid, _steady_residual(state, cap, lamb_vector(state.v).values))
+    return VectorField(state.grid, _steady_residual(state, cap, _lamb(state.grid, state.v.values)))
 
 
 def defect_identity(
@@ -555,9 +569,9 @@ def defect_identity(
     def probe_for(grid: Grid) -> float:
         state, model, coenergy = state_factory(grid)
         cap = _capillary(state, model, coenergy)
-        lamb = lamb_vector(state.v)
+        lamb = _lamb(grid, state.v.values)
         defect, _ = _residual_from(lamb, _korteweg_terms(state, cap))
-        return _linf(grid, defect - _steady_residual(state, cap, lamb.values))
+        return _linf(grid, defect - _steady_residual(state, cap, lamb))
 
     return _run_identity_probe(probe_for, grids, min_order, "capillary defect identity")
 
@@ -677,7 +691,7 @@ def complex_relation(state: ComplexState, model: ComplexFluidModel, coenergy: Or
     The partials are handed to the engine alone, so each is freed after its last term.
     """
     parts = gl_partials(model, state.iota, state.nu, state.grad_nu, state.eta)
-    return _relation_fields("complex", COMPLEX_SCHEMA, lamb_vector(state.v), _complex_terms(state, parts, coenergy))
+    return _relation_fields("complex", COMPLEX_SCHEMA, state.v, _complex_terms(state, parts, coenergy))
 
 
 def complex_crocco(
@@ -703,7 +717,7 @@ def complex_momentum_residual(state: ComplexState, parts: GinzburgLandauPartials
     with ``p_tilde = -rho*iota*dphi_diota``.
     """
     s = state.rho.values[..., None, None] * parts.dphi_dgrad_nu
-    return VectorField(state.grid, _complex_residual(state, parts, s, lamb_vector(state.v).values))
+    return VectorField(state.grid, _complex_residual(state, parts, s, _lamb(state.grid, state.v.values)))
 
 
 def _coupling(state: ComplexState, parts: GinzburgLandauPartials, order: _Order) -> np.ndarray:
@@ -739,9 +753,9 @@ def complex_defect_identity(
     def probe_for(grid: Grid) -> float:
         state, model, coenergy = state_factory(grid)
         parts = gl_partials(model, state.iota, state.nu, state.grad_nu, state.eta)
-        lamb = lamb_vector(state.v)
+        lamb = _lamb(grid, state.v.values)
         defect, order = _residual_from(lamb, _complex_terms(state, parts, coenergy))
-        target = _complex_residual(state, parts, order.s, lamb.values) + _coupling(state, parts, order)
+        target = _complex_residual(state, parts, order.s, lamb) + _coupling(state, parts, order)
         return _linf(grid, defect - target)
 
     return _run_identity_probe(probe_for, grids, min_order, "order-parameter defect identity")

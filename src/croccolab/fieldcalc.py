@@ -52,9 +52,10 @@ over trailing axes and ``_dyadic`` is the chart sum ``sum_a g[..., a, i] *
 s[..., a, j]``.  ``_grad_dot`` and ``_hess_dot`` contract a first or second
 gradient with a component array as each derivative is taken, with the bits
 of ``_dyadic`` over the materialized ``_grad`` or ``_hess`` tensor and one
-derivative alive at a time, and ``_div_dyadic`` takes ``_div`` of
-``_dyadic`` one slot at a time.  ``_advect`` and the per-cell magnitude of
-the norms add their products through the same kernel.
+derivative alive at a time.  ``_div_slots`` takes ``_div`` of a tensor
+built one slot at a time, and ``_div_dyadic`` that of ``_dyadic``.
+``_advect`` and the per-cell magnitude of the norms add their products
+through the same kernel.
 
 Every operator is a pure function: fields are immutable after construction
 (their arrays are marked read-only) and operators allocate fresh arrays, so
@@ -417,18 +418,23 @@ def _dyadic(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _div_dyadic(grid: Grid, g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``_div(grid, _dyadic(g, s))`` with its bits, one slot ``D_ij`` of the dyadic alive at a time.
+def _div_slots(grid: Grid, rows: int, slot: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """out[..., i] = sum_j d_j slot(i, j) for i < rows, in ``_div``'s order, one slot alive at a time.
 
-    Each slot's ``d_j`` is added into component ``i`` in ``_div``'s order,
-    without the whole ``dim x dim`` tensor.
+    Each slot is a fresh grid array, built when its ``d_j`` is taken and
+    dropped once that derivative is added into component ``i``.
     """
-    out = np.empty(g.shape[:-2] + g.shape[-1:])
-    for i in range(g.shape[-1]):
-        _diff(grid, _chart(g, s, i, 0), 0, out=out[..., i])
+    out = np.empty(grid.extents + (rows,))
+    for i in range(rows):
+        _diff(grid, slot(i, 0), 0, out=out[..., i])
         for j in range(1, grid.dim):
-            out[..., i] += _diff(grid, _chart(g, s, i, j), j)
+            out[..., i] += _diff(grid, slot(i, j), j)
     return out
+
+
+def _div_dyadic(grid: Grid, g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``_div(grid, _dyadic(g, s))`` with its bits, one slot ``D_ij`` of the dyadic alive at a time."""
+    return _div_slots(grid, g.shape[-1], lambda i, j: _chart(g, s, i, j))
 
 
 def _grad_dot(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:

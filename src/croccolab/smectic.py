@@ -43,7 +43,6 @@ from .crocco import (
     _complex_terms,
     _relation_fields,
     _report,
-    lamb_vector,
 )
 from .fieldcalc import (
     Grid,
@@ -172,7 +171,7 @@ def _layer_bundle(state: SmecticState, model: SmecticModel) -> GinzburgLandauPar
 def smectic_relation(state: SmecticState, model: SmecticModel) -> RelationFields:
     """The layered-phase relation's fields as they are built; see :func:`smectic_crocco`."""
     terms = _complex_terms(state.order_state, _layer_bundle(state, model), OrderCoEnergy.zero(1))
-    return _relation_fields("smectic", COMPLEX_SCHEMA, lamb_vector(state.v), terms)
+    return _relation_fields("smectic", COMPLEX_SCHEMA, state.v, terms)
 
 
 def smectic_crocco(state: SmecticState, model: SmecticModel) -> CroccoReport:

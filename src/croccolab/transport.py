@@ -54,7 +54,9 @@ The source and ``div T`` of the last (immutable) ``OrderField`` and model
 are memoized: frozen steps and samples, and later runs from the same nu,
 read one build, and an advected sample's two diagnostics share one.  One
 entry is kept, weakly keyed by its nu, so it is dropped as soon as the
-caller drops that nu and every state and result holding it.
+caller drops that nu and every state and result holding it.  No advected
+step reads it, so an advected run drops the initial nu's entry after the
+first sample instead of holding it through the steps.
 
 Validation sits at the state boundary.  ``TransportState`` and the
 ``ScalarField`` / ``OrderField`` it holds are checked (shape, finiteness,
@@ -65,7 +67,9 @@ on plain arrays and build no ``Field``: the stress contraction, the source
 the arrays of the stage.  A non-finite stage vorticity fails its Poisson
 solve, and a non-finite result fails the new state's checks.  The public
 ``substructural_stress`` and ``transport_rhs`` wrap the same arrays in
-checked fields.  The source takes ``div T`` slot by slot (``_div_dyadic``).
+checked fields.  The source takes ``div T`` slot by slot (``_div_slots``)
+and builds each plane of dphi/dgrad nu as its slot reads it, so neither T
+nor the whole of dphi/dgrad nu is held.
 
 The integrator owns its state single-threaded per run and keeps no
 run-scoped state; the per-cell right side is data-parallel and independent
@@ -91,10 +95,11 @@ from .fieldcalc import (
     VectorField,
     _curl,
     _diff,
-    _div_dyadic,
+    _div_slots,
     _dyadic,
     _grad,
     _norms,
+    _sum,
     curl_vector,
     div_tensor,
     l2_norm,
@@ -298,8 +303,12 @@ class TransportState:
 
     def velocity(self) -> VectorField:
         """v = (d psi/d y, -d psi/d x) by central differences."""
-        psi = self.psi.values
-        return VectorField(self.grid, np.stack([_diff(self.grid, psi, 1), -_diff(self.grid, psi, 0)], axis=-1))
+        return VectorField(self.grid, _velocity(self.grid, self.psi.values))
+
+
+def _velocity(grid: Grid, psi: np.ndarray) -> np.ndarray:
+    """The values of ``TransportState.velocity`` for the streamfunction values psi."""
+    return np.stack([_diff(grid, psi, 1), -_diff(grid, psi, 0)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -320,17 +329,17 @@ class TransportConfig:
             raise TransportError(f"mode must be '{FROZEN}' or '{ADVECTED}'")
 
 
-def _stress_factors(grid: Grid, nu: np.ndarray, model: ComplexFluidModel) -> tuple[np.ndarray, np.ndarray]:
-    """(grad nu, dphi/dgrad nu) of the chart values nu, whose chart sum ``_dyadic`` is T (iota == 1)."""
+def _stress_factors(grid: Grid, nu: np.ndarray, model: ComplexFluidModel) -> np.ndarray:
+    """grad nu of the chart values nu; with the model's dphi/dgrad nu of it, the factors of T (iota == 1)."""
     if nu.shape[-1] != model.m:
         raise ModelError(f"chart dimension mismatch: model m={model.m}, field m={nu.shape[-1]}")
-    gnu = _grad(grid, nu)
-    return gnu, model.dphi_dgrad_nu(gnu)
+    return _grad(grid, nu)
 
 
 def substructural_stress(grid: Grid, nu: OrderField, model: ComplexFluidModel) -> TensorField:
     """Dyadic stress T_ij = sum_a (grad nu)^a_i (dphi/dgrad nu)^a_j (iota == 1)."""
-    return TensorField(grid, _dyadic(*_stress_factors(grid, nu.values, model)))
+    gnu = _stress_factors(grid, nu.values, model)
+    return TensorField(grid, _dyadic(gnu, model.dphi_dgrad_nu(gnu)))
 
 
 def transport_rhs(state: TransportState, model: ComplexFluidModel) -> ScalarField:
@@ -342,8 +351,22 @@ def transport_rhs(state: TransportState, model: ComplexFluidModel) -> ScalarFiel
 
 
 def _source(grid: Grid, nu: np.ndarray, model: ComplexFluidModel) -> tuple[np.ndarray, np.ndarray]:
-    """(-curl(div T), div T) as arrays for the chart values nu."""
-    div_te = _div_dyadic(grid, *_stress_factors(grid, nu, model))
+    """(-curl(div T), div T) as arrays for the chart values nu.
+
+    ``div T`` has the bits of ``_div_dyadic`` over the whole dphi/dgrad nu:
+    the model's ``a * grad nu`` is cellwise, so each plane of it is built
+    alone from its plane of grad nu (a fresh array) and scaled in place.
+    """
+    gnu = _stress_factors(grid, nu, model)
+
+    def product(a: int, i: int, j: int) -> np.ndarray:
+        """(grad nu)^a_i (dphi/dgrad nu)^a_j, one plane."""
+        p = model.dphi_dgrad_nu(gnu[..., a, j])
+        p *= gnu[..., a, i]
+        return p
+
+    div_te = _div_slots(grid, grid.dim, lambda i, j: _sum(product(a, i, j) for a in range(model.m)))
+    del gnu  # not held through the curl
     curl = _curl(grid, div_te)
     return np.negative(curl, out=curl), div_te
 
@@ -489,7 +512,7 @@ def te_work_rate(state: TransportState, model: ComplexFluidModel) -> float:
     time integral of this rate differ only by the quadrature error.
     """
     div_te = _field_source(state.nu, model)[1]
-    return float(np.sum(state.velocity().values * -div_te)) * state.grid.cell_volume
+    return float(np.sum(_velocity(state.grid, state.psi.values) * -div_te)) * state.grid.cell_volume
 
 
 @dataclass(frozen=True)
@@ -515,7 +538,8 @@ def run(config: TransportConfig, initial: TransportState) -> RunResult:
     """Advance `steps` steps, sampling diagnostics every `report_every`.
 
     In frozen mode every step and sample reads the one memoized source of
-    the initial nu.  The enstrophy drift is tracked at every step.
+    the initial nu; in advected mode that source is dropped after the first
+    sample.  The enstrophy drift is tracked at every step.
     """
     result, model = RunResult(), config.model
 
@@ -535,6 +559,8 @@ def run(config: TransportConfig, initial: TransportState) -> RunResult:
     _require_poisson(initial.grid, initial.psi.values, initial.omega.values)
     state, peak = initial, 0.0
     sample(state)
+    if config.mode == ADVECTED:
+        _SOURCE_MEMO.pop(initial.nu, None)
     z0 = result.samples[0].enstrophy
     for k in range(config.steps):
         state = step(state, config)

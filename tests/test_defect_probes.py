@@ -112,29 +112,29 @@ def paused_in(factory, counters):
 def test_capillary_probe_evaluates_each_quantity_once(monkeypatch, name):
     grids = FAMILIES["periodic"]
     inertia = not KORTEWEG_CATALOG[name](grids[0])[2].is_zero
-    curl = counted(monkeypatch, crocco, "curl_vector")
+    curl = counted(monkeypatch, crocco, "_curl")
     partial = counted(monkeypatch, KortewegModel, "dphi_dgrad_iota")
     rate = counted(monkeypatch, KortewegCoEnergy, "dchi_diota_dot")
     fields = counted(monkeypatch, fieldcalc.Field, "__init__")
     defect_identity(paused_in(KORTEWEG_CATALOG[name], [curl, partial, rate, fields]), grids, min_order=0.0)
     assert (curl.calls, partial.calls, rate.calls) == (3, 3, 3 if inertia else 0)
-    # beyond the Lamb vector and its curl, a level builds only the state's grad_iota and, with
-    # inertia, its iota_dot, each on first read
-    assert fields.calls == (4 if inertia else 3) * len(grids)
+    # the Lamb vector and its curl are arrays: a level builds only the state's grad_iota and,
+    # with inertia, its iota_dot, each on first read
+    assert fields.calls == (2 if inertia else 1) * len(grids)
 
 
 @pytest.mark.parametrize("name", sorted(COMPLEX_CATALOG))
 def test_order_parameter_probe_evaluates_each_quantity_once(monkeypatch, name):
     grids = FAMILIES["periodic"]
     inertia = not COMPLEX_CATALOG[name](grids[0])[2].is_zero
-    curl = counted(monkeypatch, crocco, "curl_vector")
+    curl = counted(monkeypatch, crocco, "_curl")
     partials = counted(monkeypatch, crocco, "gl_partials")
     rate = counted(monkeypatch, OrderCoEnergy, "dchi_dnu_dot")
     fields = counted(monkeypatch, fieldcalc.Field, "__init__")
     complex_defect_identity(paused_in(COMPLEX_CATALOG[name], [curl, partials, rate, fields]), grids, min_order=0.0)
     assert (curl.calls, partials.calls, rate.calls) == (3, 3, 3 if inertia else 0)
-    # the Lamb vector, its curl, the state's grad_nu and, with inertia, its nu_dot
-    assert fields.calls == (4 if inertia else 3) * len(grids)
+    # only the state's grad_nu and, with inertia, its nu_dot: the Lamb vector and its curl are arrays
+    assert fields.calls == (2 if inertia else 1) * len(grids)
 
 
 # ---------------------------------------------------------------------------

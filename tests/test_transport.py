@@ -36,7 +36,7 @@ from croccolab.manufactured import (
     two_mode_vorticity,
     uniform_order_parameter,
 )
-from croccolab import transport
+from croccolab import fieldcalc, transport
 from croccolab.models import ComplexFluidModel, ModelError
 from croccolab.transport import (
     CFL_LIMIT,
@@ -470,6 +470,26 @@ def test_source_takes_div_t_without_the_whole_stress():
     assert traced_peak(transport._source, grid, nu, MODEL2) < 13.5 * array
 
 
+def test_source_builds_dphi_dgrad_nu_one_plane_at_a_time():
+    # grad nu (4 planes at m = 2) and div T (2) live through the divergence, which builds each
+    # plane of dphi/dgrad nu as its slot reads it, never the whole of it (4 planes more)
+    n = 256
+    grid, array = Grid.periodic(n), n * n * 8
+    nu = generic_order_parameter(grid).values
+    assert traced_peak(transport._source, grid, nu, MODEL2) < 12 * array
+
+
+def test_advected_run_drops_the_initial_source_after_the_first_sample():
+    # each stage builds its source one plane of dphi/dgrad nu at a time, and the run drops the
+    # initial nu's memoized source and div T (3 grids at m = 2) after the first sample: no
+    # advected step reads them
+    n = 256
+    grid, array = Grid.periodic(n), n * n * 8
+    state = make_state(grid, two_mode_vorticity, generic_order_parameter)  # a fresh nu: its source is built cold
+    advected = TransportConfig(dt=0.25 * grid.spacing[0], steps=10, model=MODEL2, mode="advected")
+    assert traced_peak(run, advected, state) < 21 * array
+
+
 def test_compact_laplacian_matches_roll_formula():
     grid = Grid.periodic(32)
     values = np.random.default_rng(3).standard_normal(grid.extents)
@@ -814,6 +834,19 @@ def test_work_rate_is_the_semi_discrete_rate_of_flow_energy(mode):
         integral = dt * (np.sum(work) - 0.5 * (work[0] + work[-1]))
         defects.append(abs(flow_energy(result.final_state) - flow_energy(state) - integral))
     assert defects[0] / defects[1] >= 3.5 and defects[1] / defects[2] >= 3.5, defects
+
+
+def test_work_rate_builds_no_field(monkeypatch):
+    grid = Grid.periodic(32)
+    state = make_state(grid, two_mode_vorticity, generic_order_parameter)
+    transport_rhs(state, MODEL2)  # memoizes the checked source, as a run's sample does before the work rate
+    built, init = [], fieldcalc.Field.__init__
+    monkeypatch.setattr(fieldcalc.Field, "__init__",
+                        lambda self, *args, **kwargs: built.append(type(self)) or init(self, *args, **kwargs))
+    work = te_work_rate(state, MODEL2)
+    assert built == []
+    monkeypatch.undo()
+    assert work == _field_sample(state, MODEL2).te_work_rate
 
 
 def test_enstrophy_drift_is_a_running_max_over_every_step():

@@ -65,3 +65,11 @@ def test_transport_rows_give_each_mode_its_run_peak_in_grids():
     # a run holds the new state's omega and psi at least; advected mode also moves nu
     (_, frozen), (_, advected) = rows
     assert 2 * n * n * 8 < frozen < advected
+
+
+def test_cold_source_row_gives_the_first_source_build_its_peak_in_grids():
+    n = 16
+    label, peak = working_set.cold_source_row(0, n)
+    assert label == f"transport cold source ({n}^2, m = 2, {peak / (n * n * 8):.2f} grids)"
+    # the build holds grad nu (4 planes at m = 2) and div T (2 planes) at least
+    assert 6 * n * n * 8 < peak

@@ -21,8 +21,11 @@ runs each study or session once under ``tracemalloc``:
 * ``transport frozen`` and ``transport advected``: a 10-step 256^2 run from
   the ``transport`` workload's seeded vorticity and generic nu in each mode
   (the benchmark runs the frozen one), each after a warm-up run of its own,
-  which memoizes the frozen source as the benchmark's warm-up does.  These
-  rows also give the peak in grid arrays of n^2 doubles.
+  which memoizes the frozen source as the benchmark's warm-up does;
+* ``transport cold source``: the first sample's ``transport_rhs`` on the
+  ``transport`` workload's fresh nu, which builds and memoizes the source
+  as each set-up round's warm-up op does.  The transport rows also give
+  the peak in grid arrays of n^2 doubles.
 
 Each line gives, in MiB and in bytes, the peak of the bytes allocated while
 the study or session ran, numpy arrays included, over what was allocated
@@ -90,14 +93,21 @@ def generated_eval_rows(workdir: Path, n: int) -> list[tuple[str, int]]:
     return rows
 
 
-def transport_rows(seed: int, n: int) -> list[tuple[str, int]]:
-    """A row per transport mode: the traced peak of a run from the ``transport`` workload's seeded n^2 state."""
+def transport_bench(seed: int, n: int):
+    """The ``transport`` workload, set up at n^2."""
     from crocbench import workloads
-    from croccolab import transport
 
     bench = workloads.Transport(Path("."))
     bench.N = n
     bench.setup(seed)
+    return bench
+
+
+def transport_rows(seed: int, n: int) -> list[tuple[str, int]]:
+    """A row per transport mode: the traced peak of a run from the ``transport`` workload's seeded n^2 state."""
+    from croccolab import transport
+
+    bench = transport_bench(seed, n)
     rows = []
     for mode in (transport.FROZEN, transport.ADVECTED):
         config = dataclasses.replace(bench.config, mode=mode)
@@ -106,6 +116,15 @@ def transport_rows(seed: int, n: int) -> list[tuple[str, int]]:
         grids = peak / (n * n * 8)
         rows.append((f"transport {mode} ({n}^2, {config.steps} steps, {grids:.2f} grids)", peak))
     return rows
+
+
+def cold_source_row(seed: int, n: int) -> tuple[str, int]:
+    """The traced peak of the source build of the ``transport`` workload's seeded n^2 state, whose nu is fresh."""
+    from croccolab import transport
+
+    bench = transport_bench(seed, n)
+    peak = traced_peak(lambda: transport.transport_rhs(bench.initial, bench.config.model))
+    return f"transport cold source ({n}^2, m = {bench.initial.nu.m}, {peak / (n * n * 8):.2f} grids)", peak
 
 
 def main(argv=None) -> int:
@@ -144,6 +163,7 @@ def main(argv=None) -> int:
         rows += read_rows(eval_argv[eval_argv.index("--config") + 1])
         rows += generated_eval_rows(Path(tmp), session.N)
     rows += transport_rows(args.seed, workloads.Transport.N)
+    rows.append(cold_source_row(args.seed, workloads.Transport.N))
 
     width = max(len(label) for label, _ in rows)
     print(f"traced allocation peaks, seed {args.seed}")
