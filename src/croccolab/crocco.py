@@ -71,12 +71,14 @@ back instead of rebuilding them.
 
 The order-parameter engine keeps a bounded working set: it builds its terms
 one by one, freeing each intermediate before the next term, and contracts
-``D_i(P^a_j)`` with ``(grad nu)^a_j``, ``D_j`` of the state's own
+``D_i(P^a_j)`` with ``(grad nu)^a_j``, ``D_i`` of the state's own
 ``grad(nu)`` with ``S^a_j`` and each derivative of the balance with ``nu^a``
-as each derivative is taken, so no second-gradient tensor (``m*dim*dim``
-grid planes) and no gradient of the balance (``m*dim``) is built; the sums
-run in the order, and give the bits, of ``_dyadic`` over the materialized
-tensors.  The defect probe's coupling contracts the gradient of
+as each derivative is taken (all three through ``_grad_dot``), so no
+second-gradient tensor (``m*dim*dim`` grid planes) and no gradient of the
+balance (``m*dim``) is built; the sums run in the order, and give the bits,
+of ``_dyadic`` over the materialized gradients.  ``S:gradgrad(nu)`` takes
+the mixed partials in the order ``D_i D_j nu``, which equals ``D_j D_i nu``
+to rounding.  The defect probe's coupling contracts the gradient of
 ``iota*Rs`` with ``nu^a`` the same way.
 
 Everything here is pure: states and reports are immutable value objects and
@@ -111,7 +113,6 @@ from .fieldcalc import (
     _first_index,
     _grad,
     _grad_dot,
-    _hess_dot,
     _linf,
     _norms,
     _pointwise_magnitude,
@@ -653,8 +654,8 @@ def _complex_terms(
     built when the previous one has been taken, and its intermediates are
     freed before it is handed over, so a consumer that drops each term
     holds one at a time; the two second-gradient terms contract each
-    derivative as it is taken (``_grad_dot``, ``_hess_dot``), so no
-    ``m*dim*dim`` tensor is built.
+    derivative as it is taken (``_grad_dot``), so no ``m*dim*dim`` tensor
+    is built.
 
     The engine drops its reference to each partial at the partial's last
     read, and builds the order bundle (S, div S and the rates) only after
@@ -680,8 +681,8 @@ def _complex_terms(
     # balance contracted with nu as it is taken, so the balance's gradient is never built
     yield -_grad_dot(grid, iota[..., None] * (order.div_s - order.rate + order.dchi_dnu), nu)
     yield -iota[..., None] * _dyadic(grad_nu, order.div_s[..., None])[..., 0]  # micro_div
-    # micro_hess: -iota S:gradgrad(nu), sum_aj D_j((grad nu)^a_i) S^a_j
-    yield -iota[..., None] * _hess_dot(grid, grad_nu, order.s)
+    # micro_hess: -iota S:gradgrad(nu), sum_aj D_i((grad nu)^a_j) S^a_j
+    yield -iota[..., None] * _grad_dot(grid, grad_nu, order.s)
     return order
 
 

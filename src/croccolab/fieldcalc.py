@@ -31,15 +31,17 @@ formulas of ``np.gradient(..., edge_order=2)``, operation for operation.  One
 generic path serves every rank, and this module is the only place that
 loops over coordinate axes.  ``_grad`` appends a trailing derivative axis to
 an array of any rank, ``_diff`` writing each derivative into its slot,
-``_div`` contracts its last axis, ``_hess`` writes ``d_i (d_j a)`` into a
-C-contiguous array indexed ``[..., i, j]`` (``_grad`` applied twice, its last
-two axes swapped) and ``_advect`` is steady advection.  Second derivatives
-are therefore repeated first derivatives, which makes mixed partials
-symmetric to rounding.  The typed operators below (grad, div, Jacobian,
-Hessian, the ``order_*`` operators, steady advection) are thin wrappers over
-these helpers.  The relation and transport modules call the helpers on plain
-intermediate arrays: a field, whose values are checked finite, is built only
-for a state, a report's terms and the result of a public function.
+``_div`` contracts its last axis and ``_advect`` is steady advection.
+Second derivatives are repeated first derivatives, which makes mixed
+partials symmetric to rounding, and no kernel exists for them alone: the
+second-gradient operators hand ``_grad`` applied twice, its last two axes
+swapped, to their field, which copies it into C order, and the relation
+engine contracts ``_grad_dot`` of a first gradient.  The typed operators
+below (grad, div, Jacobian, Hessian, the ``order_*`` operators, steady
+advection) are thin wrappers over these helpers.  The relation and
+transport modules call the helpers on plain intermediate arrays: a field,
+whose values are checked finite, is built only for a state, a report's
+terms and the result of a public function.
 
 Every sum over component axes goes through one kernel, ``_sum``: it adds
 fresh whole-grid product arrays one by one in the order given, then the
@@ -49,11 +51,12 @@ in C order of the summed axes gives np.sum's bits on an axis below 8
 elements and np.einsum's on a chart axis of any length, without their cost
 on axes two to four elements long.  ``_dot`` sums ``a[..., k] * b[..., k]``
 over trailing axes and ``_dyadic`` is the chart sum ``sum_a g[..., a, i] *
-s[..., a, j]``.  ``_grad_dot`` and ``_hess_dot`` contract a first or second
-gradient with a component array as each derivative is taken, with the bits
-of ``_dyadic`` over the materialized ``_grad`` or ``_hess`` tensor and one
-derivative alive at a time.  ``_div_slots`` takes ``_div`` of a tensor
-built one slot at a time, and ``_div_dyadic`` that of ``_dyadic``.
+s[..., a, j]``.  ``_grad_dot`` contracts the gradient of an array of any
+rank with a component array as each derivative is taken, with the bits of
+``_dyadic`` over the materialized ``_grad`` tensor and one derivative alive
+at a time; given a first gradient, it contracts a second gradient without
+building it.  ``_div_slots`` takes ``_div`` of a tensor built one slot at
+a time, and ``_div_dyadic`` that of ``_dyadic``.
 ``_advect`` and the per-cell magnitude of the norms add their products
 through the same kernel.
 
@@ -288,16 +291,6 @@ def _div(grid: Grid, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hess(grid: Grid, a: np.ndarray) -> np.ndarray:
-    """Second gradient of any rank, C-contiguous: out[..., i, j] = d_i (d_j a[...])."""
-    out = np.empty(a.shape + (grid.dim, grid.dim))
-    for j in range(grid.dim):
-        first = _diff(grid, a, j)
-        for i in range(grid.dim):
-            _diff(grid, first, i, out=out[..., i, j])
-    return out
-
-
 def grad_scalar(f: ScalarField) -> VectorField:
     """Gradient of a scalar field: out[..., i] = df/dx_i."""
     return VectorField(f.grid, _grad(f.grid, f.values))
@@ -339,10 +332,11 @@ def div_tensor(t: TensorField) -> VectorField:
 def hessian_scalar(f: ScalarField) -> TensorField:
     """Second gradient of a scalar: out[..., i, j] = d^2 f / (dx_i dx_j).
 
-    Built as repeated first derivatives, so mixed partials are symmetric to
-    rounding and the truncation order is O(h^2) throughout.
+    Built as repeated first derivatives, d_i (d_j f), so mixed partials are
+    symmetric to rounding and the truncation order is O(h^2) throughout; the
+    field copies the swapped gradient into C order.
     """
-    return TensorField(f.grid, _hess(f.grid, f.values))
+    return TensorField(f.grid, np.swapaxes(_grad(f.grid, _grad(f.grid, f.values)), -1, -2))
 
 
 def order_grad(nu: OrderField) -> OrderGradField:
@@ -351,8 +345,8 @@ def order_grad(nu: OrderField) -> OrderGradField:
 
 
 def order_second_grad(nu: OrderField) -> OrderHessField:
-    """Chart-wise second gradient: out[..., a, i, j] = d^2 nu^a / (dx_i dx_j)."""
-    return OrderHessField(nu.grid, _hess(nu.grid, nu.values))
+    """Chart-wise second gradient: out[..., a, i, j] = d_i (d_j nu^a), as :func:`hessian_scalar` builds it."""
+    return OrderHessField(nu.grid, np.swapaxes(_grad(nu.grid, _grad(nu.grid, nu.values)), -1, -2))
 
 
 def _advect(grid: Grid, a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -448,22 +442,6 @@ def _grad_dot(grid: Grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     keys = [(Ellipsis,) + k for k in itertools.product(*map(range, a.shape[grid.dim:]))]
     for i in range(grid.dim):
         _sum((_diff(grid, a[k], i) * b[k] for k in keys), out[..., i])
-    return out
-
-
-def _hess_dot(grid: Grid, g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """out[..., i] = sum_{a, j} d_j(g[..., a, i]) * s[..., a, j], (a, j) in C order.
-
-    With ``g = _grad(grid, nu)`` this is the second gradient of ``nu``
-    contracted with ``s``, the bits of ``_dyadic`` over ``_hess(grid, nu)``
-    with its (a, j) axes flattened into the chart axis, against ``s`` as a
-    one-column operand, without building that second gradient: ``_hess``
-    takes d_j of the same first derivatives ``g`` holds.
-    """
-    out = np.empty(grid.extents + (grid.dim,))
-    pairs = list(itertools.product(range(g.shape[-2]), range(grid.dim)))
-    for i in range(grid.dim):
-        _sum((_diff(grid, g[..., a, i], j) * s[..., a, j] for a, j in pairs), out[..., i])
     return out
 
 

@@ -426,9 +426,12 @@ class OrderCoEnergy:
             raise ModelError(f"Omega must be square, got shape {om.shape}")
         if lv.shape != (om.shape[0],):
             raise ModelError("lam must be an m-covector matching Omega")
-        if not np.allclose(om, om.T, atol=1e-12):
+        # both floors scale with Omega, so s * Omega gets the verdict of Omega
+        tol = 1e-12 * float(np.max(np.abs(om)))
+        if np.max(np.abs(om - om.T)) > tol:
             raise ModelError("Omega must be symmetric")
-        if np.min(np.linalg.eigvalsh(om)) < -1e-12:
+        om = 0.5 * (om + om.T)  # Omega itself where it is exactly symmetric
+        if np.min(np.linalg.eigvalsh(om)) < -tol:
             raise ModelError("Omega must be positive semi-definite")
         object.__setattr__(self, "omega", tuple(tuple(float(x) for x in row) for row in om))
         object.__setattr__(self, "lam", tuple(float(x) for x in lv))

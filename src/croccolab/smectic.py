@@ -188,8 +188,8 @@ def smectic_crocco(state: SmecticState, model: SmecticModel) -> CroccoReport:
 
     and ``h_c = q^2/2 + phi - S.grad(w)`` with ``phi`` the mechanical energy
     plus the separable entropic part.  The engine contracts ``grad S`` and
-    ``gradgrad(w)`` (the derivatives of the cached ``grad(w)``) as it takes
-    them, so neither second-gradient tensor is built.
+    ``gradgrad(w)`` (the gradient of the cached ``grad(w)``) through one
+    kernel as it takes them, so neither second-gradient tensor is built.
     """
     return _report("smectic", smectic_relation(state, model))
 

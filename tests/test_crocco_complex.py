@@ -144,6 +144,26 @@ def test_complex_schema():
     )
 
 
+def test_second_gradient_terms_match_the_closed_form_on_complex_gl_m2():
+    # dphi/dgrad(nu) = a grad(nu) and rho iota = 1, so both micro_grad = -(grad P)^T grad(nu)
+    # and micro_hess = -iota S:gradgrad(nu) are -(a/2) grad|grad nu|^2, with
+    # nu = (0.1 + 0.5 sin x cos y, 0.35 cos(x + y))
+    errors = {name: {} for name in ("micro_grad", "micro_hess")}
+    for n in (32, 64, 128):
+        grid = Grid.periodic(n)
+        state, model, coenergy = complex_gl_m2(grid)
+        assert np.max(np.abs(state.rho.values * state.iota.values - 1.0)) <= 1e-15
+        x, y = grid.meshgrid()
+        cross = 0.245 * np.sin(2 * x + 2 * y)
+        grad_mag2 = [cross - 0.25 * np.sin(2 * x) * np.cos(2 * y), cross - 0.25 * np.cos(2 * x) * np.sin(2 * y)]
+        exact = -0.5 * model.a * np.stack(grad_mag2, axis=-1)
+        report = complex_crocco(state, model, coenergy)
+        for name, levels in errors.items():
+            levels[grid.spacing[0]] = float(np.max(np.linalg.norm(report.terms[name].values - exact, axis=-1)))
+    for name, levels in errors.items():
+        assert refinement_study(levels.__getitem__, list(levels)).observed_order >= 1.8, (name, levels)
+
+
 def test_report_norms_have_the_bits_of_l2_and_linf_norm():
     # the report takes each field's magnitude once; both norms must match the public ones
     grid = Grid((24, 20), (TWO_PI / 24, 0.2), ("periodic", "one-sided"))

@@ -26,8 +26,6 @@ from croccolab.fieldcalc import (
     _dyadic,
     _grad,
     _grad_dot,
-    _hess,
-    _hess_dot,
     _pointwise_magnitude,
     _sum,
     advect_steady,
@@ -546,12 +544,16 @@ def test_one_sided_diff_bit_identical_to_np_gradient(grid, components):
     ],
     ids=["periodic-2d", "one-sided-2d", "periodic-3d", "mixed-3d"],
 )
-@pytest.mark.parametrize("components", [(), (2,), (3, 2)], ids=["rank0", "rank1", "rank2"])
-def test_hessian_is_contiguous_and_bit_identical_to_swapped_repeated_gradient(grid, components):
+@pytest.mark.parametrize(
+    "components, operator",
+    [((), lambda g, a: hessian_scalar(ScalarField(g, a))), ((2,), lambda g, a: order_second_grad(OrderField(g, a)))],
+    ids=["rank0", "rank1"],
+)
+def test_hessian_is_contiguous_and_bit_identical_to_swapped_repeated_gradient(grid, components, operator):
     rng = np.random.default_rng(8)
     a = _wild(rng, grid.extents + components)
     ref = np.swapaxes(_grad(grid, _grad(grid, a)), -1, -2)
-    got = _hess(grid, a)
+    got = operator(grid, a).values
     assert got.flags.c_contiguous
     assert np.array_equal(_bits(got), _bits(ref))
 
@@ -658,13 +660,13 @@ def test_dyadic_chart_sum_bit_identical_to_einsum(m, dims):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_fused_contractions_bit_identical_to_dyadic_over_the_built_tensors(grid, m):
     # the relation engine's two second-gradient terms, as the chart sums over the
-    # materialized _grad / _hess tensors with their (a, j) axes flattened into one
+    # materialized gradients of P and of grad(nu) with their (a, j) axes flattened into one
     rng = np.random.default_rng(30 + m)
     dim, pairs = grid.dim, grid.extents + (m * grid.dim,)
     nu, p, s = (_wild(rng, grid.extents + shape) for shape in ((m,), (m, dim), (m, dim)))
     g = _grad(grid, nu)
     grad_ref = _dyadic(_grad(grid, p).reshape(pairs + (dim,)), g.reshape(pairs + (1,)))[..., 0]
-    hess_ref = _dyadic(_hess(grid, nu).reshape(pairs + (dim,)), s.reshape(pairs + (1,)))[..., 0]
+    hess_ref = _dyadic(_grad(grid, g).reshape(pairs + (dim,)), s.reshape(pairs + (1,)))[..., 0]
 
     def strided(a):  # every other slot of a wider buffer
         wide = np.full(a.shape[:-1] + (2 * a.shape[-1],), np.nan)
@@ -676,9 +678,32 @@ def test_fused_contractions_bit_identical_to_dyadic_over_the_built_tensors(grid,
         got = _grad_dot(grid, layout(p), layout(g))
         assert got.shape == grid.extents + (dim,) and got.flags.c_contiguous
         assert np.array_equal(_bits(got), _bits(grad_ref)), label
-        got = _hess_dot(grid, layout(g), layout(s))
+        got = _grad_dot(grid, layout(g), layout(s))
         assert got.shape == grid.extents + (dim,) and got.flags.c_contiguous
         assert np.array_equal(_bits(got), _bits(hess_ref)), label
+
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        Grid.periodic(8),
+        Grid.one_sided((7, 9), (0.3, 0.2)),
+        Grid.periodic(5, dim=3),
+        Grid((5, 6, 4), (0.4, 0.3, 0.5), ("periodic", "one-sided", "one-sided")),
+    ],
+    ids=["periodic-2d", "one-sided-2d", "periodic-3d", "mixed-3d"],
+)
+def test_mixed_partials_commute_to_rounding(grid):
+    # micro_hess takes D_i((grad nu)^a_j); difference operators on different axes
+    # commute, one-sided ones included, so D_j((grad nu)^a_i) differs by rounding only
+    rng = np.random.default_rng(35)
+    dim, pairs = grid.dim, grid.extents + (2 * grid.dim,)
+    g = _grad(grid, rng.standard_normal(grid.extents + (2,)))
+    s = rng.standard_normal(grid.extents + (2, dim))
+    swapped = _dyadic(np.swapaxes(_grad(grid, g), -1, -2).reshape(pairs + (dim,)), s.reshape(pairs + (1,)))[..., 0]
+    got = _grad_dot(grid, g, s)
+    assert 0.0 < np.max(np.abs(got - swapped)) <= 1e-14 * np.max(np.abs(swapped))
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,41 @@ def test_order_coenergy_validation():
     assert OrderCoEnergy.zero(3).is_zero
 
 
+def test_order_coenergy_checks_scale_with_omega():
+    # np.allclose's relative 1e-5 passes the first Omega, and an absolute floor the
+    # second; dchi_dnu_dot of an asymmetric Omega is not the gradient of chi, yet it
+    # stays inside validate_partials' 1e-6
+    with pytest.raises(ModelError, match="symmetric"):
+        OrderCoEnergy(((2.0, 1.0 + 1e-6), (1.0, 2.0)), (0.0, 0.0))
+    with pytest.raises(ModelError, match="positive semi-definite"):
+        OrderCoEnergy(((1e-13, 0.0), (0.0, -1e-13)), (0.0, 0.0))
+    # stored symmetrized: a rounding-level asymmetry leaves no antisymmetric part
+    co = OrderCoEnergy(((2.0, 1.0 + 2.0**-50), (1.0, 2.0)), (0.0, 0.0))
+    assert co.omega[0][1] == co.omega[1][0] == 1.0 + 2.0**-51
+    assert OrderCoEnergy(((1.2, 0.3), (0.3, 0.9)), (0.4, -0.2)).omega == ((1.2, 0.3), (0.3, 0.9))
+
+
+@pytest.mark.parametrize(
+    "omega, error",
+    [
+        (((1.2, 0.3), (0.3, 0.9)), None),
+        (((1.0, 1.0), (1.0, 1.0)), None),  # singular PSD: an eigenvalue at rounding level
+        (((2.0, 1.0 + 2.0**-50), (1.0, 2.0)), None),
+        (((2.0, 1.0 + 1e-6), (1.0, 2.0)), "symmetric"),
+        (((1.0, 0.0), (0.0, -1.0)), "positive semi-definite"),
+        (((1.0, 0.0), (0.0, -1e-9)), "positive semi-definite"),
+    ],
+)
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e6])
+def test_order_coenergy_verdict_is_scale_free(omega, error, scale):
+    scaled = tuple(tuple(scale * x for x in row) for row in omega)
+    if error is None:
+        OrderCoEnergy(scaled, (0.0, 0.0))
+    else:
+        with pytest.raises(ModelError, match=error):
+            OrderCoEnergy(scaled, (0.0, 0.0))
+
+
 # a valid instance's arguments per model, every tuple parameter given with entries
 VALID_ARGS = {
     KortewegModel: {},
