@@ -430,7 +430,7 @@ class OrderCoEnergy:
         tol = 1e-12 * float(np.max(np.abs(om)))
         if np.max(np.abs(om - om.T)) > tol:
             raise ModelError("Omega must be symmetric")
-        om = 0.5 * (om + om.T)  # Omega itself where it is exactly symmetric
+        om = 0.5 * om + 0.5 * om.T  # cannot overflow; Omega itself where it is symmetric and normal
         if np.min(np.linalg.eigvalsh(om)) < -tol:
             raise ModelError("Omega must be positive semi-definite")
         object.__setattr__(self, "omega", tuple(tuple(float(x) for x in row) for row in om))

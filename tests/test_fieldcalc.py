@@ -683,7 +683,6 @@ def test_fused_contractions_bit_identical_to_dyadic_over_the_built_tensors(grid,
         assert np.array_equal(_bits(got), _bits(hess_ref)), label
 
 
-
 @pytest.mark.parametrize(
     "grid",
     [

@@ -267,6 +267,7 @@ def test_order_coenergy_checks_scale_with_omega():
     co = OrderCoEnergy(((2.0, 1.0 + 2.0**-50), (1.0, 2.0)), (0.0, 0.0))
     assert co.omega[0][1] == co.omega[1][0] == 1.0 + 2.0**-51
     assert OrderCoEnergy(((1.2, 0.3), (0.3, 0.9)), (0.4, -0.2)).omega == ((1.2, 0.3), (0.3, 0.9))
+    assert OrderCoEnergy(((1e308, 0.0), (0.0, 1e308)), (0.0, 0.0)).omega == ((1e308, 0.0), (0.0, 1e308))
 
 
 @pytest.mark.parametrize(
